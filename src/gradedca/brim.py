@@ -8,17 +8,16 @@ count in the standard-monomial basis of R, with no power-ideal bases.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
 from math import comb
 
 from .gb import GBError, SubmoduleGB
-from .hilbert import (_solve_exact, _std_monomial_count, binom_poly,
-                      dim_module)
+from .hilbert import (_RankTracker, binom_poly, dim_module, fit_binomial,
+                      module_length, monomial_numerator, series_coefficient)
 from .homology import is_unmixed, local_cohomology_lengths
 from .modules import FreeModule, GradedModule
-from .poly import grevlex_key, mon_deg, monomials_of_degree
+from .poly import monomials_of_degree
 
 
 class BrimError(GBError):
@@ -43,6 +42,15 @@ class ParameterModule:
     @property
     def is_parameter(self):
         return self.gens_count == self.base_dim + self.rank - 1
+
+    @cached_property  # stored in the instance dict, which frozen allows
+    def colength(self):
+        """λ(F/E) over R = S/(ring_rels), or None when it is infinite."""
+        free = FreeModule(self.ring, [0] * self.rank)
+        rels = [free.element(col) for col in self.columns]
+        rels += [free.basis(i).poly_mul(p) for p in self.ring_rels
+                 for i in range(self.rank)]
+        return module_length(GradedModule.from_relations(free, rels))
 
     @property
     def column_degrees(self):
@@ -94,38 +102,6 @@ def _nf_poly(p, gb, amb):
     return v.coordinates()[0]
 
 
-class _BigradeTracker:
-    """Incremental rank over the field, rows keyed by (T-monomial, monomial)."""
-
-    def __init__(self, fld):
-        self.fld = fld
-        self.rows = {}
-
-    @staticmethod
-    def _key(term):
-        alpha, mon = term
-        return (alpha, grevlex_key(mon))
-
-    def add(self, terms):
-        fld = self.fld
-        work = dict(terms)
-        while work:
-            pivot = max(work, key=self._key)
-            row = self.rows.get(pivot)
-            if row is None:
-                inv = fld.inv(work[pivot])
-                self.rows[pivot] = {t: fld.mul(v, inv) for t, v in work.items()}
-                return True
-            c = work[pivot]
-            for t, v in row.items():
-                s = fld.sub(work.get(t, fld.zero()), fld.mul(v, c))
-                if s == 0:
-                    work.pop(t, None)
-                else:
-                    work[t] = s
-        return False
-
-
 def _products(pm: ParameterModule, n, gb, amb):
     """Degree-n products of the g_j as {T-exponent: poly}, with degrees."""
     ring = pm.ring
@@ -161,51 +137,45 @@ def _products(pm: ParameterModule, n, gb, amb):
     return [(p, dp) for p, dp in out.values() if p]
 
 
-def br_value(pm: ParameterModule, n: int, _cache=None) -> int:
-    """λ(Fⁿ/Eⁿ)."""
+def br_value(pm: ParameterModule, n: int) -> int:
+    """λ(Fⁿ/Eⁿ).
+
+    λ(F/E) < ∞ is certified first; then every λ(Fⁿ/Eⁿ) is finite, and
+    since Fⁿ is generated in ring degree 0, the first ring degree in which
+    Fⁿ/Eⁿ vanishes ends the sum.
+    """
     if n == 0:
         return 0
+    if pm.colength is None:
+        raise BrimError("λ(F^%d/E^%d) is infinite: generators do not "
+                        "have finite colength" % (n, n))
     ring = pm.ring
     fld = ring.field
     gb, amb = _ring_gb(pm)
-    lead = [mon for (_, mon) in gb.leading_terms()]
+    base = monomial_numerator([mon for (_, mon) in gb.leading_terms()])
     prods = _products(pm, n, gb, amb)
     nvars = ring.num_vars
     n_tmons = comb(n + pm.rank - 1, pm.rank - 1)
+
+    def terms(p, mon):
+        out = {}
+        for alpha, c in p.items():
+            red = _nf_poly(c.mul_monomial(mon, fld.one()), gb, amb)
+            for m2, cc in red.terms.items():
+                out[(alpha, m2)] = cc
+        return out
+
     total = 0
     t = 0
     while True:
-        std = _std_monomial_count(lead, nvars, t)
-        dim_free = n_tmons * std
-        tracker = _BigradeTracker(fld)
-        rank = 0
-        for p, dp in prods:
-            rem = t - dp
-            if rem < 0:
-                continue
-            for mon in monomials_of_degree(nvars, rem):
-                terms = {}
-                for alpha, c in p.items():
-                    red = _nf_poly(c.mul_monomial(mon, fld.one()), gb, amb)
-                    for m2, cc in red.terms.items():
-                        terms[(alpha, m2)] = cc
-                if terms and tracker.add(terms):
-                    rank += 1
-                    if rank == dim_free:
-                        break
-            if rank == dim_free:
-                break
-        total += dim_free - rank
-        if dim_free - rank == 0:
+        dim_free = n_tmons * series_coefficient(base, nvars, t)
+        rows = (terms(p, mon) for p, dp in prods
+                for mon in monomials_of_degree(nvars, t - dp))
+        left = dim_free - _RankTracker(fld).rank(rows, dim_free)
+        total += left
+        if left == 0:
             return total
         t += 1
-        if t > 400:
-            raise BrimError("λ(F^%d/E^%d) appears infinite: generators do not "
-                            "have finite colength" % (n, n))
-
-
-def br_table(pm: ParameterModule, N: int):
-    return [br_value(pm, n) for n in range(N + 1)]
 
 
 @dataclass
@@ -219,57 +189,32 @@ class BRReport:
     pointwise_bound_ok: bool
 
 
-def _fit_br(values, n0, deg):
-    a = []
-    b = []
-    for k in range(deg + 1):
-        n = n0 + k
-        a.append([(-1) ** i * binom_poly(n - 1, deg - i) for i in range(deg + 1)])
-        b.append(Fraction(values[n]))
-    return _solve_exact(a, b)
-
-
 def br_coefficients(pm: ParameterModule, n_max=None) -> BRReport:
     """Fit of λ(Fⁿ/Eⁿ) in the binomial basis of degree d + r − 1."""
     deg = pm.base_dim + pm.rank - 1
     if n_max is None:
         n_max = deg + 8
-    values = []
-
-    def need(upto):
-        while len(values) <= upto:
-            values.append(br_value(pm, len(values)))
-
-    n0 = 0
-    while n0 + deg + 2 <= n_max:
-        need(n0 + deg + 2)
-        c1 = _fit_br(values, n0, deg)
-        c2 = _fit_br(values, n0 + 1, deg)
-        if c1 is not None and c1 == c2 and all(c.denominator == 1 for c in c1):
-            pred = sum((-1) ** i * c1[i] * binom_poly(n0 + deg + 1, deg - i)
-                       for i in range(deg + 1))
-            if pred == values[n0 + deg + 2]:
-                coeffs = [int(c) for c in c1]
-                br, br1 = coeffs[0], coeffs[1]
-                bound_ok = all(
-                    values[n] >= br * binom_poly(n - 1, deg)
-                    for n in range(len(values)))
-                eq = any(values[n] == br * binom_poly(n - 1, deg)
-                         for n in range(1, len(values)))
-                if pm.is_parameter:
-                    assert br >= 1
-                    assert br1 <= 0, "br1 must be nonpositive on parameter modules"
-                    assert bound_ok, "pointwise Buchsbaum-Rim bound violated"
-                    if eq:
-                        assert all(values[n] == br * binom_poly(n - 1, deg)
-                                   for n in range(len(values))), \
-                            "equality at one n must propagate to all n"
-                return BRReport(table=list(values), degree=deg,
-                                coefficients=coeffs, br=br, br1=br1,
-                                equality_case=eq, pointwise_bound_ok=bound_ok)
-        n0 += 1
-    raise BrimError("Buchsbaum-Rim table did not stabilize within n <= %d"
-                    % n_max)
+    fit = fit_binomial(lambda n: br_value(pm, n), deg, 1, n_max)
+    if fit is None:
+        raise BrimError("Buchsbaum-Rim table did not stabilize within n <= %d"
+                        % n_max)
+    coeffs, values, _ = fit
+    br, br1 = coeffs[0], coeffs[1]
+    bound_ok = all(values[n] >= br * binom_poly(n - 1, deg)
+                   for n in range(len(values)))
+    eq = any(values[n] == br * binom_poly(n - 1, deg)
+             for n in range(1, len(values)))
+    if pm.is_parameter:
+        assert br >= 1
+        assert br1 <= 0, "br1 must be nonpositive on parameter modules"
+        assert bound_ok, "pointwise Buchsbaum-Rim bound violated"
+        if eq:
+            assert all(values[n] == br * binom_poly(n - 1, deg)
+                       for n in range(len(values))), \
+                "equality at one n must propagate to all n"
+    return BRReport(table=list(values), degree=deg, coefficients=coeffs,
+                    br=br, br1=br1, equality_case=eq,
+                    pointwise_bound_ok=bound_ok)
 
 
 @dataclass

@@ -82,6 +82,8 @@ def check_instance(job: Job):
     rows = list(check_claims(job))
     m = job.module
     r = hb.dim_module(m)
+    if r == hb.NEG_INF:
+        return rows  # the zero module has no parameter ideals to check
     prof = homology.local_cohomology_lengths(m)
     is_cm = prof.depth == prof.dim
     gen_cm = prof.finite_below_top()

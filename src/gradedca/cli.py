@@ -1,8 +1,8 @@
 """Command-line front end.
 
-    gradedca compute <job.json> [--seed N] [--jobs W] [--out PATH]
+    gradedca compute <job.json> [--seed N] [--out PATH]
                                  [--format json|csv] [--no-timings]
-    gradedca check <corpus-dir> [--seed N] [--jobs W] [--out PATH]
+    gradedca check <corpus-dir> [--seed N] [--out PATH]
 
 The environment variable GRADEDCA_CHAR sets the default field
 characteristic for jobs that omit ring.characteristic (use "0" for the
@@ -13,7 +13,6 @@ rationals).  Exit codes: 0 success, 1 failed checks, 2 invalid input,
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import os
 import sys
@@ -99,15 +98,8 @@ def cmd_check(args):
     paths = sorted(corpus.glob("*.json"))
     char = _default_char()
     rows = []
-    if args.jobs > 1 and len(paths) > 1:
-        with concurrent.futures.ThreadPoolExecutor(args.jobs) as pool:
-            futures = [pool.submit(_check_one, p, args.seed, char)
-                       for p in paths]
-            for fut in futures:
-                rows.extend(fut.result())
-    else:
-        for p in paths:
-            rows.extend(_check_one(p, args.seed, char))
+    for p in paths:
+        rows.extend(_check_one(p, args.seed, char))
     matrix = rows_to_matrix(rows)
     _emit(matrix, args.out, "json")
     return 0 if matrix["failed"] == 0 else 1
@@ -123,7 +115,6 @@ def make_parser():
     p_compute = sub.add_parser("compute", help="run a JSON job file")
     p_compute.add_argument("job")
     p_compute.add_argument("--seed", type=int, default=None)
-    p_compute.add_argument("--jobs", type=int, default=1)
     p_compute.add_argument("--out", default=None)
     p_compute.add_argument("--format", choices=["json", "csv"], default="json")
     p_compute.add_argument("--no-timings", action="store_true",
@@ -133,7 +124,6 @@ def make_parser():
     p_check = sub.add_parser("check", help="run the theorem-check suite on a corpus")
     p_check.add_argument("corpus")
     p_check.add_argument("--seed", type=int, default=None)
-    p_check.add_argument("--jobs", type=int, default=1)
     p_check.add_argument("--out", default=None)
     p_check.set_defaults(func=cmd_check)
     return parser

@@ -211,10 +211,6 @@ def kernel_of_map(f: ModuleMap, target_relations=()):
     return out
 
 
-def image_gens(f: ModuleMap):
-    return [c for c in f.columns() if not c.is_zero()]
-
-
 def syzygies(gens, ambient: FreeModule) -> ModuleMap:
     """Map whose image is the syzygy module of the given generators."""
     gens = list(gens)

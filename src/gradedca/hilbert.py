@@ -1,10 +1,25 @@
 """Dimension, length, Hilbert functions and Hilbert-Samuel coefficients.
 
+One primitive carries dimension, length and the Hilbert function: the
+Hilbert series HS(M) = N(t)/(1−t)^n of the lead-term module, n the number
+of variables.  Position i of the ambient free module contributes
+t^twist_i·N(S/I_i), where I_i is the monomial ideal of lead terms at i and
+N(S/I_i) comes from Bigatti's pivot recursion (A. M. Bigatti, "Computation
+of Hilbert-Poincaré series", J. Pure Appl. Algebra 119, 1997).  Twists may
+be negative, so N is a Laurent polynomial, kept as {exponent: coefficient}.
+From it:
+
+    dim M    = n − (order of the root t = 1 of N), −inf when N = 0;
+    λ(M)     = the value at t = 1 of N/(1−t)^n, when that is a Laurent
+               polynomial, and infinite otherwise;
+    H(M, d)  = Σ_k N_k·binom(d − k + n − 1, n − 1).
+
 The Hilbert-Samuel values λ(M/Q^{n+1}M) are computed degree by degree:
 normal forms of a spanning set of Q^{n+1}·F₀ against the cached basis of
-the relation submodule, then a rank count over the coefficient field.
-Coefficients are extracted by solving the binomial-basis linear system
-exactly (Fractions) on a stabilized tail of the table.
+the relation submodule, then a rank count over the coefficient field
+against H(M, d).  Coefficients are extracted by solving the binomial-basis
+linear system exactly (Fractions) on a stabilized tail of the table; the
+Buchsbaum-Rim tables use the same fit.
 """
 
 from __future__ import annotations
@@ -12,11 +27,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb
 
-from .gb import (GBError, SubmoduleGB, colon_submodule, module_gb,
-                 quotient_by_ideal, reduce_vector, subquotient)
-from .modules import GradedModule, term_key
-from .poly import Poly, mon_deg, mon_div, monomials_of_degree
+from .gb import (GBError, colon_submodule, module_gb, quotient_by_ideal,
+                 reduce_vector, subquotient)
+from .modules import GradedModule
+from .poly import Poly, mon_deg, mon_divides, monomials_of_degree
 
 NEG_INF = float("-inf")
 
@@ -26,7 +42,51 @@ class HilbertError(GBError):
 
 
 # ---------------------------------------------------------------------------
-# dimension and length
+# the Hilbert series
+
+
+def _minimal_monomials(mons):
+    out = []
+    for m in sorted(set(mons), key=mon_deg):
+        if not any(mon_divides(g, m) for g in out):
+            out.append(m)
+    return out
+
+
+def monomial_numerator(mons):
+    """N(t) with HS(S/(mons)) = N(t)/(1−t)^n, as {exponent: coefficient}.
+
+    Bigatti's recursion N(I) = N(I + (p)) + t^deg p·N(I : p) on the pivot
+    p = x_j^e, with x_j a variable that divides the most generators and e
+    its exponent in a generator that is not a pure power of x_j.  Then p
+    lies in neither I nor I : p, so both ideals strictly grow and the
+    recursion ends at the unit ideal (0), no generators (1) or pairwise
+    coprime generators (∏ (1 − t^deg g)).
+    """
+    gens = _minimal_monomials(mons)
+    if not gens:
+        return {0: 1}
+    if mon_deg(gens[0]) == 0:
+        return {}
+    counts = [sum(1 for g in gens if g[j]) for j in range(len(gens[0]))]
+    if max(counts) <= 1:
+        out = {0: 1}
+        for g in gens:
+            d = mon_deg(g)
+            nxt = dict(out)
+            for e, c in out.items():
+                nxt[e + d] = nxt.get(e + d, 0) - c
+            out = {e: c for e, c in nxt.items() if c}
+        return out
+    j = max(range(len(counts)), key=counts.__getitem__)
+    exps = sorted(g[j] for g in gens if g[j] and mon_deg(g) > g[j])
+    e = exps[len(exps) // 2]
+    pivot = tuple(e if k == j else 0 for k in range(len(counts)))
+    colon = [g[:j] + (max(g[j] - e, 0),) + g[j + 1:] for g in gens]
+    out = dict(monomial_numerator(gens + [pivot]))
+    for k, c in monomial_numerator(colon).items():
+        out[k + e] = out.get(k + e, 0) + c
+    return {k: c for k, c in out.items() if c}
 
 
 def _lead_monomials_by_position(module: GradedModule):
@@ -37,34 +97,52 @@ def _lead_monomials_by_position(module: GradedModule):
     return by_pos
 
 
-def _monomial_quotient_dim(mons, num_vars):
-    """Krull dimension of S/(monomial ideal); None for the zero quotient."""
-    if any(mon_deg(m) == 0 for m in mons):
-        return None
-    supports = [frozenset(k for k, e in enumerate(m) if e > 0) for m in mons]
-    best = 0
-    for size in range(num_vars, 0, -1):
-        for cand in itertools.combinations(range(num_vars), size):
-            cs = set(cand)
-            if all(not s <= cs for s in supports):
-                return size
-    return best
+def hilbert_series(module: GradedModule):
+    """Numerator N(t) of HS(M) = N(t)/(1−t)^n, as {exponent: coefficient}."""
+    if "series" not in module._cache:
+        out = {}
+        by_pos = _lead_monomials_by_position(module)
+        for pos, twist in enumerate(module.ambient.twists):
+            for e, c in monomial_numerator(by_pos[pos]).items():
+                out[e + twist] = out.get(e + twist, 0) + c
+        module._cache["series"] = {e: c for e, c in out.items() if c}
+    return module._cache["series"]
+
+
+def divide_poles(num, k):
+    """(j, num/(1−t)^j) for the largest j ≤ k at which the division is exact.
+
+    (1 − t) divides a Laurent polynomial exactly when its value at 1 is 0;
+    the quotient's coefficients are then the partial sums of num's.
+    """
+    j = 0
+    while j < k and sum(num.values()) == 0:
+        quo, acc = {}, 0
+        for e in range(min(num, default=0), max(num, default=0)):
+            acc += num.get(e, 0)
+            if acc:
+                quo[e] = acc
+        num = quo
+        j += 1
+    return j, num
+
+
+def series_coefficient(num, n, d):
+    """Coefficient of t^d in num(t)/(1−t)^n."""
+    return sum(c * comb(d - k + n - 1, n - 1) for k, c in num.items() if k <= d)
+
+
+# ---------------------------------------------------------------------------
+# dimension and length
 
 
 def dim_module(module: GradedModule):
     """Krull dimension; −inf for the zero module."""
-    if "dim" in module._cache:
-        return module._cache["dim"]
-    by_pos = _lead_monomials_by_position(module)
-    num_vars = module.ring.num_vars
-    dims = []
-    for pos in range(module.ambient.rank):
-        d = _monomial_quotient_dim(by_pos[pos], num_vars)
-        if d is not None:
-            dims.append(d)
-    out = max(dims) if dims else NEG_INF
-    module._cache["dim"] = out
-    return out
+    num = hilbert_series(module)
+    if not num:
+        return NEG_INF
+    n = module.ring.num_vars
+    return n - divide_poles(num, n)[0]
 
 
 def _position_growth_witness(module: GradedModule):
@@ -85,47 +163,16 @@ def _position_growth_witness(module: GradedModule):
     return None
 
 
-def _std_monomial_count(mons, num_vars, deg):
-    if deg < 0:
-        return 0
-    return sum(1 for m in monomials_of_degree(num_vars, deg)
-               if all(mon_div(m, g) is None for g in mons))
-
-
 def hilbert_function(module: GradedModule, n: int) -> int:
     """Dimension over the coefficient field of the degree-n component."""
-    by_pos = _lead_monomials_by_position(module)
-    num_vars = module.ring.num_vars
-    total = 0
-    for pos in range(module.ambient.rank):
-        total += _std_monomial_count(by_pos[pos], num_vars, n - module.ambient.twists[pos])
-    return total
+    return series_coefficient(hilbert_series(module), module.ring.num_vars, n)
 
 
 def module_length(module: GradedModule):
     """Total length, or None when infinite (positive dimension)."""
-    if "length" in module._cache:
-        return module._cache["length"]
-    d = dim_module(module)
-    if d == NEG_INF:
-        out = 0
-    elif d > 0:
-        out = None
-    else:
-        twists = module.ambient.twists
-        t = min(twists)
-        tmax = max(twists)
-        out = 0
-        while True:
-            h = hilbert_function(module, t)
-            out += h
-            if h == 0 and t >= tmax:
-                break
-            t += 1
-            if t > tmax + 10000:
-                raise HilbertError("length summation did not terminate")
-    module._cache["length"] = out
-    return out
+    n = module.ring.num_vars
+    j, quo = divide_poles(hilbert_series(module), n)
+    return sum(quo.values()) if j == n else None
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +245,12 @@ def _power_products(gens, n):
 
 
 class _RankTracker:
-    """Incremental Gaussian elimination over the coefficient field."""
+    """Incremental Gaussian elimination over the coefficient field.
+
+    Rows are sparse {term: coefficient} dicts over any comparable terms;
+    pivots are taken in the terms' natural order, since rank does not
+    depend on which order picks them.
+    """
 
     def __init__(self, fld):
         self.fld = fld
@@ -208,7 +260,7 @@ class _RankTracker:
         fld = self.fld
         work = dict(terms)
         while work:
-            pivot = max(work, key=term_key)
+            pivot = max(work)
             row = self.rows.get(pivot)
             if row is None:
                 c = work[pivot]
@@ -224,55 +276,49 @@ class _RankTracker:
                     work[t] = s
         return False
 
+    def rank(self, rows, cap):
+        """Add rows until cap of them are independent; return how many were."""
+        rank = 0
+        for terms in rows:
+            if rank == cap:
+                break
+            if terms and self.add(terms):
+                rank += 1
+        return rank
+
 
 def _hs_value(module: GradedModule, q_gens, n):
-    """λ(M/Q^{n+1}M) by per-degree rank counts."""
+    """λ(M/Q^{n+1}M) by per-degree rank counts.
+
+    Callers certify first that M/QM has finite length.  M/Q^{n+1}M is then
+    Artinian and generated in degrees ≤ the largest twist, so its first
+    vanishing degree at or past that twist ends the sum.
+    """
     ring = module.ring
     fld = ring.field
     one = fld.one()
     gb = module_gb(module)
     amb = module.ambient
-    by_pos = _lead_monomials_by_position(module)
-    powers = _power_products(q_gens, n + 1)
-    bases = []  # normal forms of q * e_i, bucketed by degree
-    for q in powers:
+    num = hilbert_series(module)
+    bases = []  # normal forms of q * e_i, with their degrees
+    for q in _power_products(q_gens, n + 1):
         for i in range(amb.rank):
             v = reduce_vector(amb.basis(i).poly_mul(q), gb.basis)
             if not v.is_zero():
                 bases.append((v, q.total_degree() + amb.twists[i]))
-    tmin = min(amb.twists)
     tmax = max(amb.twists)
     total = 0
-    t = tmin
+    t = min(amb.twists)
     while True:
-        std = sum(_std_monomial_count(by_pos[i], ring.num_vars, t - amb.twists[i])
-                  for i in range(amb.rank))
-        if std == 0:
-            if t >= tmax:
-                break
-            t += 1
-            continue
-        tracker = _RankTracker(fld)
-        rank = 0
-        for v, dv in bases:
-            rem = t - dv
-            if rem < 0:
-                continue
-            for m in monomials_of_degree(ring.num_vars, rem):
-                w = reduce_vector(v.mul_term(m, one), gb.basis)
-                if not w.is_zero() and tracker.add(w.terms):
-                    rank += 1
-                    if rank == std:
-                        break
-            if rank == std:
-                break
-        total += std - rank
-        if std - rank == 0 and t >= tmax:
-            break
+        std = series_coefficient(num, ring.num_vars, t)
+        rows = (reduce_vector(v.mul_term(m, one), gb.basis).terms
+                for v, dv in bases
+                for m in monomials_of_degree(ring.num_vars, t - dv))
+        left = std - _RankTracker(fld).rank(rows, std)
+        total += left
+        if left == 0 and t >= tmax:
+            return total
         t += 1
-        if t > tmax + 10000:
-            raise HilbertError("Hilbert-Samuel summation did not terminate")
-    return total
 
 
 def hilbert_samuel(module: GradedModule, q_gens, N: int) -> HilbertSamuelTable:
@@ -313,19 +359,34 @@ def _solve_exact(a, b):
     return [m[r][size] for r in range(size)]
 
 
-def _fit_window(values, n0, r):
-    """Fit λ(n) = Σ (−1)^i e_i binom(n+r−i, r−i) on points n0..n0+r."""
-    a = []
-    b = []
-    for k in range(r + 1):
-        n = n0 + k
-        a.append([(-1) ** i * binom_poly(n, r - i) for i in range(r + 1)])
-        b.append(Fraction(values[n]))
-    return _solve_exact(a, b)
+def fit_binomial(value, r, s, n_max):
+    """Stabilized fit of λ(n) = Σ (−1)^i c_i·binom(n − s + r − i, r − i).
 
+    value(n) gives λ(n), asked for in order n = 0, 1, ….  Two consecutive
+    (r+1)-point windows must yield the same integer coefficient vector,
+    cross-validated on one further point, all within n ≤ n_max.  Returns
+    (coefficients, table of the values asked for, first point of the
+    window), or None when no window stabilizes.
+    """
+    values = []
 
-def _predict(e, n, r):
-    return sum((-1) ** i * e[i] * binom_poly(n, r - i) for i in range(r + 1))
+    def row(n):
+        return [(-1) ** i * binom_poly(n - s, r - i) for i in range(r + 1)]
+
+    def window(n0):
+        points = range(n0, n0 + r + 1)
+        return _solve_exact([row(n) for n in points],
+                            [Fraction(values[n]) for n in points])
+
+    for n0 in range(n_max - r - 1):
+        while len(values) <= n0 + r + 2:
+            values.append(value(len(values)))
+        c = window(n0)
+        if c is not None and c == window(n0 + 1) \
+                and all(v.denominator == 1 for v in c) \
+                and sum(a * b for a, b in zip(c, row(n0 + r + 2))) == values[n0 + r + 2]:
+            return [int(v) for v in c], values, n0
+    return None
 
 
 @dataclass
@@ -340,38 +401,26 @@ def hilbert_coefficients(module: GradedModule, q_gens, n_max=40,
                          fit_dim=None) -> HilbertCoefficients:
     """Stabilized coefficients e₀..e_r of n ↦ λ(M/Q^{n+1}M).
 
-    Two consecutive (r+1)-point windows must yield the same integer
-    coefficient vector, cross-validated on one further point.  fit_dim
-    overrides the fit degree (default: dim M), for quotients where the
-    generating set is larger than the dimension of the module.
+    The fit is fit_binomial's.  fit_dim overrides the fit degree (default:
+    dim M), for quotients where the generating set is larger than the
+    dimension of the module.
     """
     gens = list(q_gens)
     r = dim_module(module) if fit_dim is None else fit_dim
     if r == NEG_INF:
         raise HilbertError("zero module has no Hilbert coefficients")
     colength(module, gens)
-    values = []
-
-    def need(upto):
-        while len(values) <= upto:
-            values.append(_hs_value(module, gens, len(values)))
-
-    n0 = 0
-    while n0 + r + 2 <= n_max:
-        need(n0 + r + 2)
-        e1 = _fit_window(values, n0, r)
-        e2 = _fit_window(values, n0 + 1, r)
-        if e1 is not None and e1 == e2 and all(c.denominator == 1 for c in e1):
-            if _predict(e1, n0 + r + 2, r) == values[n0 + r + 2]:
-                e = [int(c) for c in e1]
-                table = HilbertSamuelTable(values=list(values), N=len(values) - 1)
-                assert e[0] >= 1, "leading Hilbert coefficient must be positive"
-                if len(gens) == dim_module(module) and r >= 1:
-                    assert e[1] <= 0, "first Hilbert coefficient of a parameter ideal must be <= 0"
-                return HilbertCoefficients(e=e, r=r, stabilized_at=n0, table=table)
-        n0 += 1
-    raise HilbertError(
-        "Hilbert-Samuel table did not stabilize within n <= %d; raise n_max" % n_max)
+    fit = fit_binomial(lambda n: _hs_value(module, gens, n), r, 0, n_max)
+    if fit is None:
+        raise HilbertError(
+            "Hilbert-Samuel table did not stabilize within n <= %d; raise n_max"
+            % n_max)
+    e, values, n0 = fit
+    assert e[0] >= 1, "leading Hilbert coefficient must be positive"
+    if len(gens) == dim_module(module) and r >= 1:
+        assert e[1] <= 0, "first Hilbert coefficient of a parameter ideal must be <= 0"
+    table = HilbertSamuelTable(values=values, N=len(values) - 1)
+    return HilbertCoefficients(e=e, r=r, stabilized_at=n0, table=table)
 
 
 # ---------------------------------------------------------------------------

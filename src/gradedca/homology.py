@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 from .gb import (GBError, annihilator, kernel_of_map, minimal_free_resolution,
                  minimal_presentation, quotient_module, subquotient)
-from .gb import depth as resolution_depth
 from .gb import is_zero_module
 from .hilbert import NEG_INF, dim_module, module_length
 from .modules import FreeModule, GradedModule, ModuleMap, Vector

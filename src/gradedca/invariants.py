@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .gb import GBError, SubmoduleGB, colon_submodule, quotient_by_ideal
+from .gb import GBError, SubmoduleGB, colon_submodule
 from .hilbert import (NEG_INF, colength, dim_module, hilbert_coefficients,
                       module_length)
 from .homology import local_cohomology_lengths
@@ -189,10 +189,11 @@ class BuchsbaumData:
 
 
 def buchsbaum_invariant(module: GradedModule):
-    """(I(M), s(M)) from the cohomology profile; None when not genCM."""
+    """(I(M), s(M)) from the cohomology profile; None when not genCM or
+    for the zero module."""
     prof = local_cohomology_lengths(module)
     r = prof.dim
-    if not prof.finite_below_top():
+    if r == NEG_INF or not prof.finite_below_top():
         return None, None
     i_m = sum(comb(r - 1, i) * prof.h[i] for i in range(r))
     bound_s = sum(comb(r - 2, i - 1) * prof.h[i] for i in range(1, r)) if r >= 2 \

@@ -97,10 +97,14 @@ class JobError(PolyError):
     """Invalid job input (schema-level); maps to exit code 2."""
 
 
+# built once: jsonschema.validate would check the schema itself on every call
+_VALIDATOR = jsonschema.validators.validator_for(JOB_SCHEMA)(JOB_SCHEMA)
+_VALIDATOR.check_schema(JOB_SCHEMA)
+
+
 def validate_job(raw):
-    try:
-        jsonschema.validate(raw, JOB_SCHEMA)
-    except jsonschema.ValidationError as exc:
+    exc = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(raw))
+    if exc is not None:
         raise JobError("job schema violation at %s: %s"
                        % ("/".join(str(p) for p in exc.absolute_path), exc.message))
 

@@ -237,12 +237,6 @@ class ModuleMap:
         return f"ModuleMap({self.source.rank} -> {self.target.rank})"
 
 
-def zero_map(source, target):
-    z = target.ring.zero()
-    return ModuleMap(source, target,
-                     [[z] * source.rank for _ in range(target.rank)])
-
-
 class GradedModule:
     """Finitely presented graded module: cokernel of a graded map.
 

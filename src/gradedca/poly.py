@@ -87,9 +87,6 @@ class CoeffField:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, self.p - 2, self.p)
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def zero(self):
         return Fraction(0) if self.p is None else 0
 

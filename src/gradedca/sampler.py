@@ -7,10 +7,10 @@ degree-bounded sample estimate and is labeled as such.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .gb import GBError
-from .hilbert import (HilbertError, ParameterIdeal, dim_module,
+from .hilbert import (NEG_INF, HilbertError, ParameterIdeal, dim_module,
                       hilbert_coefficients, make_parameter_ideal)
 from .koszul import chi1_serre
 from .modules import GradedModule
@@ -56,6 +56,8 @@ def sample_parameter_ideals(module: GradedModule, cfg: SampleConfig):
     """cfg.count parameter ideals with degrees drawn from degree_bounds."""
     rng = cfg.rng()
     r = dim_module(module)
+    if r == NEG_INF:
+        raise SamplerError("the zero module has no parameter ideals")
     out = []
     for _ in range(cfg.count):
         degrees = [rng.choice(list(cfg.degree_bounds)) for _ in range(r)]

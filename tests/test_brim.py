@@ -89,3 +89,15 @@ def test_validation_rejects_bad_input():
     with pytest.raises(brim.BrimError):
         # inhomogeneous column
         brim.make_parameter_module(RING2, [], [[x + x * y], [y]])
+
+
+def test_infinite_colength_raises_before_rank_counts(monkeypatch):
+    # E = (x) in k[x, y]: F/E = k[y] has infinite length
+    x, _ = RING2.gens()
+    pm = brim.make_parameter_module(RING2, [], [[x]])
+
+    def no_rank_counts(fld):
+        raise AssertionError("rank loop entered")
+    monkeypatch.setattr(brim, "_RankTracker", no_rank_counts)
+    with pytest.raises(brim.BrimError):
+        brim.br_value(pm, 1)

@@ -135,6 +135,19 @@ def test_check_empty_corpus(tmp_path, capsys):
     assert code == 0 and json.loads(out)["passed"] == 0
 
 
+def test_check_zero_module(tmp_path, capsys):
+    raw = {"name": "zero",
+           "ring": {"characteristic": 32003, "variables": ["x", "y"]},
+           "module": {"twists": [0], "relations": [["1"]]},
+           "claims": {"dim": "-infinite"}}
+    (tmp_path / "zero.json").write_text(json.dumps(raw))
+    code, out, _ = run_main(["check", str(tmp_path)], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["passed"] == 1 and report["failed"] == 0
+    assert [c["check"] for c in report["checks"]] == ["claim:dim"]
+
+
 def test_check_deterministic(tmp_path, capsys):
     shutil.copy(os.path.join(CORPUS, "ci-points.json"),
                 tmp_path / "ci-points.json")

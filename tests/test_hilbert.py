@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -109,3 +110,62 @@ def test_coefficients_of_dim_zero_module():
 
 def test_hilbert_function_values(two_plane):
     assert [hb.hilbert_function(two_plane, n) for n in range(4)] == [1, 4, 6, 8]
+
+
+def _standard_count(gens, n, d):
+    """Monomials of degree d in n variables outside the ideal (gens)."""
+    if d < 0:
+        return 0
+    return sum(1 for m in itertools.product(range(d + 1), repeat=n)
+               if sum(m) == d
+               and not any(all(a >= b for a, b in zip(m, g)) for g in gens))
+
+
+def _monomial_dim(gens, n):
+    """Largest set of variables containing the support of no generator."""
+    if any(not any(g) for g in gens):
+        return hb.NEG_INF
+    for size in range(n, 0, -1):
+        for vs in itertools.combinations(range(n), size):
+            if all(any(g[k] for k in range(n) if k not in vs) for g in gens):
+                return size
+    return 0
+
+
+_MONOMIAL_MODULES = st.integers(min_value=1, max_value=4).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(
+            st.integers(min_value=-2, max_value=2),
+            st.lists(st.tuples(*[st.integers(min_value=0, max_value=3)] * n),
+                     max_size=5),
+            st.booleans()),
+            min_size=1, max_size=3)))
+
+
+@given(_MONOMIAL_MODULES)
+@settings(max_examples=60, deadline=None)
+def test_series_matches_standard_monomials(spec):
+    # ⊕ (S/I_i)(−twist_i) for monomial ideals I_i, some made Artinian
+    n, blocks = spec
+    ring = PolyRing(CoeffField(32003), ["x%d" % k for k in range(n)])
+    blocks = [(twist, gens + ([tuple(3 if k == j else 0 for k in range(n))
+                               for j in range(n)] if artinian else []))
+              for twist, gens, artinian in blocks]
+    amb = FreeModule(ring, [twist for twist, _ in blocks])
+    rels = [amb.basis(i).mul_term(g, 1)
+            for i, (_, gens) in enumerate(blocks) for g in gens]
+    module = GradedModule.from_relations(amb, rels)
+
+    dims = [_monomial_dim(gens, n) for _, gens in blocks]
+    assert hb.dim_module(module) == max(dims)
+    for d in range(-3, 12):
+        assert hb.hilbert_function(module, d) == sum(
+            _standard_count(gens, n, d - twist) for twist, gens in blocks)
+    if max(dims) > 0:
+        assert hb.module_length(module) is None
+    else:
+        # standard monomials of an Artinian block have exponents <= 2
+        assert hb.module_length(module) == sum(
+            _standard_count(gens, n, d) for _, gens in blocks
+            for d in range(2 * n + 1))

@@ -64,6 +64,16 @@ def test_recursion(free_plane, two_plane, ring4):
     assert rep.passed and rep.total == 1
 
 
+def test_recursion_with_zero_divisor(ring3):
+    # y kills the socle element x of S/(x², xy, xz): 0:_M y = k, whose
+    # Euler characteristic χ(z; k) = 0 enters, not its χ₁(z; k) = 1
+    x, y, z = ring3.gens()
+    m = GradedModule.quotient_ring(ring3, [x ** 2, x * y, x * z])
+    rep = kz.chi1_recursion_check(m, [y, z])
+    assert (rep.total, rep.from_quotient, rep.from_colon) == (1, 1, 0)
+    assert rep.passed
+
+
 def test_non_parameter_input_fails(free_plane):
     with pytest.raises(kz.KoszulError):
         kz.koszul_homology(free_plane, [X, X])

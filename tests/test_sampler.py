@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
 from gradedca import sampler
 from gradedca.hilbert import hilbert_coefficients
+from gradedca.modules import GradedModule
 from gradedca.poly import CoeffField, PolyRing
 
 RING2 = PolyRing(CoeffField(32003), ["x", "y"])
@@ -58,3 +61,11 @@ def test_random_parameter_module_shape():
     rng = sampler.SampleConfig(seed=21).rng()
     pm = sampler.random_parameter_module(RING2, [], 2, rng)
     assert pm.gens_count == 3 and pm.rank == 2 and pm.is_parameter
+
+
+def test_zero_module_has_no_parameter_ideals():
+    zero = GradedModule.quotient_ring(RING2, [RING2.one()])
+    with pytest.raises(sampler.SamplerError):
+        sampler.sample_parameter_ideals(zero, sampler.SampleConfig(count=1))
+    with pytest.raises(sampler.SamplerError):
+        sampler.random_parameter_ideal(zero, [], random.Random(1))
