@@ -7,7 +7,8 @@
 The environment variable GRADEDCA_CHAR sets the default field
 characteristic for jobs that omit ring.characteristic (use "0" for the
 rationals).  Exit codes: 0 success, 1 failed checks, 2 invalid input,
-3 computation error.
+3 computation error.  In check, a computation error in one corpus file
+becomes a failed error:<type> row for that file and the rest still run.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import os
 import sys
 from pathlib import Path
 
-from .checks import check_instance, rows_to_matrix
+from .checks import CheckRow, check_instance, rows_to_matrix
 from .jobio import JobError, build_job, run_job
 from .poly import PolyError, PolyParseError
 
@@ -83,11 +84,27 @@ def cmd_compute(args):
 
 
 def _check_one(path, seed, default_char):
-    raw = json.loads(Path(path).read_text())
+    """Check rows of one corpus file.
+
+    Invalid input propagates (exit 2), also when the battery parses it
+    late, as it does the brim columns; a computation error becomes one
+    failed row error:<type> under the file's stem, so the batch goes on.
+    """
+    try:
+        raw = json.loads(Path(path).read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise JobError("cannot read %s: %s" % (path, exc))
     job = build_job(raw, default_char=default_char, seed_override=seed)
     if job.name == "job":
         job.name = Path(path).stem
-    return check_instance(job)
+    try:
+        return check_instance(job)
+    except (PolyParseError, JobError):
+        raise
+    except (PolyError, AssertionError) as exc:
+        return [CheckRow(instance=Path(path).stem,
+                         check="error:%s" % type(exc).__name__,
+                         passed=False, detail=str(exc))]
 
 
 def cmd_check(args):

@@ -8,6 +8,8 @@ target block dominates.
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
+
 from .modules import FreeModule, GradedModule, ModuleMap, Vector, term_key
 from .poly import Poly, PolyError, mon_deg, mon_div, mon_lcm
 
@@ -17,16 +19,30 @@ class GBError(PolyError):
 
 
 def reduce_vector(v: Vector, basis, lts=None):
-    """Full normal form of v against a list of monic vectors."""
+    """Full normal form of v against a list of monic vectors.
+
+    The terms still to be reduced sit in the dict work; a min-heap of
+    (pos, −deg, reversed mon) holds one entry for each time a term enters
+    work, so its top is the term_key maximum of work.  A popped entry whose
+    term has since cancelled out of work is skipped.  A processed term never
+    comes back, since every other term of its reducer is smaller, so terms
+    are processed, reducers chosen and out filled in the same order as by
+    taking max(work, key=term_key) at each step.
+    """
     if lts is None:
         lts = [b.leading_term()[0] for b in basis]
     fld = v.module.ring.field
     out = {}
     work = dict(v.terms)
-    while work:
-        term = max(work, key=term_key)
-        coeff = work[term]
-        pos, mon = term
+    heap = [(pos, -sum(mon), mon[::-1]) for pos, mon in work]
+    heapify(heap)
+    while heap:
+        pos, _, rev = heappop(heap)
+        mon = rev[::-1]
+        term = (pos, mon)
+        coeff = work.get(term)
+        if coeff is None:
+            continue
         hit = None
         for b, (bpos, bmon) in zip(basis, lts):
             if bpos == pos:
@@ -40,11 +56,16 @@ def reduce_vector(v: Vector, basis, lts=None):
             continue
         b, q = hit
         for (bp, bm), bc in b.terms.items():
-            t = (bp, tuple(x + y for x, y in zip(bm, q)))
-            s = fld.sub(work.get(t, fld.zero()), fld.mul(bc, coeff))
+            m = tuple(x + y for x, y in zip(bm, q))
+            t = (bp, m)
+            old = work.get(t)
+            s = fld.sub(fld.zero() if old is None else old, fld.mul(bc, coeff))
             if s == 0:
-                work.pop(t, None)
+                if old is not None:
+                    del work[t]
             else:
+                if old is None:
+                    heappush(heap, (bp, -sum(m), m[::-1]))
                 work[t] = s
     return Vector(v.module, out)
 

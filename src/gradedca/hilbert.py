@@ -20,6 +20,13 @@ the relation submodule, then a rank count over the coefficient field
 against H(M, d).  Coefficients are extracted by solving the binomial-basis
 linear system exactly (Fractions) on a stabilized tail of the table; the
 Buchsbaum-Rim tables use the same fit.
+
+Results that depend on a parameter ideal Q are memoized on the module,
+next to its basis and series: the colength λ(M/QM) when it is finite, and
+the coefficients under (Q, fit degree, n_max).  Q is keyed by qkey, the
+sorted reprs of its generators, so a reordered generating set hits the same
+entry; the table values depend only on the ideal, so a hit returns what a
+recomputation would.
 """
 
 from __future__ import annotations
@@ -205,9 +212,21 @@ def make_parameter_ideal(module: GradedModule, gens) -> ParameterIdeal:
     return ParameterIdeal(gens, tuple(g.total_degree() for g in gens), lam)
 
 
+def qkey(gens):
+    """Cache key of an ideal's generating set: independent of their order."""
+    return tuple(sorted(repr(g) for g in gens))
+
+
 def colength(module: GradedModule, gens):
-    """λ(M/(gens)M); raises naming a growth direction when infinite."""
-    quo = quotient_by_ideal(module, list(gens))
+    """λ(M/(gens)M); raises naming a growth direction when infinite.
+
+    A finite colength is memoized on the module under ("colength", qkey).
+    """
+    gens = list(gens)
+    key = ("colength", qkey(gens))
+    if key in module._cache:
+        return module._cache[key]
+    quo = quotient_by_ideal(module, gens)
     lam = module_length(quo)
     if lam is None:
         witness = _position_growth_witness(quo)
@@ -215,6 +234,7 @@ def colength(module: GradedModule, gens):
         raise HilbertError(
             "quotient not Artinian: infinite growth at position %d along (%s)"
             % (pos, ", ".join(direction)))
+    module._cache[key] = lam
     return lam
 
 
@@ -298,12 +318,13 @@ def _hs_value(module: GradedModule, q_gens, n):
     fld = ring.field
     one = fld.one()
     gb = module_gb(module)
+    lts = gb.leading_terms()
     amb = module.ambient
     num = hilbert_series(module)
     bases = []  # normal forms of q * e_i, with their degrees
     for q in _power_products(q_gens, n + 1):
         for i in range(amb.rank):
-            v = reduce_vector(amb.basis(i).poly_mul(q), gb.basis)
+            v = reduce_vector(amb.basis(i).poly_mul(q), gb.basis, lts)
             if not v.is_zero():
                 bases.append((v, q.total_degree() + amb.twists[i]))
     tmax = max(amb.twists)
@@ -311,7 +332,7 @@ def _hs_value(module: GradedModule, q_gens, n):
     t = min(amb.twists)
     while True:
         std = series_coefficient(num, ring.num_vars, t)
-        rows = (reduce_vector(v.mul_term(m, one), gb.basis).terms
+        rows = (reduce_vector(v.mul_term(m, one), gb.basis, lts).terms
                 for v, dv in bases
                 for m in monomials_of_degree(ring.num_vars, t - dv))
         left = std - _RankTracker(fld).rank(rows, std)
@@ -403,12 +424,16 @@ def hilbert_coefficients(module: GradedModule, q_gens, n_max=40,
 
     The fit is fit_binomial's.  fit_dim overrides the fit degree (default:
     dim M), for quotients where the generating set is larger than the
-    dimension of the module.
+    dimension of the module.  The result is memoized on the module under
+    (qkey, resolved fit degree, n_max).
     """
     gens = list(q_gens)
     r = dim_module(module) if fit_dim is None else fit_dim
     if r == NEG_INF:
         raise HilbertError("zero module has no Hilbert coefficients")
+    key = ("coefficients", qkey(gens), r, n_max)
+    if key in module._cache:
+        return module._cache[key]
     colength(module, gens)
     fit = fit_binomial(lambda n: _hs_value(module, gens, n), r, 0, n_max)
     if fit is None:
@@ -420,7 +445,9 @@ def hilbert_coefficients(module: GradedModule, q_gens, n_max=40,
     if len(gens) == dim_module(module) and r >= 1:
         assert e[1] <= 0, "first Hilbert coefficient of a parameter ideal must be <= 0"
     table = HilbertSamuelTable(values=values, N=len(values) - 1)
-    return HilbertCoefficients(e=e, r=r, stabilized_at=n0, table=table)
+    out = HilbertCoefficients(e=e, r=r, stabilized_at=n0, table=table)
+    module._cache[key] = out
+    return out
 
 
 # ---------------------------------------------------------------------------

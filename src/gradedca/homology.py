@@ -207,5 +207,13 @@ def unmixed_component(module: GradedModule, rng=None):
 
 
 def is_unmixed(module: GradedModule) -> bool:
+    """True when M has no associated prime of lower dimension.
+
+    A Cohen-Macaulay module (depth = dim in the cached cohomology profile)
+    is unmixed, so it needs no unmixed component.
+    """
+    prof = local_cohomology_lengths(module)
+    if prof.depth == prof.dim:
+        return True
     u, _ = unmixed_component(module)
     return is_zero_module(u)

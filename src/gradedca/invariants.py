@@ -8,7 +8,7 @@ from math import comb
 
 from .gb import GBError, SubmoduleGB, colon_submodule
 from .hilbert import (NEG_INF, colength, dim_module, hilbert_coefficients,
-                      module_length)
+                      module_length, qkey)
 from .homology import local_cohomology_lengths
 from .koszul import chi1_serre
 from .modules import GradedModule
@@ -16,10 +16,6 @@ from .modules import GradedModule
 
 class InvariantError(GBError):
     pass
-
-
-def _qkey(gens):
-    return tuple(sorted(repr(g) for g in gens))
 
 
 def multiplicity(module: GradedModule, q_gens) -> int:
@@ -35,7 +31,7 @@ def multiplicity(module: GradedModule, q_gens) -> int:
 def hdeg(module: GradedModule, q_gens) -> int:
     """Homological degree: e₀ plus binomially weighted hdeg of the duals."""
     gens = list(q_gens)
-    key = ("hdeg", _qkey(gens))
+    key = ("hdeg", qkey(gens))
     if key in module._cache:
         return module._cache[key]
     r = dim_module(module)

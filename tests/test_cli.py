@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from gradedca.cli import main
+from gradedca.gb import GBError
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
 
@@ -164,3 +165,48 @@ def test_console_entrypoint():
         [sys.executable, "-m", "gradedca.cli", "--help"],
         capture_output=True, text=True)
     assert proc.returncode == 0 and "compute" in proc.stdout
+
+
+@pytest.mark.parametrize("error", [GBError("no basis"),
+                                   AssertionError("e1 must be <= 0")])
+def test_check_isolates_a_failing_instance(tmp_path, capsys, monkeypatch, error):
+    import gradedca.cli as cli
+    raw = json.loads(open(os.path.join(CORPUS, "ci-points.json")).read())
+    (tmp_path / "good.json").write_text(json.dumps(raw))
+    raw["name"] = "broken-instance"
+    (tmp_path / "broken.json").write_text(json.dumps(raw))
+    battery = cli.check_instance
+
+    def check_instance(job):
+        if job.name == "broken-instance":
+            raise error
+        return battery(job)
+    monkeypatch.setattr(cli, "check_instance", check_instance)
+    code, out, _ = run_main(["check", str(tmp_path)], capsys)
+    assert code == 1
+    report = json.loads(out)
+    failing = [c for c in report["checks"] if not c["passed"]]
+    assert failing == [{"instance": "broken",
+                        "check": "error:%s" % type(error).__name__,
+                        "passed": False, "detail": str(error)}]
+    assert report["passed"] > 0
+    assert all(c["instance"] == "ci-points" for c in report["checks"]
+               if c["passed"])
+
+
+def test_check_invalid_instance_exits_2(tmp_path, capsys):
+    # the brim columns are parsed inside the battery, which must still
+    # treat a malformed polynomial as invalid input
+    shutil.copy(os.path.join(CORPUS, "ci-points.json"), tmp_path / "good.json")
+    raw = json.loads(open(os.path.join(CORPUS, "brim-line.json")).read())
+    raw["brim"]["columns"] = [["x +* x", "0"], ["0", "x"]]
+    (tmp_path / "bad.json").write_text(json.dumps(raw))
+    code, _, err = run_main(["check", str(tmp_path)], capsys)
+    assert code == 2 and "position" in err
+
+
+def test_check_unreadable_json_exits_2(tmp_path, capsys):
+    shutil.copy(os.path.join(CORPUS, "ci-points.json"), tmp_path / "good.json")
+    (tmp_path / "bad.json").write_text('{"name": ')
+    code, _, err = run_main(["check", str(tmp_path)], capsys)
+    assert code == 2 and "bad.json" in err

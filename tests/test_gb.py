@@ -1,3 +1,5 @@
+import json
+import os
 import random
 
 import pytest
@@ -5,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradedca import gb
-from gradedca.modules import FreeModule, GradedModule
-from gradedca.poly import CoeffField, PolyRing
+from gradedca.jobio import build_job
+from gradedca.modules import FreeModule, GradedModule, Vector, term_key
+from gradedca.poly import CoeffField, PolyRing, mon_div, monomials_of_degree
 
 RING = PolyRing(CoeffField(32003), ["x", "y"])
 X, Y = RING.gens()
@@ -134,3 +137,144 @@ def test_subquotient_length_one():
 def test_zero_module_detection():
     assert gb.is_zero_module(GradedModule.quotient_ring(RING, [RING.one()]))
     assert not gb.is_zero_module(GradedModule.free(RING))
+
+
+# ---------------------------------------------------------------------------
+# the heap-ordered reducer against the max()-scan it replaced
+
+def _reference_reduce(v, basis):
+    """Normal form taking max(work, key=term_key) at every step."""
+    lts = [b.leading_term()[0] for b in basis]
+    fld = v.module.ring.field
+    out = {}
+    work = dict(v.terms)
+    while work:
+        term = max(work, key=term_key)
+        coeff = work[term]
+        pos, mon = term
+        hit = None
+        for b, (bpos, bmon) in zip(basis, lts):
+            if bpos == pos and mon_div(mon, bmon) is not None:
+                hit = (b, mon_div(mon, bmon))
+                break
+        if hit is None:
+            out[term] = coeff
+            del work[term]
+            continue
+        b, q = hit
+        for (bp, bm), bc in b.terms.items():
+            t = (bp, tuple(x + y for x, y in zip(bm, q)))
+            s = fld.sub(work.get(t, fld.zero()), fld.mul(bc, coeff))
+            if s == 0:
+                work.pop(t, None)
+            else:
+                work[t] = s
+    return Vector(v.module, out)
+
+
+def _corpus_module(name):
+    path = os.path.join(os.path.dirname(__file__), "..", "corpus", name + ".json")
+    with open(path) as fh:
+        return build_job(json.load(fh)).module
+
+
+def _sparse_form(ring, degree, rng):
+    """A homogeneous form with a few random terms (none when degree < 0)."""
+    mons = list(monomials_of_degree(ring.num_vars, degree))
+    picked = rng.sample(mons, min(len(mons), rng.randint(1, 3))) if mons else []
+    return sum((ring.monomial(m, ring.field.random_nonzero(rng)) for m in picked),
+               ring.zero())
+
+
+def _random_vector(amb, degree, rng):
+    return amb.element([_sparse_form(amb.ring, degree - t, rng)
+                        for t in amb.twists])
+
+
+def _random_member(basis, degree, rng):
+    """A sparse combination of basis elements, homogeneous of degree."""
+    out = basis[0].module.zero()
+    for b in basis:
+        out = out + b.poly_mul(_sparse_form(b.module.ring, degree - b.degree(), rng))
+    return out
+
+
+def _lead_multiples(basis, degree, rng):
+    """Monomial multiples of some lead terms alone, so that reducing them
+    brings new tail terms into the work."""
+    amb = basis[0].module
+    terms = {}
+    for b in basis:
+        (pos, lead), _ = b.leading_term()
+        mons = list(monomials_of_degree(amb.ring.num_vars, degree - b.degree()))
+        if mons and rng.random() < 0.5:
+            m = rng.choice(mons)
+            terms[(pos, tuple(x + y for x, y in zip(lead, m)))] = \
+                amb.ring.field.random_nonzero(rng)
+    return Vector(amb, terms)
+
+
+def _test_vector(amb, basis, degree, rng):
+    v = _random_vector(amb, degree, rng)
+    if basis:
+        v = v + _lead_multiples(basis, degree, rng) + \
+            _random_member(basis, degree, rng)
+    return v
+
+
+def _partial_basis(char, rng):
+    """Monic random vectors in S^2 over k[x,y,z]: not a Groebner basis."""
+    ring = PolyRing(CoeffField(char), ["x", "y", "z"])
+    amb = FreeModule(ring, [0, 1])
+    vecs = [amb.element([ring.random_form(2 - t, rng) for t in amb.twists])
+            for _ in range(3)]
+    return [v.monic() for v in vecs if not v.is_zero()]
+
+
+@given(st.sampled_from(["hypersurface", "two-plane", "dim3-buchsbaum",
+                        "mixed-sum", "plane-plus-line", "ci-points"]),
+       st.booleans(), st.integers(min_value=0, max_value=5),
+       st.integers(min_value=0, max_value=2 ** 32))
+@settings(max_examples=40, deadline=None)
+def test_reduce_vector_matches_max_scan_on_corpus_bases(name, cut, degree, seed):
+    rng = random.Random(seed)
+    module = _corpus_module(name)
+    if cut:
+        # a richer basis: M/(two random linear forms)M
+        ring = module.ring
+        module = gb.quotient_by_ideal(
+            module, [ring.random_form(1, rng) for _ in range(2)])
+    basis = gb.module_gb(module).basis
+    v = _test_vector(module.ambient, basis, degree, rng)
+    got = gb.reduce_vector(v, basis)
+    ref = _reference_reduce(v, basis)
+    assert list(got.terms.items()) == list(ref.terms.items())
+
+
+@given(st.sampled_from([32003, None]), st.integers(min_value=1, max_value=5),
+       st.integers(min_value=0, max_value=2 ** 32))
+@settings(max_examples=40, deadline=None)
+def test_reduce_vector_matches_max_scan_on_partial_bases(char, degree, seed):
+    rng = random.Random(seed)
+    basis = _partial_basis(char, rng)
+    v = _test_vector(basis[0].module, basis, degree, rng)
+    got = gb.reduce_vector(v, basis)
+    ref = _reference_reduce(v, basis)
+    assert list(got.terms.items()) == list(ref.terms.items())
+
+
+def test_reduce_vector_processes_a_term_that_cancels_and_comes_back():
+    ring = PolyRing(CoeffField(32003), ["x", "y", "z"])
+    x, y, z = ring.gens()
+    amb = FreeModule(ring, [0])
+    basis = [amb.element([x * y - y ** 2]), amb.element([x ** 2 - y ** 2])]
+    # x^3 reduces by the second element and cancels x*y^2 out of the work;
+    # x^2*y then reduces by the first and brings x*y^2 back
+    v = amb.element([x ** 3 + x ** 2 * y - x * y ** 2])
+    assert gb.reduce_vector(v, basis) == _reference_reduce(v, basis) \
+        == amb.element([y ** 3])
+
+
+def test_partial_basis_is_not_a_groebner_basis():
+    basis = _partial_basis(32003, random.Random(3))
+    assert len(gb.buchberger(basis)) > len(basis)

@@ -169,3 +169,67 @@ def test_series_matches_standard_monomials(spec):
         assert hb.module_length(module) == sum(
             _standard_count(gens, n, d) for _, gens in blocks
             for d in range(2 * n + 1))
+
+
+# ---------------------------------------------------------------------------
+# the (module, Q) memo
+
+
+def _count_hs_values(monkeypatch):
+    calls = []
+    original = hb._hs_value
+
+    def counted(*args):
+        calls.append(args[2])
+        return original(*args)
+    monkeypatch.setattr(hb, "_hs_value", counted)
+    return calls
+
+
+def test_coefficients_memo_ignores_generator_order(monkeypatch, ring4):
+    x, y, z, w = ring4.gens()
+    rels = [x * z, x * w, y * z, y * w]
+    module = GradedModule.quotient_ring(ring4, rels)
+    calls = _count_hs_values(monkeypatch)
+    first = hb.hilbert_coefficients(module, [x + z, y + w])
+    assert calls
+    del calls[:]
+    again = hb.hilbert_coefficients(module, [y + w, x + z])
+    assert calls == []
+    fresh = hb.hilbert_coefficients(
+        GradedModule(module.presentation), [y + w, x + z])
+    assert calls
+    for hc in (again, fresh):
+        assert hc.e == first.e == [2, -1, 0]
+        assert hc.stabilized_at == first.stabilized_at
+        assert hc.table.values == first.table.values
+
+
+def test_multiplicity_shares_the_coefficients_entry(monkeypatch, ring3):
+    from gradedca.invariants import multiplicity
+    x, y, z = ring3.gens()
+    module = GradedModule.quotient_ring(ring3, [x * y - z ** 2])
+    q = [x + y, z]
+    calls = _count_hs_values(monkeypatch)
+    e = hb.hilbert_coefficients(module, q).e
+    del calls[:]
+    assert multiplicity(module, [z, x + y]) == e[0] == 2
+    assert calls == []
+
+
+def test_colength_memo_keeps_only_finite_lengths(monkeypatch):
+    module = GradedModule.free(RING)
+    quotients = []
+    original = hb.quotient_by_ideal
+
+    def counted(*args):
+        quotients.append(args[1])
+        return original(*args)
+    monkeypatch.setattr(hb, "quotient_by_ideal", counted)
+    for _ in range(2):
+        with pytest.raises(hb.HilbertError, match="not Artinian"):
+            hb.colength(module, [X])
+    assert len(quotients) == 2
+    assert hb.colength(module, [X ** 2, Y]) == 2
+    assert hb.colength(module, [Y, X ** 2]) == 2
+    assert len(quotients) == 3

@@ -93,3 +93,17 @@ def test_vanishing_coefficients_force_vanishing_cohomology(free_plane):
     # e_i = 0 for all i >= 1 on the free module: top-adjacent h's vanish
     prof = hm.local_cohomology_lengths(free_plane)
     assert all(v == 0 for v in prof.h)
+
+
+def test_cohen_macaulay_module_is_unmixed_without_its_component(monkeypatch):
+    # three generic quadrics: a complete intersection, so CM and unmixed
+    ring = PolyRing(CoeffField(32003), ["a", "b", "c", "d", "e"])
+    rng = random.Random(1)
+    module = GradedModule.quotient_ring(
+        ring, [ring.random_form(2, rng) for _ in range(3)])
+
+    def no_component(*args, **kwargs):
+        raise AssertionError("a CM module needs no unmixed component")
+    monkeypatch.setattr(hm, "unmixed_component", no_component)
+    assert hm.is_cohen_macaulay(module)
+    assert hm.is_unmixed(module)
