@@ -2,17 +2,16 @@
 """Paired benchmark of two source trees, written as one BENCH_*.json record.
 
     python3 scripts/bench.py --base DIR --out BENCH_N.json
-                             [--pairs 5] [--seconds 10] [--workload NAME ...]
 
 DIR is a checkout of the commit to compare against (for example made with
 `git archive <commit> | tar -x -C DIR`); the other tree is the one holding
-this script.  For each workload the script runs perfbench/run.py --trace 0
-in both trees, pair after pair, with seed i + 1 in pair i and the first side
-alternating between pairs, so that slow drift of the machine's speed falls
-on both sides alike.  It records every run and, per side and metric, the
-median and the quartiles.  Then it makes one --trace 1 run per side and
-workload and records its per-layer metrics.  Runs are sequential, one
-process at a time.
+this script.  For each workload of BENCHMARK.json the script runs
+perfbench/run.py --trace 0 for BENCHMARK.json's run_seconds in both trees,
+ten pairs, with seed i + 1 in pair i and the first side alternating between
+pairs, so that slow drift of the machine's speed falls on both sides alike.
+It records every run and, per side and metric, the median and the
+quartiles.  Then it makes one --trace 1 run per side and workload and
+records its per-layer metrics.  Runs are sequential, one process at a time.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-WORKLOADS = ["check-corpus", "fresh-coefficients", "structure-qq"]
+PAIRS = 10  # the fewest pairs that can carry a claimed gain
 
 
 def run(side, tree, workload, seed, seconds, trace):
@@ -43,8 +42,7 @@ def run(side, tree, workload, seed, seconds, trace):
 
 
 def summary(values):
-    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive") \
-        if len(values) > 1 else (values[0],) * 3
+    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": med, "q1": q1, "q3": q3, "runs": values}
 
 
@@ -52,24 +50,24 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True)
     parser.add_argument("--out", required=True)
-    parser.add_argument("--pairs", type=int, default=5)
-    parser.add_argument("--seconds", type=float, default=10)
-    parser.add_argument("--workload", action="append", choices=WORKLOADS)
     args = parser.parse_args(argv)
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        spec = json.load(fh)
+    seconds = spec["run_seconds"]
     sides = {"base": os.path.abspath(args.base), "head": ROOT}
     record = {
         "machine": {"platform": platform.platform(),
                     "python": platform.python_version(),
                     "cpus": os.cpu_count()},
-        "pairs": args.pairs, "seconds": args.seconds, "workloads": {},
+        "pairs": PAIRS, "seconds": seconds, "workloads": {},
         "traced": {}}
-    for workload in args.workload or WORKLOADS:
+    for workload in (w["name"] for w in spec["workloads"]):
         docs = {side: [] for side in sides}
-        for i in range(args.pairs):
+        for i in range(PAIRS):
             order = ["base", "head"] if i % 2 == 0 else ["head", "base"]
             for side in order:
                 docs[side].append(run(side, sides[side], workload, i + 1,
-                                      args.seconds, 0))
+                                      seconds, 0))
         entry = {}
         for side, runs in docs.items():
             entry[side] = {name: summary([d["metrics"][name]["value"] for d in runs])
@@ -82,7 +80,7 @@ def main(argv=None):
         record["workloads"][workload] = entry
         record["traced"][workload] = {
             side: {k: v["value"] for k, v in
-                   run(side, tree, workload, 1, args.seconds, 1)["metrics"].items()}
+                   run(side, tree, workload, 1, seconds, 1)["metrics"].items()}
             for side, tree in sides.items()}
     with open(args.out, "w") as fh:
         json.dump(record, fh, indent=1, sort_keys=True)

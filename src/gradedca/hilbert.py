@@ -21,9 +21,8 @@ against H(M, d).  Coefficients are extracted by solving the binomial-basis
 linear system exactly (Fractions) on a stabilized tail of the table; the
 Buchsbaum-Rim tables use the same fit.
 
-Results that depend on a parameter ideal Q are memoized on the module,
-next to its basis and series: the colength λ(M/QM) when it is finite, and
-the coefficients under (Q, fit degree, n_max).  Q is keyed by qkey, the
+The Hilbert coefficients of (M, Q) are memoized on the module, next to its
+basis and series, under (Q, fit degree, n_max).  Q is keyed by qkey, the
 sorted reprs of its generators, so a reordered generating set hits the same
 entry; the table values depend only on the ideal, so a hit returns what a
 recomputation would.
@@ -218,15 +217,8 @@ def qkey(gens):
 
 
 def colength(module: GradedModule, gens):
-    """λ(M/(gens)M); raises naming a growth direction when infinite.
-
-    A finite colength is memoized on the module under ("colength", qkey).
-    """
-    gens = list(gens)
-    key = ("colength", qkey(gens))
-    if key in module._cache:
-        return module._cache[key]
-    quo = quotient_by_ideal(module, gens)
+    """λ(M/(gens)M); raises naming a growth direction when infinite."""
+    quo = quotient_by_ideal(module, list(gens))
     lam = module_length(quo)
     if lam is None:
         witness = _position_growth_witness(quo)
@@ -234,7 +226,6 @@ def colength(module: GradedModule, gens):
         raise HilbertError(
             "quotient not Artinian: infinite growth at position %d along (%s)"
             % (pos, ", ".join(direction)))
-    module._cache[key] = lam
     return lam
 
 

@@ -209,8 +209,9 @@ def unmixed_component(module: GradedModule, rng=None):
 def is_unmixed(module: GradedModule) -> bool:
     """True when M has no associated prime of lower dimension.
 
-    A Cohen-Macaulay module (depth = dim in the cached cohomology profile)
-    is unmixed, so it needs no unmixed component.
+    A Cohen-Macaulay module (depth = dim in its cohomology profile) is
+    unmixed, so it needs no unmixed component.  Callers that already hold
+    the component should test it with is_zero_module instead.
     """
     prof = local_cohomology_lengths(module)
     if prof.depth == prof.dim:

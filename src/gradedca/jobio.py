@@ -208,7 +208,7 @@ def execute_op(job: Job, opspec):
                 "depth": plain(prof.depth), "dim": plain(prof.dim)}
     if op == "unmixed":
         u, n = homology.unmixed_component(m)
-        return {"unmixed": homology.is_unmixed(m),
+        return {"unmixed": gbmod.is_zero_module(u),
                 "component_dim": plain(hb.dim_module(u)),
                 "component_length": plain(hb.module_length(u)),
                 "quotient_dim": plain(hb.dim_module(n))}

@@ -210,3 +210,20 @@ def test_check_unreadable_json_exits_2(tmp_path, capsys):
     (tmp_path / "bad.json").write_text('{"name": ')
     code, _, err = run_main(["check", str(tmp_path)], capsys)
     assert code == 2 and "bad.json" in err
+
+
+@pytest.mark.parametrize("relations,unmixed", [([["x"]], True),
+                                               ([["x^2"], ["x*y"]], False)])
+def test_unmixed_op_reads_its_component(monkeypatch, relations, unmixed):
+    # the op holds the unmixed component already; no cohomology profile
+    from gradedca import homology, jobio
+
+    def no_profile(module):
+        raise AssertionError("the unmixed op needs no cohomology profile")
+    monkeypatch.setattr(homology, "local_cohomology_lengths", no_profile)
+    raw = {"name": "unmixed", "ring": {"variables": ["x", "y"]},
+           "module": {"twists": [0], "relations": relations},
+           "ops": [{"op": "unmixed"}]}
+    result = jobio.run_job(raw, with_timings=False)["results"][0]["result"]
+    assert result["unmixed"] is unmixed
+    assert result["component_dim"] == ("-infinite" if unmixed else 0)

@@ -217,19 +217,9 @@ def test_multiplicity_shares_the_coefficients_entry(monkeypatch, ring3):
     assert calls == []
 
 
-def test_colength_memo_keeps_only_finite_lengths(monkeypatch):
+def test_infinite_colength_raises_on_every_call():
+    # the coefficients memo stores only fitted results
     module = GradedModule.free(RING)
-    quotients = []
-    original = hb.quotient_by_ideal
-
-    def counted(*args):
-        quotients.append(args[1])
-        return original(*args)
-    monkeypatch.setattr(hb, "quotient_by_ideal", counted)
     for _ in range(2):
         with pytest.raises(hb.HilbertError, match="not Artinian"):
-            hb.colength(module, [X])
-    assert len(quotients) == 2
-    assert hb.colength(module, [X ** 2, Y]) == 2
-    assert hb.colength(module, [Y, X ** 2]) == 2
-    assert len(quotients) == 3
+            hb.hilbert_coefficients(module, [X])
