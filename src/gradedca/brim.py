@@ -1,23 +1,24 @@
 """Buchsbaum-Rim functions and coefficients.
 
-For a module E ⊆ F = R^r given by a matrix of forms, E^n is realized as
-the span of degree-n products of the linear forms g_j = Σ_i φ_ij T_i
-inside R[T₁..T_r]; λ(Fⁿ/Eⁿ) is accumulated per ring degree by a rank
-count in the standard-monomial basis of R, with no power-ideal bases.
+For a module E ⊆ F = R^r given by a matrix of forms, Fⁿ is the free
+R-module on the degree-n monomials in T₁..T_r, and Eⁿ is spanned by the
+degree-n products of the g_j = Σ_i φ_ij T_i in S[T₁..T_r].  Fⁿ is
+presented over S as a free module with the relations of R at every
+position, all twists 0, so λ(Fⁿ/Eⁿ) is hilbert.quotient_length, the rank
+count that also gives the Hilbert-Samuel values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb
 
-from .gb import GBError, SubmoduleGB
-from .hilbert import (_RankTracker, binom_poly, dim_module, fit_binomial,
-                      module_length, monomial_numerator, series_coefficient)
+from .gb import GBError
+from .hilbert import (_power_products, binom_poly, dim_module, fit_binomial,
+                      module_length, quotient_length)
 from .homology import is_unmixed, local_cohomology_lengths
-from .modules import FreeModule, GradedModule
-from .poly import monomials_of_degree
+from .modules import FreeModule, GradedModule, Vector
+from .poly import Poly, PolyRing, monomials_of_degree
 
 
 class BrimError(GBError):
@@ -35,7 +36,7 @@ class ParameterModule:
     def gens_count(self):
         return len(self.columns)
 
-    @property
+    @cached_property  # stored in the instance dict, which frozen allows
     def base_dim(self):
         return dim_module(GradedModule.quotient_ring(self.ring, list(self.ring_rels)))
 
@@ -51,14 +52,6 @@ class ParameterModule:
         rels += [free.basis(i).poly_mul(p) for p in self.ring_rels
                  for i in range(self.rank)]
         return module_length(GradedModule.from_relations(free, rels))
-
-    @property
-    def column_degrees(self):
-        out = []
-        for col in self.columns:
-            degs = {e.total_degree() for e in col if not e.is_zero()}
-            out.append(degs.pop())
-        return out
 
 
 def make_parameter_module(ring, ring_rels, columns) -> ParameterModule:
@@ -90,92 +83,47 @@ def make_parameter_module(ring, ring_rels, columns) -> ParameterModule:
                            rank=rank, columns=tuple(cols))
 
 
-def _ring_gb(pm: ParameterModule):
-    amb = FreeModule(pm.ring, [0])
-    return SubmoduleGB(amb, [amb.element([p]) for p in pm.ring_rels]), amb
-
-
-def _nf_poly(p, gb, amb):
-    if not gb.generators:
-        return p
-    v = gb.normal_form(amb.element([p]))
-    return v.coordinates()[0]
-
-
-def _products(pm: ParameterModule, n, gb, amb):
-    """Degree-n products of the g_j as {T-exponent: poly}, with degrees."""
+def _t_ring(pm: ParameterModule):
+    """S[T₁..T_r], with T-names that no variable of S already uses."""
     ring = pm.ring
-    base = []
-    for j, col in enumerate(pm.columns):
-        g = {}
-        for i, e in enumerate(col):
-            if not e.is_zero():
-                alpha = tuple(1 if k == i else 0 for k in range(pm.rank))
-                g[alpha] = e
-        base.append(g)
-    degs = pm.column_degrees
-    out = {(): ({(0,) * pm.rank: ring.one()}, 0)}
-    for _ in range(n):
-        nxt = {}
-        for key, (p, dp) in out.items():
-            start = key[-1] if key else 0
-            for j in range(start, pm.gens_count):
-                nk = key + (j,)
-                if nk in nxt:
-                    continue
-                q = {}
-                for alpha, c in p.items():
-                    for beta, e in base[j].items():
-                        gamma = tuple(a + b for a, b in zip(alpha, beta))
-                        cur = q.get(gamma)
-                        prod = c * e
-                        q[gamma] = prod if cur is None else cur + prod
-                q = {a: _nf_poly(c, gb, amb) for a, c in q.items()}
-                q = {a: c for a, c in q.items() if not c.is_zero()}
-                nxt[nk] = (q, dp + degs[j])
-        out = nxt
-    return [(p, dp) for p, dp in out.values() if p]
+    names = list(ring.var_names)
+    for i in range(pm.rank):
+        name = "T%d" % (i + 1)
+        while name in names:
+            name = "_" + name
+        names.append(name)
+    return PolyRing(ring.field, names)
 
 
 def br_value(pm: ParameterModule, n: int) -> int:
     """λ(Fⁿ/Eⁿ).
 
-    λ(F/E) < ∞ is certified first; then every λ(Fⁿ/Eⁿ) is finite, and
-    since Fⁿ is generated in ring degree 0, the first ring degree in which
-    Fⁿ/Eⁿ vanishes ends the sum.
+    Fⁿ is the free R-module on the T-monomials of degree n, presented over
+    S with the ring relations at every position, and Eⁿ is spanned by the
+    degree-n products of the g_j = Σ_i φ_ij T_i in S[T₁..T_r], read back
+    by T-exponent → position.  λ(F/E) < ∞ is certified first; then every
+    λ(Fⁿ/Eⁿ) is finite and quotient_length gives it.
     """
     if n == 0:
         return 0
     if pm.colength is None:
         raise BrimError("λ(F^%d/E^%d) is infinite: generators do not "
                         "have finite colength" % (n, n))
-    ring = pm.ring
-    fld = ring.field
-    gb, amb = _ring_gb(pm)
-    base = monomial_numerator([mon for (_, mon) in gb.leading_terms()])
-    prods = _products(pm, n, gb, amb)
-    nvars = ring.num_vars
-    n_tmons = comb(n + pm.rank - 1, pm.rank - 1)
-
-    def terms(p, mon):
-        out = {}
-        for alpha, c in p.items():
-            red = _nf_poly(c.mul_monomial(mon, fld.one()), gb, amb)
-            for m2, cc in red.terms.items():
-                out[(alpha, m2)] = cc
-        return out
-
-    total = 0
-    t = 0
-    while True:
-        dim_free = n_tmons * series_coefficient(base, nvars, t)
-        rows = (terms(p, mon) for p, dp in prods
-                for mon in monomials_of_degree(nvars, t - dp))
-        left = dim_free - _RankTracker(fld).rank(rows, dim_free)
-        total += left
-        if left == 0:
-            return total
-        t += 1
+    ring, r = pm.ring, pm.rank
+    nv = ring.num_vars
+    tring = _t_ring(pm)
+    gs = [Poly(tring, {m + tuple(int(k == i) for k in range(r)): c
+                       for i, e in enumerate(col) for m, c in e.terms.items()})
+          for col in pm.columns]
+    position = {t: k for k, t in enumerate(monomials_of_degree(r, n))}
+    free = FreeModule(ring, [0] * len(position))
+    fn = GradedModule.from_relations(
+        free, [free.basis(k).poly_mul(p) for p in pm.ring_rels
+               for k in range(free.rank)])
+    vectors = (Vector(free, {(position[m[nv:]], m[:nv]): c
+                             for m, c in p.terms.items()})
+               for p in _power_products(gs, n))
+    return quotient_length(fn, vectors)
 
 
 @dataclass

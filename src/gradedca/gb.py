@@ -27,8 +27,11 @@ def reduce_vector(v: Vector, basis, lts=None):
     term has since cancelled out of work is skipped.  A processed term never
     comes back, since every other term of its reducer is smaller, so terms
     are processed, reducers chosen and out filled in the same order as by
-    taking max(work, key=term_key) at each step.
+    taking max(work, key=term_key) at each step.  Against an empty basis v
+    is its own normal form, and a copy of it comes back at once.
     """
+    if not basis:
+        return Vector(v.module, dict(v.terms))
     if lts is None:
         lts = [b.leading_term()[0] for b in basis]
     fld = v.module.ring.field
@@ -307,12 +310,16 @@ def annihilator(module: GradedModule):
     return ann
 
 
-def minimal_generators(gens):
-    """Greedy minimal generating subset (graded Nakayama, by degree)."""
+def minimal_generators(gens, basis=()):
+    """Greedy minimal generating subset (graded Nakayama, by degree).
+
+    basis is a Groebner basis of a submodule I to work modulo: the kept
+    generators then minimally generate (⟨gens⟩ + I)/I.
+    """
     gens = [g for g in gens if not g.is_zero()]
     gens.sort(key=lambda g: g.degree())
     kept = []
-    basis = []
+    basis = list(basis)
     for g in gens:
         r = reduce_vector(g, basis)
         if not r.is_zero():
@@ -465,20 +472,7 @@ def subquotient(k_gens, i_gens, ambient: FreeModule):
     presentation of the result).
     """
     i_gens = [g for g in i_gens if not g.is_zero()]
-    gb_i = SubmoduleGB(ambient, i_gens)
-    cands = []
-    for g in k_gens:
-        nf = gb_i.normal_form(g)
-        if not nf.is_zero():
-            cands.append((g, nf))
-    cands.sort(key=lambda t: t[0].degree())
-    kept = []
-    basis = [b for b in gb_i.basis]
-    for g, nf in cands:
-        r = reduce_vector(nf, basis)
-        if not r.is_zero():
-            kept.append(g)
-            basis = buchberger(basis + [r])
+    kept = minimal_generators(k_gens, buchberger(i_gens))
     if not kept:
         ring = ambient.ring
         zero_amb = FreeModule(ring, [])

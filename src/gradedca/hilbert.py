@@ -14,12 +14,15 @@ From it:
                polynomial, and infinite otherwise;
     H(M, d)  = Σ_k N_k·binom(d − k + n − 1, n − 1).
 
-The Hilbert-Samuel values λ(M/Q^{n+1}M) are computed degree by degree:
-normal forms of a spanning set of Q^{n+1}·F₀ against the cached basis of
-the relation submodule, then a rank count over the coefficient field
-against H(M, d).  Coefficients are extracted by solving the binomial-basis
-linear system exactly (Fractions) on a stabilized tail of the table; the
-Buchsbaum-Rim tables use the same fit.
+One kernel, quotient_length, gives λ(M/⟨vectors⟩) for a finite-length
+quotient degree by degree: normal forms of the vectors and their monomial
+multiples against the cached basis of the relation submodule, then a rank
+count over the coefficient field against H(M, d).  The Hilbert-Samuel
+values λ(M/Q^{n+1}M) are its value on q·e_i for the products q of n+1
+generators of Q, and the Buchsbaum-Rim values λ(Fⁿ/Eⁿ) go through it too.
+Coefficients are extracted by solving the binomial-basis linear system
+exactly (Fractions) on a stabilized tail of the table; the Buchsbaum-Rim
+tables use the same fit.
 
 The Hilbert coefficients of (M, Q) are memoized on the module, next to its
 basis and series, under (Q, fit degree, n_max).  Q is keyed by qkey, the
@@ -298,10 +301,13 @@ class _RankTracker:
         return rank
 
 
-def _hs_value(module: GradedModule, q_gens, n):
-    """λ(M/Q^{n+1}M) by per-degree rank counts.
+def quotient_length(module: GradedModule, vectors):
+    """λ(M/⟨vectors⟩) by per-degree rank counts.
 
-    Callers certify first that M/QM has finite length.  M/Q^{n+1}M is then
+    The vectors, homogeneous elements of M's ambient free module, are
+    reduced once against M's basis; in each degree t their monomial
+    multiples are reduced again and their rank is subtracted from H(M, t).
+    Callers certify first that the quotient has finite length.  It is then
     Artinian and generated in degrees ≤ the largest twist, so its first
     vanishing degree at or past that twist ends the sum.
     """
@@ -312,12 +318,11 @@ def _hs_value(module: GradedModule, q_gens, n):
     lts = gb.leading_terms()
     amb = module.ambient
     num = hilbert_series(module)
-    bases = []  # normal forms of q * e_i, with their degrees
-    for q in _power_products(q_gens, n + 1):
-        for i in range(amb.rank):
-            v = reduce_vector(amb.basis(i).poly_mul(q), gb.basis, lts)
-            if not v.is_zero():
-                bases.append((v, q.total_degree() + amb.twists[i]))
+    bases = []  # nonzero normal forms of the vectors, with their degrees
+    for v in vectors:
+        v = reduce_vector(v, gb.basis, lts)
+        if not v.is_zero():
+            bases.append((v, v.degree()))
     tmax = max(amb.twists)
     total = 0
     t = min(amb.twists)
@@ -331,6 +336,15 @@ def _hs_value(module: GradedModule, q_gens, n):
         if left == 0 and t >= tmax:
             return total
         t += 1
+
+
+def _hs_value(module: GradedModule, q_gens, n):
+    """λ(M/Q^{n+1}M): the quotient by q·e_i for the products q of n+1
+    generators of Q.  Callers certify first that M/QM has finite length."""
+    amb = module.ambient
+    return quotient_length(module, (amb.basis(i).poly_mul(q)
+                                    for q in _power_products(q_gens, n + 1)
+                                    for i in range(amb.rank)))
 
 
 def hilbert_samuel(module: GradedModule, q_gens, N: int) -> HilbertSamuelTable:

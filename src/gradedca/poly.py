@@ -198,9 +198,8 @@ class PolyRing:
         c = self.field.coerce(coeff)
         return Poly(self, {exps: c} if c != 0 else {})
 
-    def random_form(self, degree, rng, homogeneous=True):
+    def random_form(self, degree, rng):
         """Random homogeneous form of the given degree, coefficients uniform."""
-        assert homogeneous
         terms = {}
         for mon in monomials_of_degree(self.num_vars, degree):
             c = self.field.random(rng)

@@ -1,11 +1,13 @@
 import random
+from math import comb
 
 import pytest
 
-from gradedca import brim
+from gradedca import brim, hilbert
+from gradedca.gb import SubmoduleGB
 from gradedca.hilbert import hilbert_coefficients
-from gradedca.modules import GradedModule
-from gradedca.poly import CoeffField, PolyRing
+from gradedca.modules import FreeModule, GradedModule
+from gradedca.poly import CoeffField, Poly, PolyRing, monomials_of_degree
 from gradedca.sampler import random_parameter_module
 
 RING1 = PolyRing(CoeffField(32003), ["x"])
@@ -98,6 +100,109 @@ def test_infinite_colength_raises_before_rank_counts(monkeypatch):
 
     def no_rank_counts(fld):
         raise AssertionError("rank loop entered")
-    monkeypatch.setattr(brim, "_RankTracker", no_rank_counts)
+    monkeypatch.setattr(hilbert, "_RankTracker", no_rank_counts)
     with pytest.raises(brim.BrimError):
         brim.br_value(pm, 1)
+
+
+# ---------------------------------------------------------------------------
+# reference: λ(Fⁿ/Eⁿ) from products of the g_j reduced modulo the ring
+# relations at every step, with one rank count per ring degree in the
+# coordinates (T-exponent, standard monomial of R)
+
+
+def _reference_nf(p, gb, amb):
+    if not gb.generators:
+        return p
+    return gb.normal_form(amb.element([p])).coordinates()[0]
+
+
+def _reference_products(pm, n, gb, amb):
+    base = []
+    for col in pm.columns:
+        g = {}
+        for i, e in enumerate(col):
+            if not e.is_zero():
+                g[tuple(int(k == i) for k in range(pm.rank))] = e
+        base.append(g)
+    degs = [next(e.total_degree() for e in col if not e.is_zero())
+            for col in pm.columns]
+    out = {(): ({(0,) * pm.rank: pm.ring.one()}, 0)}
+    for _ in range(n):
+        nxt = {}
+        for key, (p, dp) in out.items():
+            for j in range(key[-1] if key else 0, pm.gens_count):
+                if key + (j,) in nxt:
+                    continue
+                q = {}
+                for alpha, c in p.items():
+                    for beta, e in base[j].items():
+                        gamma = tuple(a + b for a, b in zip(alpha, beta))
+                        q[gamma] = q[gamma] + c * e if gamma in q else c * e
+                q = {a: _reference_nf(c, gb, amb) for a, c in q.items()}
+                nxt[key + (j,)] = ({a: c for a, c in q.items()
+                                    if not c.is_zero()}, dp + degs[j])
+        out = nxt
+    return [(p, dp) for p, dp in out.values() if p]
+
+
+def _reference_br_value(pm, n):
+    if n == 0:
+        return 0
+    ring = pm.ring
+    fld = ring.field
+    amb = FreeModule(ring, [0])
+    gb = SubmoduleGB(amb, [amb.element([p]) for p in pm.ring_rels])
+    base = hilbert.monomial_numerator([mon for _, mon in gb.leading_terms()])
+    prods = _reference_products(pm, n, gb, amb)
+    n_tmons = comb(n + pm.rank - 1, pm.rank - 1)
+
+    def terms(p, mon):
+        out = {}
+        for alpha, c in p.items():
+            red = _reference_nf(c.mul_monomial(mon, fld.one()), gb, amb)
+            for m2, cc in red.terms.items():
+                out[(alpha, m2)] = cc
+        return out
+
+    total, t = 0, 0
+    while True:
+        dim_free = n_tmons * hilbert.series_coefficient(base, ring.num_vars, t)
+        rows = (terms(p, mon) for p, dp in prods
+                for mon in monomials_of_degree(ring.num_vars, t - dp))
+        left = dim_free - hilbert._RankTracker(fld).rank(rows, dim_free)
+        total += left
+        if left == 0:
+            return total
+        t += 1
+
+
+BASES = {
+    "line": (["x"], []),
+    "plane": (["x", "y"], []),
+    "hypersurface": (["x", "y", "z"], ["x*y - z^2"]),
+    "two-plane": (["x", "y", "z", "w"], ["x*z", "x*w", "y*z", "y*w"]),
+}
+
+
+@pytest.mark.parametrize("char", [32003, None])
+@pytest.mark.parametrize("base", sorted(BASES))
+@pytest.mark.parametrize("rank", [1, 2])
+def test_br_value_matches_reference_path(char, base, rank):
+    names, rels = BASES[base]
+    ring = PolyRing(CoeffField(char), names)
+    rng = random.Random("%s-%d" % (base, rank))
+    pm = random_parameter_module(ring, [ring.poly(p) for p in rels], rank, rng)
+    assert [brim.br_value(pm, n) for n in range(4)] == \
+        [_reference_br_value(pm, n) for n in range(4)]
+
+
+def test_t_named_ring_variables_do_not_collide():
+    # the same matrix over k[x, y] and over k[T1, T2]: S[T] must not reuse
+    # a name of S, and the tables must agree
+    named = PolyRing(CoeffField(32003), ["T1", "T2"])
+    pm = random_parameter_module(RING2, [], 2, random.Random(5))
+    moved = brim.make_parameter_module(
+        named, [], [[Poly(named, dict(e.terms)) for e in col]
+                    for col in pm.columns])
+    assert brim.br_coefficients(moved).table == brim.br_coefficients(pm).table

@@ -1,4 +1,6 @@
 import itertools
+import json
+import os
 import random
 
 import pytest
@@ -6,8 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradedca import hilbert as hb
+from gradedca.gb import quotient_by_ideal
+from gradedca.jobio import build_job
 from gradedca.modules import FreeModule, GradedModule
 from gradedca.poly import CoeffField, PolyRing
+from gradedca.sampler import random_parameter_ideal
 
 RING = PolyRing(CoeffField(32003), ["x", "y"])
 X, Y = RING.gens()
@@ -110,6 +115,22 @@ def test_coefficients_of_dim_zero_module():
 
 def test_hilbert_function_values(two_plane):
     assert [hb.hilbert_function(two_plane, n) for n in range(4)] == [1, 4, 6, 8]
+
+
+@pytest.mark.parametrize("name", ["brim-line", "dim3-buchsbaum", "free-plane",
+                                  "hypersurface", "mixed-line", "mixed-sum",
+                                  "plane-plus-line", "two-plane"])
+def test_hs_value_is_the_length_of_the_quotient(name):
+    # the rank-count kernel against a Groebner basis of M/Q^{n+1}M
+    path = os.path.join(os.path.dirname(__file__), "..", "corpus", name + ".json")
+    with open(path) as fh:
+        module = build_job(json.load(fh)).module
+    q = random_parameter_ideal(module, [1] * hb.dim_module(module),
+                               random.Random(name)).gens
+    for n in range(3):
+        power = hb._power_products(q, n + 1)
+        assert hb._hs_value(module, q, n) == \
+            hb.module_length(quotient_by_ideal(module, power))
 
 
 def _standard_count(gens, n, d):
