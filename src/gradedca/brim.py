@@ -137,15 +137,13 @@ class BRReport:
     pointwise_bound_ok: bool
 
 
-def br_coefficients(pm: ParameterModule, n_max=None) -> BRReport:
+def br_coefficients(pm: ParameterModule) -> BRReport:
     """Fit of λ(Fⁿ/Eⁿ) in the binomial basis of degree d + r − 1."""
     deg = pm.base_dim + pm.rank - 1
-    if n_max is None:
-        n_max = deg + 8
-    fit = fit_binomial(lambda n: br_value(pm, n), deg, 1, n_max)
+    fit = fit_binomial(lambda n: br_value(pm, n), deg, 1, deg + 8)
     if fit is None:
         raise BrimError("Buchsbaum-Rim table did not stabilize within n <= %d"
-                        % n_max)
+                        % (deg + 8))
     coeffs, values, _ = fit
     br, br1 = coeffs[0], coeffs[1]
     bound_ok = all(values[n] >= br * binom_poly(n - 1, deg)

@@ -29,13 +29,8 @@ def _row(job, check, passed, detail=""):
                     detail=str(detail))
 
 
-def _sample(job: Job, count=None):
-    cfg = job.sample
-    if count is not None and count < cfg.count:
-        cfg = sampler.SampleConfig(seed=cfg.seed, count=count,
-                                   degree_bounds=cfg.degree_bounds,
-                                   retry_limit=cfg.retry_limit)
-    return sampler.sample_parameter_ideals(job.module, cfg)
+def _sample(job: Job):
+    return sampler.sample_parameter_ideals(job.module, job.sample)
 
 
 def _coeffs(module, gens):
@@ -238,9 +233,7 @@ def check_brim(job: Job):
     if pm.rank == 1:
         base = job.module if job.module.ambient.rank == 1 else None
         if base is not None:
-            e = hb.hilbert_coefficients(
-                base, [c[0] for c in pm.columns],
-                fit_dim=hb.dim_module(base)).e
+            e = hb.hilbert_coefficients(base, [c[0] for c in pm.columns]).e
             ok = rep.br == e[0] and (len(e) < 2 or rep.br1 == e[1])
             rows.append(_row(job, "br-ideal-degeneration", ok,
                              "br %d,%d vs e %s" % (rep.br, rep.br1, e)))

@@ -413,15 +413,14 @@ def minimal_presentation(module: GradedModule) -> GradedModule:
     return module._cache["minimal"]
 
 
-def minimal_free_resolution(module: GradedModule, max_len=None):
+def minimal_free_resolution(module: GradedModule):
     """Differentials d1, d2, ... of a minimal graded free resolution.
 
     Over the polynomial ring this terminates within num_vars steps
-    (Hilbert syzygy theorem); max_len only truncates earlier.
+    (Hilbert syzygy theorem).
     """
-    full = module._cache.get(("resolution", None))
-    if full is not None:
-        return full if max_len is None else full[:max_len]
+    if "resolution" in module._cache:
+        return module._cache["resolution"]
     mod = minimal_presentation(module)
     d1 = mod.presentation
     maps = []
@@ -438,8 +437,8 @@ def minimal_free_resolution(module: GradedModule, max_len=None):
             break
         src = FreeModule(module.ring, [k.degree() for k in ker])
         maps.append(ModuleMap.from_columns(src, last.source, ker))
-    module._cache[("resolution", None)] = maps
-    return maps if max_len is None else maps[:max_len]
+    module._cache["resolution"] = maps
+    return maps
 
 
 def betti_numbers(module: GradedModule):

@@ -6,13 +6,15 @@ of variables.  Position i of the ambient free module contributes
 t^twist_i·N(S/I_i), where I_i is the monomial ideal of lead terms at i and
 N(S/I_i) comes from Bigatti's pivot recursion (A. M. Bigatti, "Computation
 of Hilbert-Poincaré series", J. Pure Appl. Algebra 119, 1997).  Twists may
-be negative, so N is a Laurent polynomial, kept as {exponent: coefficient}.
+be negative, so N is a Laurent polynomial, kept as {exponent: coefficient};
+shifted_sum forms the combinations Σ c·t^s·N that exact sequences ask for.
 From it:
 
     dim M    = n − (order of the root t = 1 of N), −inf when N = 0;
     λ(M)     = the value at t = 1 of N/(1−t)^n, when that is a Laurent
                polynomial, and infinite otherwise;
-    H(M, d)  = Σ_k N_k·binom(d − k + n − 1, n − 1).
+    H(M, d)  = Σ_k N_k·binom(d − k + n − 1, n − 1);
+    N(0:_M h) = N(M) − t^{−deg h}·(N(M) − N(M/hM)), with no colon module.
 
 One kernel, quotient_length, gives λ(M/⟨vectors⟩) for a finite-length
 quotient degree by degree: normal forms of the vectors and their monomial
@@ -25,7 +27,7 @@ exactly (Fractions) on a stabilized tail of the table; the Buchsbaum-Rim
 tables use the same fit.
 
 The Hilbert coefficients of (M, Q) are memoized on the module, next to its
-basis and series, under (Q, fit degree, n_max).  Q is keyed by qkey, the
+basis and series, under (Q, fit degree).  Q is keyed by qkey, the
 sorted reprs of its generators, so a reordered generating set hits the same
 entry; the table values depend only on the ideal, so a hit returns what a
 recomputation would.
@@ -33,13 +35,11 @@ recomputation would.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
-from .gb import (GBError, colon_submodule, module_gb, quotient_by_ideal,
-                 reduce_vector, subquotient)
+from .gb import GBError, module_gb, quotient_by_ideal, reduce_vector
 from .modules import GradedModule
 from .poly import Poly, mon_deg, mon_divides, monomials_of_degree
 
@@ -81,21 +81,15 @@ def monomial_numerator(mons):
     if max(counts) <= 1:
         out = {0: 1}
         for g in gens:
-            d = mon_deg(g)
-            nxt = dict(out)
-            for e, c in out.items():
-                nxt[e + d] = nxt.get(e + d, 0) - c
-            out = {e: c for e, c in nxt.items() if c}
+            out = shifted_sum([(1, 0, out), (-1, mon_deg(g), out)])
         return out
     j = max(range(len(counts)), key=counts.__getitem__)
     exps = sorted(g[j] for g in gens if g[j] and mon_deg(g) > g[j])
     e = exps[len(exps) // 2]
     pivot = tuple(e if k == j else 0 for k in range(len(counts)))
     colon = [g[:j] + (max(g[j] - e, 0),) + g[j + 1:] for g in gens]
-    out = dict(monomial_numerator(gens + [pivot]))
-    for k, c in monomial_numerator(colon).items():
-        out[k + e] = out.get(k + e, 0) + c
-    return {k: c for k, c in out.items() if c}
+    return shifted_sum([(1, 0, monomial_numerator(gens + [pivot])),
+                        (1, e, monomial_numerator(colon))])
 
 
 def _lead_monomials_by_position(module: GradedModule):
@@ -109,13 +103,20 @@ def _lead_monomials_by_position(module: GradedModule):
 def hilbert_series(module: GradedModule):
     """Numerator N(t) of HS(M) = N(t)/(1−t)^n, as {exponent: coefficient}."""
     if "series" not in module._cache:
-        out = {}
         by_pos = _lead_monomials_by_position(module)
-        for pos, twist in enumerate(module.ambient.twists):
-            for e, c in monomial_numerator(by_pos[pos]).items():
-                out[e + twist] = out.get(e + twist, 0) + c
-        module._cache["series"] = {e: c for e, c in out.items() if c}
+        module._cache["series"] = shifted_sum(
+            (1, twist, monomial_numerator(by_pos[pos]))
+            for pos, twist in enumerate(module.ambient.twists))
     return module._cache["series"]
+
+
+def shifted_sum(parts):
+    """Σ c·t^s·N over the (c, s, N) in parts, as {exponent: coefficient}."""
+    out = {}
+    for c, s, num in parts:
+        for e, v in num.items():
+            out[e + s] = out.get(e + s, 0) + c * v
+    return {e: v for e, v in out.items() if v}
 
 
 def divide_poles(num, k):
@@ -155,21 +156,13 @@ def dim_module(module: GradedModule):
 
 
 def _position_growth_witness(module: GradedModule):
-    """A (position, variable set) along which the module grows forever."""
-    by_pos = _lead_monomials_by_position(module)
-    num_vars = module.ring.num_vars
-    names = module.ring.var_names
-    for pos in range(module.ambient.rank):
-        mons = by_pos[pos]
-        if any(mon_deg(m) == 0 for m in mons):
-            continue
-        supports = [set(k for k, e in enumerate(m) if e > 0) for m in mons]
-        for size in range(num_vars, 0, -1):
-            for cand in itertools.combinations(range(num_vars), size):
-                cs = set(cand)
-                if all(not s <= cs for s in supports):
-                    return pos, [names[k] for k in cand]
-    return None
+    """A (position, variable) along which a module of positive dimension
+    grows forever: a lead-term module is Artinian exactly when every
+    variable has a pure power among its lead terms."""
+    for pos, mons in _lead_monomials_by_position(module).items():
+        for k, name in enumerate(module.ring.var_names):
+            if not any(mon_deg(m) == m[k] for m in mons):
+                return pos, name
 
 
 def hilbert_function(module: GradedModule, n: int) -> int:
@@ -224,11 +217,9 @@ def colength(module: GradedModule, gens):
     quo = quotient_by_ideal(module, list(gens))
     lam = module_length(quo)
     if lam is None:
-        witness = _position_growth_witness(quo)
-        pos, direction = witness if witness else (0, [])
         raise HilbertError(
             "quotient not Artinian: infinite growth at position %d along (%s)"
-            % (pos, ", ".join(direction)))
+            % _position_growth_witness(quo))
     return lam
 
 
@@ -423,28 +414,30 @@ class HilbertCoefficients:
     table: HilbertSamuelTable = field(repr=False, default=None)
 
 
-def hilbert_coefficients(module: GradedModule, q_gens, n_max=40,
+HS_N_MAX = 40  # the Hilbert-Samuel fit window ends at n = HS_N_MAX
+
+
+def hilbert_coefficients(module: GradedModule, q_gens,
                          fit_dim=None) -> HilbertCoefficients:
     """Stabilized coefficients e₀..e_r of n ↦ λ(M/Q^{n+1}M).
 
-    The fit is fit_binomial's.  fit_dim overrides the fit degree (default:
-    dim M), for quotients where the generating set is larger than the
-    dimension of the module.  The result is memoized on the module under
-    (qkey, resolved fit degree, n_max).
+    The fit is fit_binomial's, within n ≤ HS_N_MAX.  fit_dim overrides the
+    fit degree (default: dim M), for quotients where the generating set is
+    larger than the dimension of the module.  The result is memoized on the
+    module under (qkey, resolved fit degree).
     """
     gens = list(q_gens)
     r = dim_module(module) if fit_dim is None else fit_dim
     if r == NEG_INF:
         raise HilbertError("zero module has no Hilbert coefficients")
-    key = ("coefficients", qkey(gens), r, n_max)
+    key = ("coefficients", qkey(gens), r)
     if key in module._cache:
         return module._cache[key]
     colength(module, gens)
-    fit = fit_binomial(lambda n: _hs_value(module, gens, n), r, 0, n_max)
+    fit = fit_binomial(lambda n: _hs_value(module, gens, n), r, 0, HS_N_MAX)
     if fit is None:
         raise HilbertError(
-            "Hilbert-Samuel table did not stabilize within n <= %d; raise n_max"
-            % n_max)
+            "Hilbert-Samuel table did not stabilize within n <= %d" % HS_N_MAX)
     e, values, n0 = fit
     assert e[0] >= 1, "leading Hilbert coefficient must be positive"
     if len(gens) == dim_module(module) and r >= 1:
@@ -459,12 +452,14 @@ def hilbert_coefficients(module: GradedModule, q_gens, n_max=40,
 # superficial elements
 
 
-def colon_module(module: GradedModule, h: Poly) -> GradedModule:
-    """(0 :_M h) as a graded module."""
-    rels = module.relations()
-    k_gens = colon_submodule(rels, h, module.ambient)
-    out, _ = subquotient(k_gens, rels, module.ambient)
-    return out
+def colon_series(module: GradedModule, h: Poly, quo: GradedModule):
+    """Numerator of HS(0 :_M h), given quo = M/hM, from the exact sequence
+    0 → (0:_M h)(−d) → M(−d) → M → M/hM → 0 with d = deg h."""
+    if h.is_zero() or not h.is_homogeneous():
+        raise HilbertError("colon by a zero or inhomogeneous form")
+    num, d = hilbert_series(module), h.total_degree()
+    return shifted_sum([(1, 0, num), (-1, -d, num),
+                        (1, -d, hilbert_series(quo))])
 
 
 @dataclass
@@ -483,11 +478,12 @@ def superficial_check(module: GradedModule, q: ParameterIdeal, h: Poly) -> Super
     e_{r−1}(M) = e_{r−1}(M/hM) + (−1)^r λ(0 :_M h).
     """
     r = dim_module(module)
-    col = colon_module(module, h)
-    lam = module_length(col)
-    if lam is None:
-        return SuperficialReport(False, [], [], -1, "0:_M h has infinite length")
     quo = quotient_by_ideal(module, [h])
+    n = module.ring.num_vars
+    j, col = divide_poles(colon_series(module, h, quo), n)
+    if j < n:
+        return SuperficialReport(False, [], [], -1, "0:_M h has infinite length")
+    lam = sum(col.values())
     dq = dim_module(quo)
     if dq != r - 1:
         return SuperficialReport(False, [], [], lam,

@@ -159,7 +159,7 @@ def _hom_into_ci_quotient(module: GradedModule, ci):
     return kernel_of_map(t, target_relations=rels), pres
 
 
-def unmixed_component(module: GradedModule, rng=None):
+def unmixed_component(module: GradedModule):
     """(U, N): U the largest submodule of lower dimension, N = M/U.
 
     U is the kernel of the biduality map into the dual over a complete
@@ -174,10 +174,10 @@ def unmixed_component(module: GradedModule, rng=None):
         out = (_zero_module(ring), module)
         module._cache[key] = out
         return out
-    rng = rng or random.Random(7)
     r = dim_module(module)
     c = ring.num_vars - r
-    ci = _regular_sequence_in(annihilator(module), ring, c, rng) if c else []
+    ci = (_regular_sequence_in(annihilator(module), ring, c, random.Random(7))
+          if c else [])
     homs, pres = _hom_into_ci_quotient(module, ci)
     amb = pres.ambient
     if not homs:

@@ -25,7 +25,7 @@ def multiplicity(module: GradedModule, q_gens) -> int:
         return 0
     if r == 0:
         return module_length(module)
-    return hilbert_coefficients(module, list(q_gens), fit_dim=r).e[0]
+    return hilbert_coefficients(module, list(q_gens)).e[0]
 
 
 def hdeg(module: GradedModule, q_gens) -> int:

@@ -89,6 +89,27 @@ def test_non_artinian_error_names_direction(free_plane):
     assert "y" in str(err.value)
 
 
+def test_growth_witness_names_a_variable_without_pure_power(ring3):
+    # M = S/(x², y³, yz) ⊕ S/(x, y, z): the first position has pure powers
+    # of x and y only, so the witness is (0, z); the Artinian second
+    # position is never named
+    x, y, z = ring3.gens()
+    amb = FreeModule(ring3, [0, 1])
+    e0, e1 = amb.basis(0), amb.basis(1)
+    rels = [e0.poly_mul(x ** 2), e0.poly_mul(y ** 3), e0.poly_mul(y * z),
+            e1.poly_mul(x), e1.poly_mul(y), e1.poly_mul(z)]
+    module = GradedModule.from_relations(amb, rels)
+    assert hb._position_growth_witness(module) == (0, "z")
+    # S/(x, y, z) ⊕ S/(x², xz): position 0 is Artinian, and at position 1
+    # only x has a pure power, so y comes first
+    rels = [e0.poly_mul(x), e0.poly_mul(y), e0.poly_mul(z),
+            e1.poly_mul(x ** 2), e1.poly_mul(x * z)]
+    module = GradedModule.from_relations(amb, rels)
+    assert hb._position_growth_witness(module) == (1, "y")
+    with pytest.raises(hb.HilbertError, match=r"position 1 along \(y\)"):
+        hb.colength(module, [])
+
+
 def test_superficial_oracles(free_plane, mixed_line, two_plane, ring4):
     q = hb.make_parameter_ideal(free_plane, [X, Y])
     rep = hb.superficial_check(free_plane, q, X)

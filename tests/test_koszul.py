@@ -1,10 +1,19 @@
+import json
+import os
+import random
+
 import pytest
 
 from gradedca import koszul as kz
-from gradedca.hilbert import make_parameter_ideal
+from gradedca.gb import colon_submodule, kernel_of_map, subquotient
+from gradedca.hilbert import (dim_module, divide_poles, hilbert_series,
+                              make_parameter_ideal, module_length,
+                              superficial_check)
+from gradedca.jobio import build_job
 from gradedca.modules import GradedModule
 from gradedca.poly import CoeffField, PolyRing
-from gradedca.sampler import SampleConfig, sample_parameter_ideals
+from gradedca.sampler import (SampleConfig, random_parameter_ideal,
+                              sample_parameter_ideals)
 
 RING = PolyRing(CoeffField(32003), ["x", "y"])
 X, Y = RING.gens()
@@ -77,3 +86,145 @@ def test_recursion_with_zero_divisor(ring3):
 def test_non_parameter_input_fails(free_plane):
     with pytest.raises(kz.KoszulError):
         kz.koszul_homology(free_plane, [X, X])
+
+
+# ---------------------------------------------------------------------------
+# reference: the cycles Z_i by an elimination Groebner basis, then
+# λ(H_i) = λ(stage/boundaries) − λ(stage/cycles) from two Hilbert series;
+# and the colon 0:_M h presented as a subquotient
+
+
+def _reference_lengths(module, forms):
+    r, n = len(forms), module.ring.num_vars
+    lengths = []
+    for i in range(r + 1):
+        stage = kz.koszul_stage(module, forms, i)
+        bounds = kz._stage_relations(module, stage, i, r)
+        if i == 0:
+            cycles = [stage.basis(k) for k in range(stage.rank)]
+        else:
+            prev = kz.koszul_stage(module, forms, i - 1)
+            cycles = kernel_of_map(
+                kz.koszul_differential(module, forms, i),
+                target_relations=kz._stage_relations(module, prev, i - 1, r))
+        if i < r:
+            bounds += [c for c in kz.koszul_differential(
+                module, forms, i + 1).columns() if not c.is_zero()]
+        big = hilbert_series(GradedModule.from_relations(stage, bounds))
+        small = hilbert_series(GradedModule.from_relations(stage, cycles))
+        diff = {e: big.get(e, 0) - small.get(e, 0)
+                for e in big.keys() | small.keys()}
+        j, quo = divide_poles(diff, n)
+        assert j == n
+        lengths.append(sum(quo.values()))
+    return lengths
+
+
+def _reference_colon(module, h):
+    rels = module.relations()
+    col, _ = subquotient(colon_submodule(rels, h, module.ambient), rels,
+                         module.ambient)
+    return col
+
+
+def _euler(lengths):
+    return sum((-1) ** i * v for i, v in enumerate(lengths))
+
+
+# corpus modules, two of them with their ambient retwisted, and a module of
+# depth zero whose top Koszul homology does not vanish
+CASES = {name: name for name in ["free-plane", "mixed-line", "mixed-sum",
+                                 "plane-plus-line", "two-plane",
+                                 "dim3-buchsbaum", "hypersurface"]}
+CASES["mixed-sum(-1,2)"] = ("mixed-sum", [-1, 2])
+CASES["plane-plus-line(1,0)"] = ("plane-plus-line", [1, 0])
+
+
+def _case_module(case, char):
+    spec = CASES[case]
+    name, twists = (spec, None) if isinstance(spec, str) else spec
+    path = os.path.join(os.path.dirname(__file__), "..", "corpus",
+                        name + ".json")
+    with open(path) as fh:
+        raw = json.load(fh)
+    raw["ring"]["characteristic"] = char
+    if twists is not None:
+        raw["module"]["twists"] = twists
+    return build_job(raw).module
+
+
+def _depth_zero(char):
+    ring = PolyRing(CoeffField(char), ["x", "y", "z"])
+    x, y, z = ring.gens()
+    return GradedModule.quotient_ring(ring, [x ** 2, x * y, x * z])
+
+
+def _sops(module, case):
+    r = dim_module(module)
+    rng = random.Random(case)
+    return [random_parameter_ideal(module, degs, rng).gens
+            for degs in ([1] * r, [2] + [1] * (r - 1), [2] * r)]
+
+
+@pytest.mark.parametrize("char", [32003, None])
+@pytest.mark.parametrize("case", sorted(CASES) + ["depth-zero"])
+def test_homology_lengths_match_cycle_path(case, char):
+    module = _depth_zero(char) if case == "depth-zero" \
+        else _case_module(case, char)
+    for forms in _sops(module, case):
+        ref = _reference_lengths(module, forms)
+        rep = kz.koszul_homology(module, forms)
+        assert rep.lengths == ref
+        assert rep.chi == _euler(ref)
+        assert rep.chi1 == _euler(ref[1:])
+
+
+def test_depth_zero_has_top_homology():
+    # M = S/(x², xy, xz): H_0 = S/(x², y, z), H_2 = 0 :_M (y, z) = (x)M ≅ k,
+    # and χ = e((y, z); M) = 1 leaves λ(H_1) = 2
+    module = _depth_zero(32003)
+    y, z = module.ring.gens()[1:]
+    assert kz.koszul_homology(module, [y, z]).lengths == [2, 2, 1]
+
+
+@pytest.mark.parametrize("char", [32003, None])
+@pytest.mark.parametrize("case", ["depth-zero", "dim3-buchsbaum", "free-plane",
+                                  "hypersurface", "plane-plus-line",
+                                  "plane-plus-line(1,0)", "two-plane"])
+def test_recursion_colon_term_matches_colon_module(case, char):
+    module = _depth_zero(char) if case == "depth-zero" \
+        else _case_module(case, char)
+    for forms in _sops(module, case):
+        col = _reference_colon(module, forms[0])
+        expected = (_euler(_reference_lengths(col, forms[1:]))
+                    if col.ambient.rank else 0)
+        rep = kz.chi1_recursion_check(module, forms)
+        assert rep.from_colon == expected
+        assert rep.passed
+
+
+@pytest.mark.parametrize("char", [32003, None])
+@pytest.mark.parametrize("case", sorted(CASES) + ["depth-zero"])
+def test_superficial_colon_length_matches_colon_module(case, char):
+    module = _depth_zero(char) if case == "depth-zero" \
+        else _case_module(case, char)
+    # h of degree 1 and 2; Q stays linear, since the coefficient fits of
+    # degree-2 sops are slow and the colon does not depend on Q
+    sops = _sops(module, case)
+    q = make_parameter_ideal(module, sops[0])
+    for forms in sops:
+        rep = superficial_check(module, q, forms[0])
+        assert rep.colon_length == module_length(
+            _reference_colon(module, forms[0]))
+
+
+@pytest.mark.parametrize("char", [32003, None])
+def test_superficial_reports_infinite_colon(char):
+    # S/(xy): 0 :_M x = (y)M ≅ k[y](−1) has infinite length
+    ring = PolyRing(CoeffField(char), ["x", "y"])
+    x, y = ring.gens()
+    module = GradedModule.quotient_ring(ring, [x * y])
+    assert module_length(_reference_colon(module, x)) is None
+    rep = superficial_check(module, make_parameter_ideal(module, [x + y]), x)
+    assert (rep.passed, rep.colon_length) == (False, -1)
+    assert rep.detail == "0:_M h has infinite length"
