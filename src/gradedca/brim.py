@@ -49,8 +49,7 @@ class ParameterModule:
         """λ(F/E) over R = S/(ring_rels), or None when it is infinite."""
         free = FreeModule(self.ring, [0] * self.rank)
         rels = [free.element(col) for col in self.columns]
-        rels += [free.basis(i).poly_mul(p) for p in self.ring_rels
-                 for i in range(self.rank)]
+        rels += free.ideal_multiples(self.ring_rels)
         return module_length(GradedModule.from_relations(free, rels))
 
 
@@ -117,9 +116,7 @@ def br_value(pm: ParameterModule, n: int) -> int:
           for col in pm.columns]
     position = {t: k for k, t in enumerate(monomials_of_degree(r, n))}
     free = FreeModule(ring, [0] * len(position))
-    fn = GradedModule.from_relations(
-        free, [free.basis(k).poly_mul(p) for p in pm.ring_rels
-               for k in range(free.rank)])
+    fn = GradedModule.from_relations(free, free.ideal_multiples(pm.ring_rels))
     vectors = (Vector(free, {(position[m[nv:]], m[:nv]): c
                              for m, c in p.terms.items()})
                for p in _power_products(gs, n))

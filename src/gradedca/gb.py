@@ -22,13 +22,12 @@ def reduce_vector(v: Vector, basis, lts=None):
     """Full normal form of v against a list of monic vectors.
 
     The terms still to be reduced sit in the dict work; a min-heap of
-    (pos, −deg, reversed mon) holds one entry for each time a term enters
-    work, so its top is the term_key maximum of work.  A popped entry whose
-    term has since cancelled out of work is skipped.  A processed term never
-    comes back, since every other term of its reducer is smaller, so terms
-    are processed, reducers chosen and out filled in the same order as by
-    taking max(work, key=term_key) at each step.  Against an empty basis v
-    is its own normal form, and a copy of it comes back at once.
+    term_key(t) + (t,) holds one entry for each time a term t enters work,
+    so its top is the leading term of work.  A popped entry whose term has
+    since cancelled out of work is skipped.  A processed term never comes
+    back, since every other term of its reducer is smaller, so terms are
+    processed in descending order.  Against an empty basis v is its own
+    normal form, and a copy of it comes back at once.
     """
     if not basis:
         return Vector(v.module, dict(v.terms))
@@ -37,15 +36,14 @@ def reduce_vector(v: Vector, basis, lts=None):
     fld = v.module.ring.field
     out = {}
     work = dict(v.terms)
-    heap = [(pos, -sum(mon), mon[::-1]) for pos, mon in work]
+    heap = [term_key(t) + (t,) for t in work]
     heapify(heap)
     while heap:
-        pos, _, rev = heappop(heap)
-        mon = rev[::-1]
-        term = (pos, mon)
+        term = heappop(heap)[-1]
         coeff = work.get(term)
         if coeff is None:
             continue
+        pos, mon = term
         hit = None
         for b, (bpos, bmon) in zip(basis, lts):
             if bpos == pos:
@@ -68,14 +66,13 @@ def reduce_vector(v: Vector, basis, lts=None):
                     del work[t]
             else:
                 if old is None:
-                    heappush(heap, (bp, -sum(m), m[::-1]))
+                    heappush(heap, term_key(t) + (t,))
                 work[t] = s
     return Vector(v.module, out)
 
 
-def _spair(f, g):
-    (pos, mf), _ = f.leading_term()
-    (_, mg), _ = g.leading_term()
+def _spair(f, mf, g, mg):
+    """The S-vector of f and g, whose lead monomials are mf and mg."""
     lcm = mon_lcm(mf, mg)
     one = f.module.ring.field.one()
     qf = tuple(a - b for a, b in zip(lcm, mf))
@@ -87,22 +84,30 @@ def buchberger(gens):
     """Reduced Groebner basis of the submodule generated by gens.
 
     Input vectors must be homogeneous; returns monic, auto-reduced basis
-    sorted by decreasing leading term.
+    sorted by leading term, the leading one first.
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return []
     module = gens[0].module
+    fld = module.ring.field
     for g in gens:
         if not g.is_homogeneous():
             raise GBError("inhomogeneous generator")
     basis = []
     lts = []
+
+    def adjoin(r):
+        """Append r, made monic, and its lead term; True unless r is zero."""
+        if r.is_zero():
+            return False
+        lt, c = r.leading_term()
+        basis.append(r.scale(fld.inv(c)))
+        lts.append(lt)
+        return True
+
     for g in gens:
-        r = reduce_vector(g, basis, lts)
-        if not r.is_zero():
-            basis.append(r.monic())
-            lts.append(r.leading_term()[0])
+        adjoin(reduce_vector(g, basis, lts))
 
     rank1 = module.rank == 1
     pairs = set()
@@ -141,10 +146,8 @@ def buchberger(gens):
                     break
         if skip:
             continue
-        r = reduce_vector(_spair(basis[i], basis[j]), basis, lts)
-        if not r.is_zero():
-            basis.append(r.monic())
-            lts.append(r.leading_term()[0])
+        s = _spair(basis[i], lts[i][1], basis[j], lts[j][1])
+        if adjoin(reduce_vector(s, basis, lts)):
             add_pairs(len(basis) - 1)
 
     # minimalize: drop elements whose lead is divisible by another lead
@@ -156,14 +159,13 @@ def buchberger(gens):
                         for k in range(len(basis)))
         if not redundant:
             keep.append(i)
-    minimal = [basis[i] for i in keep]
-    # interreduce tails
-    reduced = []
-    for i, g in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1:]
-        reduced.append(reduce_vector(g, others).monic())
-    reduced.sort(key=lambda g: term_key(g.leading_term()[0]), reverse=True)
-    return reduced
+    keep.sort(key=lambda i: term_key(lts[i]))
+    # interreduce tails: each result is the one reduced-basis element with
+    # that lead term (coefficient 1), so the order of the reducers does not
+    # change it
+    return [reduce_vector(basis[i], [basis[k] for k in keep if k != i],
+                          [lts[k] for k in keep if k != i])
+            for i in keep]
 
 
 class SubmoduleGB:
@@ -272,8 +274,7 @@ def colon_submodule(n_gens, f: Poly, ambient: FreeModule):
         raise GBError("colon by inhomogeneous element")
     d = f.total_degree()
     shifted = FreeModule(ambient.ring, [t + d for t in ambient.twists])
-    cols = [ambient.basis(i).poly_mul(f) for i in range(ambient.rank)]
-    mul = ModuleMap.from_columns(shifted, ambient, cols)
+    mul = ModuleMap.from_columns(shifted, ambient, ambient.ideal_multiples([f]))
     ker = kernel_of_map(mul, target_relations=list(n_gens))
     return [Vector(ambient, dict(k.terms)) for k in ker]
 
@@ -347,13 +348,7 @@ def quotient_module(module: GradedModule, extra_relations) -> GradedModule:
 
 
 def quotient_by_ideal(module: GradedModule, polys) -> GradedModule:
-    extra = []
-    for p in polys:
-        if p.is_zero():
-            continue
-        for i in range(module.ambient.rank):
-            extra.append(module.ambient.basis(i).poly_mul(p))
-    return quotient_module(module, extra)
+    return quotient_module(module, module.ambient.ideal_multiples(polys))
 
 
 def minimize_presentation(pres: ModuleMap) -> ModuleMap:
@@ -473,9 +468,7 @@ def subquotient(k_gens, i_gens, ambient: FreeModule):
     i_gens = [g for g in i_gens if not g.is_zero()]
     kept = minimal_generators(k_gens, buchberger(i_gens))
     if not kept:
-        ring = ambient.ring
-        zero_amb = FreeModule(ring, [])
-        return GradedModule(ModuleMap(FreeModule(ring, []), zero_amb, [])), []
+        return GradedModule.free(ambient.ring, []), []
     g0 = FreeModule(ambient.ring, [g.degree() for g in kept])
     psi = ModuleMap.from_columns(g0, ambient, kept)
     rels = kernel_of_map(psi, target_relations=i_gens)

@@ -332,10 +332,8 @@ def quotient_length(module: GradedModule, vectors):
 def _hs_value(module: GradedModule, q_gens, n):
     """λ(M/Q^{n+1}M): the quotient by q·e_i for the products q of n+1
     generators of Q.  Callers certify first that M/QM has finite length."""
-    amb = module.ambient
-    return quotient_length(module, (amb.basis(i).poly_mul(q)
-                                    for q in _power_products(q_gens, n + 1)
-                                    for i in range(amb.rank)))
+    return quotient_length(module, module.ambient.ideal_multiples(
+        _power_products(q_gens, n + 1)))
 
 
 def hilbert_samuel(module: GradedModule, q_gens, N: int) -> HilbertSamuelTable:

@@ -23,10 +23,6 @@ class HomologyError(GBError):
     pass
 
 
-def _zero_module(ring) -> GradedModule:
-    return GradedModule.free(ring, [])
-
-
 def ext_module(module: GradedModule, k: int) -> GradedModule:
     """Ext^k_S(M, S) from the dualized minimal free resolution."""
     key = ("ext", k)
@@ -34,13 +30,13 @@ def ext_module(module: GradedModule, k: int) -> GradedModule:
         return module._cache[key]
     ring = module.ring
     if is_zero_module(module) or k < 0:
-        out = _zero_module(ring)
+        out = GradedModule.free(ring, [])
         module._cache[key] = out
         return out
     maps = minimal_free_resolution(module)
     pd = len(maps)
     if k > pd:
-        out = _zero_module(ring)
+        out = GradedModule.free(ring, [])
         module._cache[key] = out
         return out
     duals = [m.transpose() for m in maps]  # duals[i] : F_i^* -> F_{i+1}^*
@@ -152,11 +148,7 @@ def _hom_into_ci_quotient(module: GradedModule, ci):
     """Generators of Hom_{S/(ci)}(M, S/(ci)) as rows over the ambient."""
     pres = minimal_presentation(module)
     t = pres.presentation.transpose()
-    rels = []
-    for f in ci:
-        for k in range(t.target.rank):
-            rels.append(t.target.basis(k).poly_mul(f))
-    return kernel_of_map(t, target_relations=rels), pres
+    return kernel_of_map(t, target_relations=t.target.ideal_multiples(ci)), pres
 
 
 def unmixed_component(module: GradedModule):
@@ -171,7 +163,7 @@ def unmixed_component(module: GradedModule):
         return module._cache[key]
     ring = module.ring
     if is_zero_module(module):
-        out = (_zero_module(ring), module)
+        out = (GradedModule.free(ring, []), module)
         module._cache[key] = out
         return out
     r = dim_module(module)
@@ -193,11 +185,7 @@ def unmixed_component(module: GradedModule):
                 terms[(i, m)] = cc
         cols.append(Vector(target, terms))
     psi = ModuleMap.from_columns(amb, target, cols)
-    rels = []
-    for f in ci:
-        for k in range(target.rank):
-            rels.append(target.basis(k).poly_mul(f))
-    u_gens = kernel_of_map(psi, target_relations=rels)
+    u_gens = kernel_of_map(psi, target_relations=target.ideal_multiples(ci))
     w = pres.relations()
     u_mod, _ = subquotient(u_gens, w, amb)
     n_mod = quotient_module(pres, u_gens)

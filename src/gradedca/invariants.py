@@ -123,9 +123,7 @@ def is_d_sequence(module: GradedModule, forms) -> bool:
     forms = list(forms)
     amb = module.ambient
     for i in range(len(forms)):
-        base = list(module.relations())
-        for f in forms[:i]:
-            base += [amb.basis(b).poly_mul(f) for b in range(amb.rank)]
+        base = module.relations() + amb.ideal_multiples(forms[:i])
         for k in range(i, len(forms)):
             lhs = colon_submodule(base, forms[i] * forms[k], amb)
             rhs = colon_submodule(base, forms[k], amb)

@@ -3,12 +3,14 @@
 A vector in a free module F = ⊕ S(-twist_i) is a sparse dict
 (position, monomial) -> coefficient.  The degree of a term (i, m) is
 deg(m) + twists[i]; homogeneous vectors have all terms in one degree.
+Terms are ordered position over term: term_key, the position followed by
+poly.grevlex_key, so the smallest key is the leading term.
 """
 
 from __future__ import annotations
 
-from .poly import (Poly, PolyRing, PolyError, RingMismatch, grevlex_key,
-                   mon_deg, mon_mul)
+from .poly import (Poly, PolyRing, PolyError, RingMismatch, SparseTerms,
+                   grevlex_key, mon_deg, mon_mul)
 
 
 class FreeModule:
@@ -26,6 +28,10 @@ class FreeModule:
         if not 0 <= i < self.rank:
             raise PolyError(f"basis index {i} out of range")
         return Vector(self, {(i, self.ring.zero_mon): self.ring.field.one()})
+
+    def ideal_multiples(self, polys):
+        """Generators p·e_i of I·F for I = (polys), p outer and i inner."""
+        return [self.basis(i).poly_mul(p) for p in polys for i in range(self.rank)]
 
     def element(self, polys):
         """Vector from a list of rank Poly coordinates."""
@@ -52,63 +58,38 @@ class FreeModule:
 
 
 def term_key(term):
-    """Position-over-term order: lower position dominates, grevlex inside."""
+    """Position over term: the position followed by grevlex_key(mon).
+
+    The lower position leads.  The key is one flat tuple, which compares
+    faster than a nested one.
+    """
     pos, mon = term
-    return (-pos, grevlex_key(mon))
+    return (pos,) + grevlex_key(mon)
 
 
-class Vector:
+class Vector(SparseTerms):
     __slots__ = ("module", "terms")
+    key = staticmethod(term_key)
 
     def __init__(self, module, terms):
         self.module = module
         self.terms = terms
 
+    @property
+    def field(self):
+        return self.module.ring.field
+
+    def _new(self, terms):
+        return Vector(self.module, terms)
+
     def _check(self, other):
         if self.module != other.module:
             raise RingMismatch("vectors live in different free modules")
-
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
 
     def __eq__(self, other):
         if not isinstance(other, Vector):
             return NotImplemented
         return self.module == other.module and self.terms == other.terms
-
-    def __add__(self, other):
-        self._check(other)
-        fld = self.module.ring.field
-        out = dict(self.terms)
-        for t, c in other.terms.items():
-            s = fld.add(out.get(t, fld.zero()), c)
-            if s == 0:
-                out.pop(t, None)
-            else:
-                out[t] = s
-        return Vector(self.module, out)
-
-    def __neg__(self):
-        fld = self.module.ring.field
-        return Vector(self.module, {t: fld.neg(c) for t, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        fld = self.module.ring.field
-        c = fld.coerce(c)
-        if c == 0:
-            return self.module.zero()
-        return Vector(self.module, {t: fld.mul(cc, c) for t, cc in self.terms.items()})
-
-    def __rmul__(self, other):
-        if isinstance(other, Poly):
-            return self.poly_mul(other)
-        return self.scale(other)
 
     def poly_mul(self, p: Poly):
         fld = self.module.ring.field
@@ -128,18 +109,6 @@ class Vector:
         fld = self.module.ring.field
         return Vector(self.module, {(i, mon_mul(m, mon)): fld.mul(c, coeff)
                                     for (i, m), c in self.terms.items()})
-
-    def leading_term(self):
-        if not self.terms:
-            raise PolyError("zero vector has no leading term")
-        t = max(self.terms, key=term_key)
-        return t, self.terms[t]
-
-    def monic(self):
-        if not self.terms:
-            return self
-        _, c = self.leading_term()
-        return self.scale(self.module.ring.field.inv(c))
 
     def term_degree(self, term):
         i, m = term

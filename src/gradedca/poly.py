@@ -1,8 +1,12 @@
-"""Exact coefficient arithmetic and sparse multivariate polynomials.
+"""Exact coefficient arithmetic, the term order and sparse polynomials.
 
 All rings are standard graded: every variable has degree 1.  Coefficients
 live either in a prime field F_p (default p = 32003, large enough that
 random linear forms behave generically) or in the rationals.
+
+The term order is graded reverse lex, stated once in grevlex_key as an
+ascending key: the smallest key is the leading monomial.  SparseTerms holds
+the dict arithmetic that Poly and modules.Vector share.
 """
 
 from __future__ import annotations
@@ -138,8 +142,12 @@ def mon_deg(a):
 
 
 def grevlex_key(mon):
-    """Sort key: larger key = larger monomial in graded reverse lex."""
-    return (sum(mon), tuple(-e for e in reversed(mon)))
+    """Ascending grevlex key: the smaller key is the larger monomial.
+
+    Higher degree comes first; within a degree, the smaller exponent of the
+    last variable, then of the one before it, and so on.
+    """
+    return (-sum(mon), mon[::-1])
 
 
 def monomials_of_degree(num_vars, deg):
@@ -221,24 +229,85 @@ class PolyRing:
         return f"{self.field}[{', '.join(self.var_names)}]"
 
 
-class Poly:
-    """Sparse polynomial: dict exponent-tuple -> nonzero coefficient."""
+class SparseTerms:
+    """A sparse sum of terms: dict term -> nonzero coefficient.
 
-    __slots__ = ("ring", "terms")
+    A Poly's terms are monomials and a Vector's are (position, monomial)
+    pairs.  A subclass gives key, the ascending order of its terms (the
+    smallest key is the leading term), field, its coefficient field, _new,
+    which builds a sibling from a terms dict, and its own _check.
+    """
 
-    def __init__(self, ring, terms):
-        self.ring = ring
-        self.terms = terms
-
-    def _check(self, other):
-        if self.ring != other.ring:
-            raise RingMismatch(f"{self.ring} vs {other.ring}")
+    __slots__ = ()
 
     def is_zero(self):
         return not self.terms
 
     def __bool__(self):
         return bool(self.terms)
+
+    def __add__(self, other):
+        self._check(other)
+        fld = self.field
+        out = dict(self.terms)
+        for t, c in other.terms.items():
+            s = fld.add(out.get(t, fld.zero()), c)
+            if s == 0:
+                out.pop(t, None)
+            else:
+                out[t] = s
+        return self._new(out)
+
+    def __neg__(self):
+        fld = self.field
+        return self._new({t: fld.neg(c) for t, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        fld = self.field
+        c = fld.coerce(c)
+        if c == 0:
+            return self._new({})
+        return self._new({t: fld.mul(cc, c) for t, cc in self.terms.items()})
+
+    def __rmul__(self, other):
+        return self.scale(other)
+
+    def leading_term(self):
+        """(term, coeff) of the leading term, the one of smallest key."""
+        if not self.terms:
+            raise PolyError("zero element has no leading term")
+        t = min(self.terms, key=self.key)
+        return t, self.terms[t]
+
+    def monic(self):
+        if not self.terms:
+            return self
+        return self.scale(self.field.inv(self.leading_term()[1]))
+
+
+class Poly(SparseTerms):
+    """Sparse polynomial: dict exponent-tuple -> nonzero coefficient."""
+
+    __slots__ = ("ring", "terms")
+    key = staticmethod(grevlex_key)
+
+    def __init__(self, ring, terms):
+        self.ring = ring
+        self.terms = terms
+
+    @property
+    def field(self):
+        return self.ring.field
+
+    def _new(self, terms):
+        return Poly(self.ring, terms)
+
+    def _check(self, other):
+        if self.ring != other.ring:
+            raise RingMismatch(f"{self.ring} vs {other.ring}")
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
@@ -247,25 +316,6 @@ class Poly:
 
     def __hash__(self):
         return hash((self.ring, frozenset(self.terms.items())))
-
-    def __add__(self, other):
-        self._check(other)
-        fld = self.ring.field
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = fld.add(out.get(m, fld.zero()), c)
-            if s == 0:
-                out.pop(m, None)
-            else:
-                out[m] = s
-        return Poly(self.ring, out)
-
-    def __neg__(self):
-        fld = self.ring.field
-        return Poly(self.ring, {m: fld.neg(c) for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, other):
         if not isinstance(other, Poly):
@@ -282,16 +332,6 @@ class Poly:
                 else:
                     out[m] = s
         return Poly(self.ring, out)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def scale(self, c):
-        fld = self.ring.field
-        c = fld.coerce(c)
-        if c == 0:
-            return self.ring.zero()
-        return Poly(self.ring, {m: fld.mul(cc, c) for m, cc in self.terms.items()})
 
     def __pow__(self, n):
         out = self.ring.one()
@@ -316,27 +356,12 @@ class Poly:
         degs = {mon_deg(m) for m in self.terms}
         return len(degs) <= 1
 
-    def leading(self):
-        """(monomial, coeff) of the grevlex leading term."""
-        if not self.terms:
-            raise PolyError("zero polynomial has no leading term")
-        m = max(self.terms, key=grevlex_key)
-        return m, self.terms[m]
-
-    def monic(self):
-        if not self.terms:
-            return self
-        _, c = self.leading()
-        return self.scale(self.ring.field.inv(c))
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda t: grevlex_key(t[0]), reverse=True)
-
     def __repr__(self):
         if not self.terms:
             return "0"
         parts = []
-        for mon, c in self.sorted_terms():
+        for mon in sorted(self.terms, key=grevlex_key):
+            c = self.terms[mon]
             factors = []
             for name, e in zip(self.ring.var_names, mon):
                 if e == 1:

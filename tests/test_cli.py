@@ -131,6 +131,17 @@ def test_check_negative_control(tmp_path, capsys):
     assert failing and all(c["check"].startswith("claim") for c in failing)
 
 
+def test_check_full_corpus_matches_recorded_matrix(capsys, monkeypatch):
+    monkeypatch.delenv("GRADEDCA_CHAR", raising=False)
+    path = os.path.join(os.path.dirname(__file__), "..", "perfbench",
+                        "check_matrix.json")
+    with open(path) as fh:
+        recorded = fh.read()
+    code, out, _ = run_main(["check", CORPUS], capsys)
+    assert code == 0
+    assert out == recorded
+
+
 def test_check_empty_corpus(tmp_path, capsys):
     code, out, _ = run_main(["check", str(tmp_path)], capsys)
     assert code == 0 and json.loads(out)["passed"] == 0

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from gradedca import gb
 from gradedca.jobio import build_job
-from gradedca.modules import FreeModule, GradedModule, Vector, term_key
+from gradedca.modules import FreeModule, GradedModule, Vector
 from gradedca.poly import CoeffField, PolyRing, mon_div, monomials_of_degree
 
 RING = PolyRing(CoeffField(32003), ["x", "y"])
@@ -28,9 +28,10 @@ def test_gb_oracle_linear():
 def test_spairs_reduce_to_zero():
     basis, amb = _ideal_gb([X ** 2 - Y ** 2, X * Y])
     sgb = gb.SubmoduleGB(amb, [v for v in basis])
+    leads = [b.leading_term()[0][1] for b in basis]
     for i in range(len(basis)):
         for j in range(i):
-            s = gb._spair(basis[i], basis[j])
+            s = gb._spair(basis[i], leads[i], basis[j], leads[j])
             assert sgb.normal_form(s).is_zero()
 
 
@@ -142,14 +143,20 @@ def test_zero_module_detection():
 # ---------------------------------------------------------------------------
 # the heap-ordered reducer against the max()-scan it replaced
 
+def _term_key(term):
+    """Position over term, descending: the larger key is the leading term."""
+    pos, mon = term
+    return (-pos, (sum(mon), tuple(-e for e in reversed(mon))))
+
+
 def _reference_reduce(v, basis):
-    """Normal form taking max(work, key=term_key) at every step."""
-    lts = [b.leading_term()[0] for b in basis]
+    """Normal form taking max(work, key=_term_key) at every step."""
+    lts = [max(b.terms, key=_term_key) for b in basis]
     fld = v.module.ring.field
     out = {}
     work = dict(v.terms)
     while work:
-        term = max(work, key=term_key)
+        term = max(work, key=_term_key)
         coeff = work[term]
         pos, mon = term
         hit = None
@@ -278,3 +285,28 @@ def test_reduce_vector_processes_a_term_that_cancels_and_comes_back():
 def test_partial_basis_is_not_a_groebner_basis():
     basis = _partial_basis(32003, random.Random(3))
     assert len(gb.buchberger(basis)) > len(basis)
+
+
+@given(st.sampled_from([32003, None]), st.integers(min_value=0, max_value=2 ** 32))
+@settings(max_examples=30, deadline=None)
+def test_buchberger_returns_the_reduced_basis_in_descending_order(char, seed):
+    """The reduced basis is unique, so these properties fix every
+    coefficient; they also fix the order of the basis and of each dict."""
+    rng = random.Random(seed)
+    gens = _partial_basis(char, rng)
+    basis = gb.buchberger(gens)
+    lts = [max(b.terms, key=_term_key) for b in basis]
+    assert lts == sorted(lts, key=_term_key, reverse=True)
+    for b, (pos, lead) in zip(basis, lts):
+        assert b.terms[(pos, lead)] == b.module.ring.field.one()
+        assert list(b.terms) == sorted(b.terms, key=_term_key, reverse=True)
+        for other, (opos, olead) in zip(basis, lts):
+            assert other is b or not any(
+                p == opos and mon_div(m, olead) is not None for p, m in b.terms)
+    for g in gens:
+        assert gb.reduce_vector(g, basis).is_zero()
+    for i in range(len(basis)):
+        for j in range(i):
+            if lts[i][0] == lts[j][0]:
+                s = gb._spair(basis[i], lts[i][1], basis[j], lts[j][1])
+                assert gb.reduce_vector(s, basis).is_zero()

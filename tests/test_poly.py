@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gradedca.modules import FreeModule, term_key
 from gradedca.poly import (CoeffField, PolyError, PolyParseError, PolyRing,
                            grevlex_key, mon_div, mon_divides, mon_lcm,
                            monomials_of_degree)
@@ -59,12 +60,53 @@ def test_monomial_helpers():
 
 
 def test_grevlex_order():
-    # graded first; among degree-2 monomials in x,y: x^2 > xy > y^2
+    # graded first; among degree-2 monomials in x,y: x^2 > xy > y^2, and
+    # the smaller key is the larger monomial
     x2 = grevlex_key((2, 0, 0))
     xy = grevlex_key((1, 1, 0))
     y2 = grevlex_key((0, 2, 0))
-    assert x2 > xy > y2
-    assert grevlex_key((0, 0, 1)) < grevlex_key((2, 0, 0))
+    assert x2 < xy < y2
+    assert grevlex_key((0, 0, 1)) > grevlex_key((2, 0, 0))
+
+
+def _old_grevlex_key(mon):
+    """The descending key the order was first stated with: larger key =
+    larger monomial."""
+    return (sum(mon), tuple(-e for e in reversed(mon)))
+
+
+def _old_term_key(term):
+    pos, mon = term
+    return (-pos, _old_grevlex_key(mon))
+
+
+_MONOMIALS = st.lists(st.integers(min_value=0, max_value=4), min_size=3,
+                      max_size=3).map(tuple)
+
+
+@given(st.lists(_MONOMIALS, min_size=1, max_size=12, unique=True))
+def test_ascending_grevlex_key_matches_the_descending_one(mons):
+    assert sorted(mons, key=grevlex_key) == \
+        sorted(mons, key=_old_grevlex_key, reverse=True)
+    assert min(mons, key=grevlex_key) == max(mons, key=_old_grevlex_key)
+
+
+@given(st.lists(st.tuples(st.integers(min_value=0, max_value=3), _MONOMIALS),
+                min_size=1, max_size=12, unique=True))
+def test_ascending_term_key_matches_the_descending_one(terms):
+    assert sorted(terms, key=term_key) == \
+        sorted(terms, key=_old_term_key, reverse=True)
+    assert min(terms, key=term_key) == max(terms, key=_old_term_key)
+
+
+def test_integer_times_element_is_scale():
+    x, y, z = RING.gens()
+    p = 2 * x ** 2 - y * z
+    amb = FreeModule(RING, [0, 1])
+    v = amb.element([p, x])
+    assert 3 * p == p.scale(3) == RING.const(3) * p
+    assert 3 * v == v.scale(3)
+    assert 0 * v == amb.zero()
 
 
 def test_parser_roundtrip():
@@ -86,5 +128,5 @@ def test_homogeneity_and_leading():
     p = x * y + z ** 2
     assert p.is_homogeneous() and p.total_degree() == 2
     assert not (x + y ** 2).is_homogeneous()
-    mon, _ = p.leading()
+    mon, _ = p.leading_term()
     assert mon == (1, 1, 0)
