@@ -12,6 +12,12 @@ pairs, so that slow drift of the machine's speed falls on both sides alike.
 It records every run and, per side and metric, the median and the
 quartiles.  Then it makes one --trace 1 run per side and workload and
 records its per-layer metrics.  Runs are sequential, one process at a time.
+
+Each tree's runs write and read their bytecode under their own fresh
+PYTHONPYCACHEPREFIX in a temporary directory, with bytecode writing on, so
+neither side's setup_s depends on a stale __pycache__ left in its tree.  One
+discarded one-second run per tree and workload fills that cache first, so
+no recorded run pays for compiling.
 """
 
 from __future__ import annotations
@@ -23,16 +29,24 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PAIRS = 10  # the fewest pairs that can carry a claimed gain
 
 
-def run(side, tree, workload, seed, seconds, trace):
+def side_env(cache_dir):
+    """The environment of one tree's runs: bytecode on, cached in cache_dir."""
+    env = dict(os.environ, PYTHONPYCACHEPREFIX=cache_dir)
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    return env
+
+
+def run(side, tree, workload, seed, seconds, trace, env):
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
-        cwd=tree, capture_output=True, text=True, check=True)
+        cwd=tree, env=env, capture_output=True, text=True, check=True)
     doc = json.loads(proc.stdout.strip().splitlines()[-1])
     print("%s %s seed %d trace %d: %s" % (
         side, workload, seed, trace,
@@ -61,27 +75,32 @@ def main(argv=None):
                     "cpus": os.cpu_count()},
         "pairs": PAIRS, "seconds": seconds, "workloads": {},
         "traced": {}}
-    for workload in (w["name"] for w in spec["workloads"]):
-        docs = {side: [] for side in sides}
-        for i in range(PAIRS):
-            order = ["base", "head"] if i % 2 == 0 else ["head", "base"]
-            for side in order:
-                docs[side].append(run(side, sides[side], workload, i + 1,
-                                      seconds, 0))
-        entry = {}
-        for side, runs in docs.items():
-            entry[side] = {name: summary([d["metrics"][name]["value"] for d in runs])
-                           for name in runs[0]["metrics"]}
-            entry[side]["correct"] = all(d["correct"] for d in runs)
-            entry[side]["failed"] = sum(d["failed"] for d in runs)
-            entry[side]["attempted"] = sum(d["attempted"] for d in runs)
-        walls = zip(entry["base"]["wall_s"]["runs"], entry["head"]["wall_s"]["runs"])
-        entry["head_faster_pairs"] = sum(1 for b, h in walls if h < b)
-        record["workloads"][workload] = entry
-        record["traced"][workload] = {
-            side: {k: v["value"] for k, v in
-                   run(side, tree, workload, 1, seconds, 1)["metrics"].items()}
-            for side, tree in sides.items()}
+    with tempfile.TemporaryDirectory() as tmp:
+        envs = {side: side_env(os.path.join(tmp, side)) for side in sides}
+        for workload in (w["name"] for w in spec["workloads"]):
+            docs = {side: [] for side in sides}
+            for side, tree in sides.items():
+                run(side, tree, workload, 1, 1, 0, envs[side])
+            for i in range(PAIRS):
+                order = ["base", "head"] if i % 2 == 0 else ["head", "base"]
+                for side in order:
+                    docs[side].append(run(side, sides[side], workload, i + 1,
+                                          seconds, 0, envs[side]))
+            entry = {}
+            for side, runs in docs.items():
+                entry[side] = {name: summary([d["metrics"][name]["value"] for d in runs])
+                               for name in runs[0]["metrics"]}
+                entry[side]["correct"] = all(d["correct"] for d in runs)
+                entry[side]["failed"] = sum(d["failed"] for d in runs)
+                entry[side]["attempted"] = sum(d["attempted"] for d in runs)
+            walls = zip(entry["base"]["wall_s"]["runs"], entry["head"]["wall_s"]["runs"])
+            entry["head_faster_pairs"] = sum(1 for b, h in walls if h < b)
+            record["workloads"][workload] = entry
+            record["traced"][workload] = {
+                side: {k: v["value"] for k, v in
+                       run(side, tree, workload, 1, seconds, 1,
+                           envs[side])["metrics"].items()}
+                for side, tree in sides.items()}
     with open(args.out, "w") as fh:
         json.dump(record, fh, indent=1, sort_keys=True)
         fh.write("\n")

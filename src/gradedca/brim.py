@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .gb import GBError
-from .hilbert import (_power_products, binom_poly, dim_module, fit_binomial,
+from .hilbert import (_power_products, dim_module, fit_binomial,
                       module_length, quotient_length)
 from .homology import is_unmixed, local_cohomology_lengths
 from .modules import FreeModule, GradedModule, Vector
@@ -123,6 +123,18 @@ def br_value(pm: ParameterModule, n: int) -> int:
     return quotient_length(fn, vectors)
 
 
+def binom_poly(n, s):
+    """binom(n+s, s) as a polynomial in n, at any integer n.
+
+    After step k, out = (n+1)···(n+k)/k!, an integer, so each division is
+    exact.
+    """
+    out = 1
+    for k in range(1, s + 1):
+        out = out * (n + k) // k
+    return out
+
+
 @dataclass
 class BRReport:
     table: list
@@ -171,8 +183,7 @@ class ConjectureProbe:
 def probe_conjecture_9_5(pm: ParameterModule) -> ConjectureProbe:
     """Evidence for: R unmixed and br₁(U) = 0 ⟹ R Cohen-Macaulay."""
     base = GradedModule.quotient_ring(pm.ring, list(pm.ring_rels))
-    prof = local_cohomology_lengths(base)
-    cm = prof.depth == prof.dim
+    cm = local_cohomology_lengths(base).is_cohen_macaulay
     unm = is_unmixed(base)
     rep = br_coefficients(pm)
     alert = unm and rep.br1 == 0 and not cm

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from . import brim, homology, invariants, koszul, sampler
 from . import gb as gbmod
 from . import hilbert as hb
-from .jobio import Job, plain
+from .jobio import Job, _parameter_module, plain
 
 
 @dataclass
@@ -31,10 +31,6 @@ def _row(job, check, passed, detail=""):
 
 def _sample(job: Job):
     return sampler.sample_parameter_ideals(job.module, job.sample)
-
-
-def _coeffs(module, gens):
-    return hb.hilbert_coefficients(module, list(gens))
 
 
 def check_claims(job: Job):
@@ -55,7 +51,7 @@ def check_claims(job: Job):
             got = invariants.classify(m, [q.gens for q in qs])
         elif key == "e1_distinct":
             qs = _sample(job)
-            es = [_coeffs(m, q.gens).e for q in qs]
+            es = [hb.hilbert_coefficients(m, q.gens).e for q in qs]
             got = sorted({e[1] for e in es if len(e) > 1})
         elif key == "I_M":
             got = invariants.buchsbaum_invariant(m)[0]
@@ -80,20 +76,21 @@ def check_instance(job: Job):
     if r == hb.NEG_INF:
         return rows  # the zero module has no parameter ideals to check
     prof = homology.local_cohomology_lengths(m)
-    is_cm = prof.depth == prof.dim
+    is_cm = prof.is_cohen_macaulay
     gen_cm = prof.finite_below_top()
     unmixed = homology.is_unmixed(m)
     i_m, bound_s = invariants.buchsbaum_invariant(m)
 
     samples = _sample(job)
     heavy = samples[:min(len(samples), 5)]
-    coeffs = [(q, _coeffs(m, q.gens)) for q in samples]
+    coeffs = [hb.hilbert_coefficients(m, q.gens) for q in samples]
+    # the deviations λ(M/QM) − e₀, which are also χ₁ by Serre
+    devs = [q.colength_certificate - c.e[0] for q, c in zip(samples, coeffs)]
 
     # Serre identity: Koszul homology vs table fit, independent paths
     serre_ok, serre_detail = True, []
-    for q in heavy:
+    for q, direct in zip(heavy, devs):
         hom = koszul.koszul_homology(m, q.gens)
-        direct = q.colength_certificate - _coeffs(m, q.gens).e[0]
         if hom.chi1 != direct:
             serre_ok = False
             serre_detail.append("chi1 %d != %d" % (hom.chi1, direct))
@@ -103,12 +100,11 @@ def check_instance(job: Job):
     rows.append(_row(job, "serre-identity", serre_ok, "; ".join(serre_detail)))
 
     # sign constraints on every sample
-    e1s = [c.e[1] for _, c in coeffs if len(c.e) > 1]
-    chi1s = [q.colength_certificate - c.e[0] for q, c in coeffs]
+    e1s = [c.e[1] for c in coeffs if len(c.e) > 1]
     rows.append(_row(job, "e1-nonpositive", all(v <= 0 for v in e1s),
                      "values %s" % sorted(set(e1s))))
-    rows.append(_row(job, "chi1-nonnegative", all(v >= 0 for v in chi1s),
-                     "values %s" % sorted(set(chi1s))))
+    rows.append(_row(job, "chi1-nonnegative", all(v >= 0 for v in devs),
+                     "values %s" % sorted(set(devs))))
 
     # CM characterization on unmixed modules: e1 = 0 <=> CM
     if unmixed and r >= 1:
@@ -118,7 +114,6 @@ def check_instance(job: Job):
 
     # generalized CM bound and standardness
     if gen_cm and r >= 1:
-        devs = [q.colength_certificate - c.e[0] for q, c in coeffs]
         ok = all(0 >= v >= -bound_s for v in e1s) if e1s else True
         rows.append(_row(job, "gencm-e1-bound", ok,
                          "e1 in %s, bound %s" % (sorted(set(e1s)), bound_s)))
@@ -213,7 +208,6 @@ def check_instance(job: Job):
 
 
 def check_brim(job: Job):
-    from .jobio import _parameter_module
     rows = []
     spec = job.raw["brim"]
     pm = _parameter_module(job, spec)

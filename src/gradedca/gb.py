@@ -1,9 +1,9 @@
 """Groebner bases for submodules of graded free modules.
 
 Buchberger with degree-first pair selection over the position-over-term
-extension of grevlex.  Kernels, intersections and colons all go through
-one elimination primitive: a Groebner basis in target ⊕ source where the
-target block dominates.
+extension of grevlex.  Kernels, colons and the annihilator all go through
+one elimination primitive, kernel_of_map: a Groebner basis in
+target ⊕ source where the target block dominates.
 """
 
 from __future__ import annotations
@@ -192,24 +192,8 @@ class SubmoduleGB:
         return not self.basis
 
 
-def _block_module(ring, first: FreeModule, second: FreeModule):
-    return FreeModule(ring, first.twists + second.twists)
-
-
 def _embed(v: Vector, block: FreeModule, offset: int):
     return Vector(block, {(i + offset, m): c for (i, m), c in v.terms.items()})
-
-
-def _project(v: Vector, module: FreeModule, offset: int):
-    terms = {}
-    for (i, m), c in v.terms.items():
-        if i >= offset:
-            terms[(i - offset, m)] = c
-    return Vector(module, terms)
-
-
-def _first_block_zero(v: Vector, offset: int):
-    return all(i >= offset for (i, m) in v.terms)
 
 
 def kernel_of_map(f: ModuleMap, target_relations=()):
@@ -218,52 +202,15 @@ def kernel_of_map(f: ModuleMap, target_relations=()):
     Elimination: Groebner basis of the graph vectors (f(e_j), e_j) plus
     (w, 0) for the relations, in target ⊕ source with the target block
     dominating; basis elements with zero target block project to kernel
-    generators (in fact a Groebner basis of the kernel).
+    generators (in fact the reduced Groebner basis of the kernel).
     """
-    ring = f.source.ring
-    block = _block_module(ring, f.target, f.source)
     offset = f.target.rank
-    gens = []
-    for j in range(f.source.rank):
-        g = _embed(f.column(j), block, 0) + _embed(f.source.basis(j), block, offset)
-        gens.append(g)
-    for w in target_relations:
-        gens.append(_embed(w, block, 0))
-    basis = buchberger(gens)
-    out = []
-    for b in basis:
-        if _first_block_zero(b, offset):
-            out.append(_project(b, f.source, offset))
-    return out
-
-
-def syzygies(gens, ambient: FreeModule) -> ModuleMap:
-    """Map whose image is the syzygy module of the given generators."""
-    gens = list(gens)
-    twists = []
-    for g in gens:
-        if g.is_zero():
-            twists.append(0)
-        else:
-            twists.append(g.degree())
-    source = FreeModule(ambient.ring, twists)
-    f = ModuleMap.from_columns(source, ambient, [
-        g if not g.is_zero() else ambient.zero() for g in gens])
-    ker = kernel_of_map(f)
-    ksrc = FreeModule(ambient.ring, [k.degree() for k in ker])
-    return ModuleMap.from_columns(ksrc, source, ker)
-
-
-def intersect(a_gens, b_gens, ambient: FreeModule):
-    """Generators of the intersection of two submodules."""
-    ring = ambient.ring
-    block = _block_module(ring, ambient, ambient)
-    offset = ambient.rank
-    gens = [_embed(a, block, 0) + _embed(a, block, offset) for a in a_gens]
-    gens += [_embed(b, block, 0) for b in b_gens]
-    basis = buchberger(gens)
-    return [_project(g, ambient, offset) for g in basis
-            if _first_block_zero(g, offset)]
+    block = FreeModule(f.source.ring, f.target.twists + f.source.twists)
+    gens = [_embed(f.column(j), block, 0) + _embed(f.source.basis(j), block, offset)
+            for j in range(f.source.rank)]
+    gens += [_embed(w, block, 0) for w in target_relations]
+    return [Vector(f.source, {(i - offset, m): c for (i, m), c in b.terms.items()})
+            for b in buchberger(gens) if all(i >= offset for i, _ in b.terms)]
 
 
 def colon_submodule(n_gens, f: Poly, ambient: FreeModule):
@@ -279,34 +226,25 @@ def colon_submodule(n_gens, f: Poly, ambient: FreeModule):
     return [Vector(ambient, dict(k.terms)) for k in ker]
 
 
-def colon_ideal(w_gens, ambient: FreeModule, pos: int):
-    """Polynomials f with f * e_pos in <w_gens>."""
-    ring = ambient.ring
-    src = FreeModule(ring, [ambient.twists[pos]])
-    f = ModuleMap.from_columns(src, ambient, [ambient.basis(pos)])
-    ker = kernel_of_map(f, target_relations=list(w_gens))
-    return [k.coordinates()[0] for k in ker]
-
-
-def intersect_ideals(i_polys, j_polys, ring):
-    amb = FreeModule(ring, [0])
-    a = [amb.element([p]) for p in i_polys]
-    b = [amb.element([p]) for p in j_polys]
-    return [v.coordinates()[0] for v in intersect(a, b, amb)]
-
-
 def annihilator(module: GradedModule):
-    """Generators of Ann(M) as polynomials."""
+    """Generators of Ann(M) as polynomials, the reduced basis of the ideal.
+
+    With W the relations and F = ⊕ S(−t_b) the ambient, f kills M exactly
+    when f·e_b ∈ W for every b, so Ann(M) = (W :_S F) is one kernel: of
+    S → ⊕_b F(−t_b)/W, 1 ↦ Σ_b e_b in block b, with W in every block.  The
+    shift by −t_b puts e_b of block b in degree 0, so the map is
+    homogeneous whatever the twists.  A rank-0 ambient gives Ann = S.
+    """
     if "annihilator" in module._cache:
         return module._cache["annihilator"]
+    ring, amb = module.ring, module.ambient
+    rank = amb.rank
+    target = FreeModule(ring, [t - tb for tb in amb.twists for t in amb.twists])
+    diagonal = sum((target.basis(b * rank + b) for b in range(rank)), target.zero())
+    f = ModuleMap.from_columns(FreeModule(ring, [0]), target, [diagonal])
     rels = module.relations()
-    amb = module.ambient
-    ann = None
-    for pos in range(amb.rank):
-        cur = colon_ideal(rels, amb, pos)
-        ann = cur if ann is None else intersect_ideals(ann, cur, amb.ring)
-    if ann is None:  # rank-0 ambient: zero module, Ann = S
-        ann = [module.ring.one()]
+    blocks = [_embed(w, target, b * rank) for b in range(rank) for w in rels]
+    ann = [k.coordinates()[0] for k in kernel_of_map(f, target_relations=blocks)]
     module._cache["annihilator"] = ann
     return ann
 

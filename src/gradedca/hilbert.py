@@ -22,9 +22,9 @@ multiples against the cached basis of the relation submodule, then a rank
 count over the coefficient field against H(M, d).  The Hilbert-Samuel
 values λ(M/Q^{n+1}M) are its value on q·e_i for the products q of n+1
 generators of Q, and the Buchsbaum-Rim values λ(Fⁿ/Eⁿ) go through it too.
-Coefficients are extracted by solving the binomial-basis linear system
-exactly (Fractions) on a stabilized tail of the table; the Buchsbaum-Rim
-tables use the same fit.
+Coefficients are integer backward differences of a stabilized tail of
+the table, read off in the binomial basis; the Buchsbaum-Rim tables use
+the same fit.
 
 The Hilbert coefficients of (M, Q) are memoized on the module, next to its
 basis and series, under (Q, fit degree).  Q is keyed by qkey, the
@@ -36,7 +36,6 @@ recomputation would.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import comb
 
 from .gb import GBError, module_gb, quotient_by_ideal, reduce_vector
@@ -348,59 +347,36 @@ def hilbert_samuel(module: GradedModule, q_gens, N: int) -> HilbertSamuelTable:
 # coefficient extraction
 
 
-def binom_poly(n, s):
-    """binom(n+s, s) as a polynomial expression in n (exact, any n)."""
-    out = Fraction(1)
-    for k in range(1, s + 1):
-        out *= Fraction(n + k, k)
-    return out
-
-
-def _solve_exact(a, b):
-    """Gaussian elimination over Fractions; returns None if singular."""
-    m = [row[:] + [rhs] for row, rhs in zip(a, b)]
-    size = len(m)
-    for col in range(size):
-        piv = next((r for r in range(col, size) if m[r][col] != 0), None)
-        if piv is None:
-            return None
-        m[col], m[piv] = m[piv], m[col]
-        inv = Fraction(1) / m[col][col]
-        m[col] = [v * inv for v in m[col]]
-        for r in range(size):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [v - f * w for v, w in zip(m[r], m[col])]
-    return [m[r][size] for r in range(size)]
+def _difference(values, j, n):
+    """∇^j λ(n) = Σ_k (−1)^k·binom(j, k)·λ(n − k), the j-th backward
+    difference of the table at n."""
+    return sum((-1) ** k * comb(j, k) * values[n - k] for k in range(j + 1))
 
 
 def fit_binomial(value, r, s, n_max):
     """Stabilized fit of λ(n) = Σ (−1)^i c_i·binom(n − s + r − i, r − i).
 
-    value(n) gives λ(n), asked for in order n = 0, 1, ….  Two consecutive
-    (r+1)-point windows must yield the same integer coefficient vector,
-    cross-validated on one further point, all within n ≤ n_max.  Returns
+    value(n) gives λ(n), asked for in order n = 0, 1, ….  The fit is the
+    polynomial P of degree ≤ r through the first window n0..n0+r, within
+    n ≤ n_max, at whose next two points ∇^{r+1}λ = 0: two consecutive
+    (r+1)-point windows agree there and one further point fits.  Since
+    ∇^j binom(n − s + k, k) = binom(n − s + k − j, k − j), which at
+    n = s − 1 is 1 for j = k and 0 otherwise, c_i = (−1)^i·∇^{r−i}P(s − 1),
+    an integer.  The differences are stepped back from n0 + r by
+    ∇^jP(n − 1) = ∇^jP(n) − ∇^{j+1}P(n), with ∇^{r+1}P = 0.  Returns
     (coefficients, table of the values asked for, first point of the
     window), or None when no window stabilizes.
     """
     values = []
-
-    def row(n):
-        return [(-1) ** i * binom_poly(n - s, r - i) for i in range(r + 1)]
-
-    def window(n0):
-        points = range(n0, n0 + r + 1)
-        return _solve_exact([row(n) for n in points],
-                            [Fraction(values[n]) for n in points])
-
     for n0 in range(n_max - r - 1):
         while len(values) <= n0 + r + 2:
             values.append(value(len(values)))
-        c = window(n0)
-        if c is not None and c == window(n0 + 1) \
-                and all(v.denominator == 1 for v in c) \
-                and sum(a * b for a, b in zip(c, row(n0 + r + 2))) == values[n0 + r + 2]:
-            return [int(v) for v in c], values, n0
+        if _difference(values, r + 1, n0 + r + 1) == 0 \
+                and _difference(values, r + 1, n0 + r + 2) == 0:
+            diffs = [_difference(values, j, n0 + r) for j in range(r + 1)]
+            for _ in range(n0 + r - s + 1):
+                diffs = [a - b for a, b in zip(diffs, diffs[1:] + [0])]
+            return [(-1) ** i * diffs[r - i] for i in range(r + 1)], values, n0
     return None
 
 

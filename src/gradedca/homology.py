@@ -72,6 +72,10 @@ class CohomologyProfile:
     def finite_below_top(self):
         return all(v is not None for v in self.h)
 
+    @property
+    def is_cohen_macaulay(self):
+        return self.depth == self.dim
+
 
 def local_cohomology_lengths(module: GradedModule) -> CohomologyProfile:
     """Profile of h^j = λ(H^j_m(M)) for j < dim, with depth."""
@@ -111,8 +115,7 @@ def is_generalized_cm(module: GradedModule) -> bool:
 
 
 def is_cohen_macaulay(module: GradedModule) -> bool:
-    prof = local_cohomology_lengths(module)
-    return prof.depth == prof.dim
+    return local_cohomology_lengths(module).is_cohen_macaulay
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +204,7 @@ def is_unmixed(module: GradedModule) -> bool:
     unmixed, so it needs no unmixed component.  Callers that already hold
     the component should test it with is_zero_module instead.
     """
-    prof = local_cohomology_lengths(module)
-    if prof.depth == prof.dim:
+    if is_cohen_macaulay(module):
         return True
     u, _ = unmixed_component(module)
     return is_zero_module(u)

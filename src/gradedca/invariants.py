@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .gb import GBError, SubmoduleGB, colon_submodule
+from .gb import GBError, SubmoduleGB, betti_numbers, colon_submodule
 from .hilbert import (NEG_INF, colength, dim_module, hilbert_coefficients,
                       module_length, qkey)
 from .homology import local_cohomology_lengths
@@ -148,7 +148,6 @@ class BettiBoundReport:
 
 def betti_bound_check(module: GradedModule, forms) -> BettiBoundReport:
     """β_i(M) ≤ λ(M/(x)M)·β_i(k) with β_i(k) = binom(d, i)."""
-    from .gb import betti_numbers
     betti = betti_numbers(module)
     lam = colength(module, list(forms))
     d = module.ring.num_vars
@@ -214,7 +213,7 @@ def standardness_data(module: GradedModule, ideals) -> BuchsbaumData:
 def classify(module: GradedModule, ideals) -> str:
     """CM / Buchsbaum (sampled) / generalized CM / general, by sampling."""
     prof = local_cohomology_lengths(module)
-    if prof.depth == prof.dim:
+    if prof.is_cohen_macaulay:
         return "cohen-macaulay"
     if not prof.finite_below_top():
         return "general"

@@ -62,9 +62,10 @@ def koszul_differential(module: GradedModule, forms, i) -> ModuleMap:
 def _stage_relations(module: GradedModule, stage: FreeModule, i, r):
     """Relations of M carried into every exterior block of the stage."""
     f = module.ambient.rank
+    rels = module.relations()
     out = []
     for blk in range(len(_subsets(r, i))):
-        for w in module.relations():
+        for w in rels:
             terms = {(blk * f + p, m): c for (p, m), c in w.terms.items()}
             out.append(Vector(stage, terms))
     return out

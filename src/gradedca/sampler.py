@@ -9,6 +9,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from .brim import BrimError, br_value, make_parameter_module
 from .gb import GBError
 from .hilbert import (NEG_INF, HilbertError, ParameterIdeal, dim_module,
                       hilbert_coefficients, make_parameter_ideal)
@@ -118,7 +119,6 @@ def random_parameter_module(ring, ring_rels, rank, rng, degree=1,
                             retry_limit=50):
     """A sampled parameter module: d + r − 1 random columns of forms with
     finite colength."""
-    from .brim import BrimError, br_value, make_parameter_module
     base = GradedModule.quotient_ring(ring, list(ring_rels))
     d = dim_module(base)
     m = d + rank - 1

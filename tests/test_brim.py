@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -206,3 +207,13 @@ def test_t_named_ring_variables_do_not_collide():
         named, [], [[Poly(named, dict(e.terms)) for e in col]
                     for col in pm.columns])
     assert brim.br_coefficients(moved).table == brim.br_coefficients(pm).table
+
+
+def test_binom_poly_is_the_integer_binomial_polynomial():
+    for s in range(7):
+        for n in range(-8, 12):
+            expected = Fraction(1)
+            for k in range(1, s + 1):
+                expected *= Fraction(n + k, k)
+            got = brim.binom_poly(n, s)
+            assert type(got) is int and got == expected

@@ -58,10 +58,11 @@ def test_membership_matches_ideal_combination(seed):
 
 def test_syzygy_of_two_variables():
     amb = FreeModule(RING, [0])
-    syz = gb.syzygies([amb.element([X]), amb.element([Y])], amb)
-    cols = syz.columns()
-    assert len(cols) == 1
-    a, b = cols[0].coordinates()
+    src = FreeModule(RING, [1, 1])
+    f = gb.ModuleMap.from_columns(src, amb, [amb.element([X]), amb.element([Y])])
+    syz = gb.kernel_of_map(f)
+    assert len(syz) == 1
+    a, b = syz[0].coordinates()
     assert (a * X + b * Y).is_zero()
 
 
@@ -81,7 +82,6 @@ def test_kernel_is_actual_kernel():
 
 
 def test_intersection_and_colon():
-    assert [repr(p) for p in gb.intersect_ideals([X], [Y], RING)] == ["x*y"]
     amb = FreeModule(RING, [0])
     n = [amb.element([X ** 2]), amb.element([X * Y])]
     colon = gb.colon_submodule(n, X, amb)
@@ -310,3 +310,61 @@ def test_buchberger_returns_the_reduced_basis_in_descending_order(char, seed):
             if lts[i][0] == lts[j][0]:
                 s = gb._spair(basis[i], lts[i][1], basis[j], lts[j][1])
                 assert gb.reduce_vector(s, basis).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# the one-kernel annihilator against the per-position colons it replaced
+
+def _reference_annihilator(module):
+    """Ann(M) as the intersection over positions of (W :_S e_pos), each
+    colon one kernel and each intersection one block elimination."""
+    ring, amb = module.ring, module.ambient
+    rels = module.relations()
+    ann = None
+    for pos in range(amb.rank):
+        src = FreeModule(ring, [amb.twists[pos]])
+        f = gb.ModuleMap.from_columns(src, amb, [amb.basis(pos)])
+        cur = [k.coordinates()[0]
+               for k in gb.kernel_of_map(f, target_relations=rels)]
+        if ann is not None:
+            both = FreeModule(ring, [0, 0])
+            gens = [both.element([p, p]) for p in ann]
+            gens += [both.element([p, ring.zero()]) for p in cur]
+            cur = [b.coordinates()[1] for b in gb.buchberger(gens)
+                   if all(i == 1 for i, _ in b.terms)]
+        ann = cur
+    return [ring.one()] if ann is None else ann
+
+
+def _random_module(char, rng):
+    """Rank 2 or 3 over k[x,y,z] with unequal twists and sparse relations."""
+    ring = PolyRing(CoeffField(char), ["x", "y", "z"])
+    amb = FreeModule(ring, rng.choice([[0, 1], [1, 0], [0, 2], [0, 1, 1],
+                                       [2, 0, 1]]))
+    top = max(amb.twists)
+    rels = [_random_vector(amb, top + rng.randint(1, 2), rng)
+            for _ in range(rng.randint(2, 4))]
+    return GradedModule.from_relations(amb, rels)
+
+
+@given(st.sampled_from([32003, None]), st.integers(min_value=0, max_value=2 ** 32))
+@settings(max_examples=25, deadline=None)
+def test_annihilator_matches_intersection_of_colons(char, seed):
+    module = _random_module(char, random.Random(seed))
+    assert gb.annihilator(module) == _reference_annihilator(module)
+
+
+@pytest.mark.parametrize("char", [32003, None])
+@pytest.mark.parametrize("name", ["mixed-sum", "plane-plus-line",
+                                  "dim3-buchsbaum", "two-plane", "mixed-line"])
+def test_annihilator_matches_intersection_of_colons_on_corpus(name, char):
+    path = os.path.join(os.path.dirname(__file__), "..", "corpus", name + ".json")
+    with open(path) as fh:
+        raw = json.load(fh)
+    raw["ring"]["characteristic"] = char
+    module = build_job(raw).module
+    assert gb.annihilator(module) == _reference_annihilator(module)
+
+
+def test_annihilator_of_the_zero_ambient_is_the_unit_ideal():
+    assert gb.annihilator(GradedModule.free(RING, [])) == [RING.one()]

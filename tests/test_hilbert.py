@@ -2,6 +2,7 @@ import itertools
 import json
 import os
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -265,3 +266,84 @@ def test_infinite_colength_raises_on_every_call():
     for _ in range(2):
         with pytest.raises(hb.HilbertError, match="not Artinian"):
             hb.hilbert_coefficients(module, [X])
+
+
+# ---------------------------------------------------------------------------
+# the difference fit against the Fraction-window solve it replaced
+
+def _binom_fraction(n, s):
+    out = Fraction(1)
+    for k in range(1, s + 1):
+        out *= Fraction(n + k, k)
+    return out
+
+
+def _solve_fraction(a, b):
+    """Gaussian elimination over Fractions; None if singular."""
+    m = [row[:] + [rhs] for row, rhs in zip(a, b)]
+    size = len(m)
+    for col in range(size):
+        piv = next((r for r in range(col, size) if m[r][col] != 0), None)
+        if piv is None:
+            return None
+        m[col], m[piv] = m[piv], m[col]
+        inv = 1 / m[col][col]
+        m[col] = [v * inv for v in m[col]]
+        for r in range(size):
+            if r != col and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [v - f * w for v, w in zip(m[r], m[col])]
+    return [m[r][size] for r in range(size)]
+
+
+def _reference_fit(value, r, s, n_max):
+    """Two consecutive (r+1)-point windows solved exactly must agree on an
+    integer vector that also fits one further point."""
+    values = []
+
+    def row(n):
+        return [(-1) ** i * _binom_fraction(n - s, r - i) for i in range(r + 1)]
+
+    def window(n0):
+        points = range(n0, n0 + r + 1)
+        return _solve_fraction([row(n) for n in points],
+                               [Fraction(values[n]) for n in points])
+
+    for n0 in range(n_max - r - 1):
+        while len(values) <= n0 + r + 2:
+            values.append(value(len(values)))
+        c = window(n0)
+        if c is not None and c == window(n0 + 1) \
+                and all(v.denominator == 1 for v in c) \
+                and sum(a * b for a, b in zip(c, row(n0 + r + 2))) == values[n0 + r + 2]:
+            return [int(v) for v in c], values, n0
+    return None
+
+
+@given(st.integers(min_value=0, max_value=5), st.sampled_from([0, 1]),
+       st.sampled_from(["polynomial", "noisy", "never", "small"]),
+       st.integers(min_value=0, max_value=2 ** 32))
+@settings(max_examples=300, deadline=None)
+def test_fit_binomial_matches_fraction_windows(r, s, kind, seed):
+    rng = random.Random(seed)
+    n_max = rng.randint(0, 24)
+    c = [rng.randint(-30, 30) for _ in range(r + 2)]
+    degree = r + 1 if kind == "never" else r
+    start = rng.randint(0, 12) if kind == "noisy" else 0
+
+    def value(n):
+        if kind == "small":  # values this narrow stabilize by accident
+            return rng.randint(0, 2)
+        if n < start:
+            return rng.randint(-100, 100)
+        return int(sum((-1) ** i * c[i] * _binom_fraction(n - s, degree - i)
+                       for i in range(degree + 1)))
+
+    table = [value(n) for n in range(n_max + 2)]
+    got = hb.fit_binomial(table.__getitem__, r, s, n_max)
+    ref = _reference_fit(table.__getitem__, r, s, n_max)
+    assert got == ref
+    if kind == "polynomial" and n_max >= r + 2:
+        assert got is not None and got[0] == c[:r + 1] and got[2] == 0
+    if kind == "never" and c[0] != 0:
+        assert got is None
