@@ -11,7 +11,9 @@ ten pairs, with seed i + 1 in pair i and the first side alternating between
 pairs, so that slow drift of the machine's speed falls on both sides alike.
 It records every run and, per side and metric, the median and the
 quartiles.  Then it makes one --trace 1 run per side and workload and
-records its per-layer metrics.  Runs are sequential, one process at a time.
+records its per-layer metrics and, under op_s, the time of each op of the
+traced round, read from the trace file that run.py names on standard error.
+Runs are sequential, one process at a time.
 
 Each tree's runs write and read their bytecode under their own fresh
 PYTHONPYCACHEPREFIX in a temporary directory, with bytecode writing on, so
@@ -48,6 +50,10 @@ def run(side, tree, workload, seed, seconds, trace, env):
          "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
         cwd=tree, env=env, capture_output=True, text=True, check=True)
     doc = json.loads(proc.stdout.strip().splitlines()[-1])
+    if trace:
+        info = json.loads(proc.stderr.strip().splitlines()[-1])
+        with open(info["trace_file"]) as fh:
+            doc["op_s"] = json.load(fh)["op_s"]
     print("%s %s seed %d trace %d: %s" % (
         side, workload, seed, trace,
         {k: round(v["value"], 4) for k, v in doc["metrics"].items()
@@ -96,11 +102,12 @@ def main(argv=None):
             walls = zip(entry["base"]["wall_s"]["runs"], entry["head"]["wall_s"]["runs"])
             entry["head_faster_pairs"] = sum(1 for b, h in walls if h < b)
             record["workloads"][workload] = entry
-            record["traced"][workload] = {
-                side: {k: v["value"] for k, v in
-                       run(side, tree, workload, 1, seconds, 1,
-                           envs[side])["metrics"].items()}
-                for side, tree in sides.items()}
+            record["traced"][workload] = {}
+            for side, tree in sides.items():
+                doc = run(side, tree, workload, 1, seconds, 1, envs[side])
+                record["traced"][workload][side] = dict(
+                    {k: v["value"] for k, v in doc["metrics"].items()},
+                    op_s=doc["op_s"])
     with open(args.out, "w") as fh:
         json.dump(record, fh, indent=1, sort_keys=True)
         fh.write("\n")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .gb import GBError
-from .hilbert import (_power_products, dim_module, fit_binomial,
+from .hilbert import (_power_levels, dim_module, fit_binomial,
                       module_length, quotient_length)
 from .homology import is_unmixed, local_cohomology_lengths
 from .modules import FreeModule, GradedModule, Vector
@@ -119,7 +119,7 @@ def br_value(pm: ParameterModule, n: int) -> int:
     fn = GradedModule.from_relations(free, free.ideal_multiples(pm.ring_rels))
     vectors = (Vector(free, {(position[m[nv:]], m[:nv]): c
                              for m, c in p.terms.items()})
-               for p in _power_products(gs, n))
+               for p in _power_levels(gs)(n))
     return quotient_length(fn, vectors)
 
 

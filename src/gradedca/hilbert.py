@@ -19,9 +19,13 @@ From it:
 One kernel, quotient_length, gives λ(M/⟨vectors⟩) for a finite-length
 quotient degree by degree: normal forms of the vectors and their monomial
 multiples against the cached basis of the relation submodule, then a rank
-count over the coefficient field against H(M, d).  The Hilbert-Samuel
-values λ(M/Q^{n+1}M) are its value on q·e_i for the products q of n+1
-generators of Q, and the Buchsbaum-Rim values λ(Fⁿ/Eⁿ) go through it too.
+count over the coefficient field against H(M, d).  A normal form is read
+off a table kept on the module, which reduces each monomial of the
+ambient once, as the symbolic preprocessing of F4 does (J.-C. Faugère,
+J. Pure Appl. Algebra 139, 1999).  The Hilbert-Samuel values λ(M/Q^{n+1}M)
+are its value on q·e_i for the products q of n+1 generators of Q, each
+level of products built once per fit from the one below; the
+Buchsbaum-Rim values λ(Fⁿ/Eⁿ) go through it too.
 Coefficients are integer backward differences of a stabilized tail of
 the table, read off in the binomial basis; the Buchsbaum-Rim tables use
 the same fit.
@@ -39,8 +43,8 @@ from dataclasses import dataclass, field
 from math import comb
 
 from .gb import GBError, module_gb, quotient_by_ideal, reduce_vector
-from .modules import GradedModule
-from .poly import Poly, mon_deg, mon_divides, monomials_of_degree
+from .modules import GradedModule, Vector
+from .poly import Poly, mon_deg, mon_divides, mon_mul, monomials_of_degree
 
 NEG_INF = float("-inf")
 
@@ -232,20 +236,20 @@ class HilbertSamuelTable:
     N: int
 
 
-def _power_products(gens, n):
-    """All products of n generators (with repetition), as polynomials."""
-    gens = list(gens)
-    out = {(): gens[0].ring.one()} if gens else {}
-    for _ in range(n):
-        nxt = {}
-        for key, p in out.items():
-            start = key[-1] if key else 0
-            for j in range(start, len(gens)):
-                nk = key + (j,)
-                if nk not in nxt:
-                    nxt[nk] = p * gens[j]
-        out = nxt
-    return list(out.values())
+def _power_levels(gens):
+    """products(n): the products of n generators (with repetition), as
+    polynomials.  Each level is built once, from the level below it, and
+    kept while products lives; the index tuples of a level are
+    nondecreasing, so each product appears once."""
+    levels = [{(): gens[0].ring.one()} if gens else {}]
+
+    def products(n):
+        while len(levels) <= n:
+            levels.append({key + (j,): p * gens[j]
+                           for key, p in levels[-1].items()
+                           for j in range(key[-1] if key else 0, len(gens))})
+        return list(levels[n].values())
+    return products
 
 
 class _RankTracker:
@@ -291,35 +295,68 @@ class _RankTracker:
         return rank
 
 
+def _normal_forms(module: GradedModule):
+    """nf(terms): the normal form against M's basis of a field-linear
+    combination {term: coefficient} of terms of M's ambient, as such a dict.
+
+    The normal form against a Groebner basis is unique, hence linear, so it
+    is Σ c·NF(term).  Each NF(term) is one reduce_vector call on that
+    monomial, made once per module: the table lives on the module, next to
+    its basis.  Against an empty basis each term is its own normal form.
+    """
+    gb = module_gb(module)
+    if not gb.basis:
+        return dict
+    fld = module.ring.field
+    zero, one = fld.zero(), fld.one()
+    amb, lts = module.ambient, gb.leading_terms()
+    table = module._cache.setdefault("normal_forms", {})
+
+    def nf(terms):
+        out = {}
+        for term, c in terms.items():
+            form = table.get(term)
+            if form is None:
+                form = table[term] = reduce_vector(
+                    Vector(amb, {term: one}), gb.basis, lts).terms
+            for t, d in form.items():
+                s = fld.add(out.get(t, zero), fld.mul(c, d))
+                if s == 0:
+                    out.pop(t, None)
+                else:
+                    out[t] = s
+        return out
+    return nf
+
+
 def quotient_length(module: GradedModule, vectors):
     """λ(M/⟨vectors⟩) by per-degree rank counts.
 
-    The vectors, homogeneous elements of M's ambient free module, are
-    reduced once against M's basis; in each degree t their monomial
-    multiples are reduced again and their rank is subtracted from H(M, t).
-    Callers certify first that the quotient has finite length.  It is then
-    Artinian and generated in degrees ≤ the largest twist, so its first
-    vanishing degree at or past that twist ends the sum.
+    The vectors, homogeneous elements of M's ambient free module, and in
+    each degree t their monomial multiples are brought to normal form by
+    _normal_forms' table, and the rank of the multiples is subtracted from
+    H(M, t).  Callers certify first that the quotient has finite length.
+    It is then Artinian and generated in degrees ≤ the largest twist, so its
+    first vanishing degree at or past that twist ends the sum.
     """
     ring = module.ring
     fld = ring.field
-    one = fld.one()
-    gb = module_gb(module)
-    lts = gb.leading_terms()
+    nf = _normal_forms(module)
     amb = module.ambient
     num = hilbert_series(module)
     bases = []  # nonzero normal forms of the vectors, with their degrees
     for v in vectors:
-        v = reduce_vector(v, gb.basis, lts)
-        if not v.is_zero():
-            bases.append((v, v.degree()))
+        terms = nf(v.terms)
+        if terms:
+            bases.append((terms, v.degree()))
     tmax = max(amb.twists)
     total = 0
     t = min(amb.twists)
     while True:
         std = series_coefficient(num, ring.num_vars, t)
-        rows = (reduce_vector(v.mul_term(m, one), gb.basis, lts).terms
-                for v, dv in bases
+        rows = (nf({(pos, mon_mul(mon, m)): c
+                    for (pos, mon), c in terms.items()})
+                for terms, dv in bases
                 for m in monomials_of_degree(ring.num_vars, t - dv))
         left = std - _RankTracker(fld).rank(rows, std)
         total += left
@@ -328,18 +365,19 @@ def quotient_length(module: GradedModule, vectors):
         t += 1
 
 
-def _hs_value(module: GradedModule, q_gens, n):
+def _hs_value(module: GradedModule, products, n):
     """λ(M/Q^{n+1}M): the quotient by q·e_i for the products q of n+1
-    generators of Q.  Callers certify first that M/QM has finite length."""
-    return quotient_length(module, module.ambient.ideal_multiples(
-        _power_products(q_gens, n + 1)))
+    generators of Q, given by products = _power_levels(Q).  Callers certify
+    first that M/QM has finite length."""
+    return quotient_length(module, module.ambient.ideal_multiples(products(n + 1)))
 
 
 def hilbert_samuel(module: GradedModule, q_gens, N: int) -> HilbertSamuelTable:
     """Table of λ(M/Q^{n+1}M) for n = 0..N."""
     gens = list(q_gens)
     colength(module, gens)  # certifies the Artinian property once
-    values = [_hs_value(module, gens, n) for n in range(N + 1)]
+    products = _power_levels(gens)
+    values = [_hs_value(module, products, n) for n in range(N + 1)]
     return HilbertSamuelTable(values=values, N=N)
 
 
@@ -408,7 +446,8 @@ def hilbert_coefficients(module: GradedModule, q_gens,
     if key in module._cache:
         return module._cache[key]
     colength(module, gens)
-    fit = fit_binomial(lambda n: _hs_value(module, gens, n), r, 0, HS_N_MAX)
+    products = _power_levels(gens)
+    fit = fit_binomial(lambda n: _hs_value(module, products, n), r, 0, HS_N_MAX)
     if fit is None:
         raise HilbertError(
             "Hilbert-Samuel table did not stabilize within n <= %d" % HS_N_MAX)

@@ -31,7 +31,8 @@ class FreeModule:
 
     def ideal_multiples(self, polys):
         """Generators p·e_i of I·F for I = (polys), p outer and i inner."""
-        return [self.basis(i).poly_mul(p) for p in polys for i in range(self.rank)]
+        return [Vector(self, {(i, m): c for m, c in p.terms.items()})
+                for p in polys for i in range(self.rank)]
 
     def element(self, polys):
         """Vector from a list of rank Poly coordinates."""

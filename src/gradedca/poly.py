@@ -12,6 +12,7 @@ the dict arithmetic that Poly and modules.Vector share.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 
 class PolyError(Exception):
@@ -120,7 +121,7 @@ class CoeffField:
 # -- monomials: exponent tuples -------------------------------------------
 
 def mon_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mon_div(a, b):

@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .brim import BrimError, br_value, make_parameter_module
+from .brim import BrimError, make_parameter_module
 from .gb import GBError
 from .hilbert import (NEG_INF, HilbertError, ParameterIdeal, dim_module,
                       hilbert_coefficients, make_parameter_ideal)
@@ -127,9 +127,9 @@ def random_parameter_module(ring, ring_rels, rank, rng, degree=1,
                 for _ in range(m)]
         try:
             pm = make_parameter_module(ring, ring_rels, cols)
-            br_value(pm, 1)
-            return pm
         except BrimError:
             continue
+        if pm.colength is not None:
+            return pm
     raise SamplerError("failed to sample a parameter module in %d tries"
                        % retry_limit)

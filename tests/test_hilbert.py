@@ -3,16 +3,17 @@ import json
 import os
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradedca import hilbert as hb
-from gradedca.gb import quotient_by_ideal
+from gradedca.gb import module_gb, quotient_by_ideal, reduce_vector
 from gradedca.jobio import build_job
 from gradedca.modules import FreeModule, GradedModule
-from gradedca.poly import CoeffField, PolyRing
+from gradedca.poly import CoeffField, PolyRing, monomials_of_degree, parse_poly
 from gradedca.sampler import random_parameter_ideal
 
 RING = PolyRing(CoeffField(32003), ["x", "y"])
@@ -149,10 +150,10 @@ def test_hs_value_is_the_length_of_the_quotient(name):
         module = build_job(json.load(fh)).module
     q = random_parameter_ideal(module, [1] * hb.dim_module(module),
                                random.Random(name)).gens
+    products = hb._power_levels(q)
     for n in range(3):
-        power = hb._power_products(q, n + 1)
-        assert hb._hs_value(module, q, n) == \
-            hb.module_length(quotient_by_ideal(module, power))
+        assert hb._hs_value(module, products, n) == \
+            hb.module_length(quotient_by_ideal(module, products(n + 1)))
 
 
 def _standard_count(gens, n, d):
@@ -212,6 +213,123 @@ def test_series_matches_standard_monomials(spec):
         assert hb.module_length(module) == sum(
             _standard_count(gens, n, d) for _, gens in blocks
             for d in range(2 * n + 1))
+
+
+# ---------------------------------------------------------------------------
+# the normal-form table against the per-row reduction it replaced
+
+
+def _reference_quotient_length(module, vectors):
+    """λ(M/⟨vectors⟩) with one reduce_vector call per vector and per
+    monomial multiple of one."""
+    ring = module.ring
+    one = ring.field.one()
+    gb = module_gb(module)
+    lts = gb.leading_terms()
+    amb = module.ambient
+    bases = []
+    for v in vectors:
+        v = reduce_vector(v, gb.basis, lts)
+        if not v.is_zero():
+            bases.append((v, v.degree()))
+    total = 0
+    t = min(amb.twists)
+    while True:
+        std = hb.hilbert_function(module, t)
+        rows = (reduce_vector(v.mul_term(m, one), gb.basis, lts).terms
+                for v, dv in bases
+                for m in monomials_of_degree(ring.num_vars, t - dv))
+        left = std - hb._RankTracker(ring.field).rank(rows, std)
+        total += left
+        if left == 0 and t >= max(amb.twists):
+            return total
+        t += 1
+
+
+def _random_vector(amb, degree, rng):
+    """A random homogeneous vector of the given degree in amb."""
+    ring = amb.ring
+    return amb.element([ring.random_form(degree - tw, rng) if degree >= tw
+                        else ring.zero() for tw in amb.twists])
+
+
+@given(st.sampled_from([32003, None]), st.integers(min_value=0, max_value=2 ** 32))
+@settings(max_examples=40, deadline=None)
+def test_quotient_length_matches_per_row_reduction(char, seed):
+    # a random graded module with unequal twists, and random homogeneous
+    # vectors made of finite colength by pure powers at every position
+    rng = random.Random(seed)
+    ring = PolyRing(CoeffField(char), ["x", "y", "z"][:rng.randint(2, 3)])
+    twists = [rng.randint(-1, 1) for _ in range(rng.randint(1, 3))]
+    if len(twists) > 1 and len(set(twists)) == 1:
+        twists[0] += 1
+    amb = FreeModule(ring, twists)
+    rels = [_random_vector(amb, max(twists) + rng.randint(1, 2), rng)
+            for _ in range(rng.randint(0, 3))]
+    module = GradedModule.from_relations(amb, rels)
+    vectors = [_random_vector(amb, max(twists) + rng.randint(0, 2), rng)
+               for _ in range(rng.randint(0, 3))]
+    vectors += amb.ideal_multiples([v ** rng.randint(2, 3) for v in ring.gens()])
+    rng.shuffle(vectors)
+    assert hb.quotient_length(module, vectors) == \
+        _reference_quotient_length(module, vectors)
+
+
+def _count_reductions(monkeypatch):
+    calls = []
+    original = hb.reduce_vector
+
+    def counted(*args):
+        calls.append(args[0])
+        return original(*args)
+    monkeypatch.setattr(hb, "reduce_vector", counted)
+    return calls
+
+
+def test_normal_form_table_is_reused_across_parameter_ideals(monkeypatch, ring3):
+    x, y, z = ring3.gens()
+    module = GradedModule.quotient_ring(ring3, [x * y - z ** 2])
+    hb.hilbert_coefficients(module, [x + y, z])
+    calls = _count_reductions(monkeypatch)
+    again = hb.hilbert_coefficients(module, [x ** 2, y - z])
+    reused = len(calls)
+    del calls[:]
+    fresh = hb.hilbert_coefficients(GradedModule(module.presentation),
+                                     [x ** 2, y - z])
+    assert 0 < reused < len(calls)
+    # every call reduces one monomial
+    assert all(len(v.terms) == 1 for v in calls)
+    assert again.e == fresh.e == [4, 0, 0]
+    assert again.stabilized_at == fresh.stabilized_at
+    assert again.table.values == fresh.table.values
+
+
+def _reference_power_products(gens, n):
+    """All products of n generators (with repetition), each level rebuilt
+    from scratch."""
+    out = {(): gens[0].ring.one()} if gens else {}
+    for _ in range(n):
+        nxt = {}
+        for key, p in out.items():
+            for j in range(key[-1] if key else 0, len(gens)):
+                nxt[key + (j,)] = p * gens[j]
+        out = nxt
+    return list(out.values())
+
+
+@pytest.mark.parametrize("gens", ["", "x", "x+y,z", "x,y,z", "x^2,y+z,x", "x*z,y^2"])
+def test_power_levels_match_products_built_afresh(ring3, gens):
+    gens = [parse_poly(ring3, g) for g in gens.split(",") if g]
+    products = hb._power_levels(gens)
+
+    def as_set(polys):
+        return {frozenset(p.terms.items()) for p in polys}
+    for n in range(5):
+        got = products(n)
+        assert as_set(got) == as_set(_reference_power_products(gens, n))
+        expected = {frozenset(reduce(lambda a, b: a * b, c, ring3.one()).terms.items())
+                    for c in itertools.combinations_with_replacement(gens, n)}
+        assert as_set(got) == (expected if gens else set())
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from gradedca import sampler
-from gradedca.hilbert import hilbert_coefficients
+from gradedca import brim, sampler
+from gradedca.hilbert import dim_module
 from gradedca.modules import GradedModule
 from gradedca.poly import CoeffField, PolyRing
 
@@ -61,6 +61,35 @@ def test_random_parameter_module_shape():
     rng = sampler.SampleConfig(seed=21).rng()
     pm = sampler.random_parameter_module(RING2, [], 2, rng)
     assert pm.gens_count == 3 and pm.rank == 2 and pm.is_parameter
+
+
+def _reference_parameter_module(ring, ring_rels, rank, rng):
+    """The sampler as it was: a draw is kept when λ(F/E) = br_value(pm, 1)
+    can be counted."""
+    d = dim_module(GradedModule.quotient_ring(ring, list(ring_rels)))
+    for _ in range(50):
+        cols = [[ring.random_form(1, rng) for _ in range(rank)]
+                for _ in range(d + rank - 1)]
+        try:
+            pm = brim.make_parameter_module(ring, ring_rels, cols)
+            brim.br_value(pm, 1)
+            return pm
+        except brim.BrimError:
+            continue
+
+
+@pytest.mark.parametrize("char", [3, 5, 32003])
+def test_random_parameter_module_keeps_the_draws_it_kept(char):
+    # over a small field many draws have infinite colength and are retried
+    ring = PolyRing(CoeffField(char), ["x", "y"])
+    x, y = ring.gens()
+    for rels, rank in (([], 2), ([x * y], 2), ([], 3)):
+        got_rng, ref_rng = random.Random(char), random.Random(char)
+        for _ in range(4):
+            got = sampler.random_parameter_module(ring, rels, rank, got_rng)
+            ref = _reference_parameter_module(ring, rels, rank, ref_rng)
+            assert got == ref and got.colength == brim.br_value(got, 1)
+        assert got_rng.random() == ref_rng.random()
 
 
 def test_zero_module_has_no_parameter_ideals():
