@@ -5,7 +5,10 @@ R-module on the degree-n monomials in T₁..T_r, and Eⁿ is spanned by the
 degree-n products of the g_j = Σ_i φ_ij T_i in S[T₁..T_r].  Fⁿ is
 presented over S as a free module with the relations of R at every
 position, all twists 0, so λ(Fⁿ/Eⁿ) is hilbert.quotient_length, the rank
-count that also gives the Hilbert-Samuel values.
+count that also gives the Hilbert-Samuel values: a packed-integer echelon
+over F_p, the exact elimination over Q.  The levels of products of the g_j
+live on the ParameterModule, so a fit over n = 1, 2, … builds each level
+once.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from .hilbert import (_power_levels, dim_module, fit_binomial,
                       module_length, quotient_length)
 from .homology import is_unmixed, local_cohomology_lengths
 from .modules import FreeModule, GradedModule, Vector
-from .poly import Poly, PolyRing, monomials_of_degree
+from .poly import Poly, PolyRing, monomials_of_degree, require
 
 
 class BrimError(GBError):
@@ -51,6 +54,16 @@ class ParameterModule:
         rels = [free.element(col) for col in self.columns]
         rels += free.ideal_multiples(self.ring_rels)
         return module_length(GradedModule.from_relations(free, rels))
+
+    @cached_property  # stored in the instance dict, which frozen allows
+    def product_levels(self):
+        """products(n): the degree-n products of the g_j = Σ_i φ_ij T_i in
+        S[T₁..T_r], each level built once per module from the one below."""
+        tring, r = _t_ring(self), self.rank
+        return _power_levels([
+            Poly(tring, {m + tuple(int(k == i) for k in range(r)): c
+                         for i, e in enumerate(col) for m, c in e.terms.items()})
+            for col in self.columns])
 
 
 def make_parameter_module(ring, ring_rels, columns) -> ParameterModule:
@@ -99,27 +112,23 @@ def br_value(pm: ParameterModule, n: int) -> int:
 
     Fⁿ is the free R-module on the T-monomials of degree n, presented over
     S with the ring relations at every position, and Eⁿ is spanned by the
-    degree-n products of the g_j = Σ_i φ_ij T_i in S[T₁..T_r], read back
-    by T-exponent → position.  λ(F/E) < ∞ is certified first; then every
-    λ(Fⁿ/Eⁿ) is finite and quotient_length gives it.
+    degree-n products of the g_j = Σ_i φ_ij T_i in S[T₁..T_r], taken from
+    pm.product_levels and read back by T-exponent → position.  λ(F/E) < ∞
+    is certified first; then every λ(Fⁿ/Eⁿ) is finite and quotient_length
+    gives it.
     """
     if n == 0:
         return 0
     if pm.colength is None:
         raise BrimError("λ(F^%d/E^%d) is infinite: generators do not "
                         "have finite colength" % (n, n))
-    ring, r = pm.ring, pm.rank
-    nv = ring.num_vars
-    tring = _t_ring(pm)
-    gs = [Poly(tring, {m + tuple(int(k == i) for k in range(r)): c
-                       for i, e in enumerate(col) for m, c in e.terms.items()})
-          for col in pm.columns]
-    position = {t: k for k, t in enumerate(monomials_of_degree(r, n))}
-    free = FreeModule(ring, [0] * len(position))
+    nv = pm.ring.num_vars
+    position = {t: k for k, t in enumerate(monomials_of_degree(pm.rank, n))}
+    free = FreeModule(pm.ring, [0] * len(position))
     fn = GradedModule.from_relations(free, free.ideal_multiples(pm.ring_rels))
     vectors = (Vector(free, {(position[m[nv:]], m[:nv]): c
                              for m, c in p.terms.items()})
-               for p in _power_levels(gs)(n))
+               for p in pm.product_levels(n))
     return quotient_length(fn, vectors)
 
 
@@ -160,13 +169,13 @@ def br_coefficients(pm: ParameterModule) -> BRReport:
     eq = any(values[n] == br * binom_poly(n - 1, deg)
              for n in range(1, len(values)))
     if pm.is_parameter:
-        assert br >= 1
-        assert br1 <= 0, "br1 must be nonpositive on parameter modules"
-        assert bound_ok, "pointwise Buchsbaum-Rim bound violated"
+        require(br >= 1, "Buchsbaum-Rim multiplicity must be positive")
+        require(br1 <= 0, "br1 must be nonpositive on parameter modules")
+        require(bound_ok, "pointwise Buchsbaum-Rim bound violated")
         if eq:
-            assert all(values[n] == br * binom_poly(n - 1, deg)
-                       for n in range(len(values))), \
-                "equality at one n must propagate to all n"
+            require(all(values[n] == br * binom_poly(n - 1, deg)
+                        for n in range(len(values))),
+                    "equality at one n must propagate to all n")
     return BRReport(table=list(values), degree=deg, coefficients=coeffs,
                     br=br, br1=br1, equality_case=eq,
                     pointwise_bound_ok=bound_ok)

@@ -22,10 +22,14 @@ multiples against the cached basis of the relation submodule, then a rank
 count over the coefficient field against H(M, d).  A normal form is read
 off a table kept on the module, which reduces each monomial of the
 ambient once, as the symbolic preprocessing of F4 does (J.-C. Faugère,
-J. Pure Appl. Algebra 139, 1999).  The Hilbert-Samuel values λ(M/Q^{n+1}M)
-are its value on q·e_i for the products q of n+1 generators of Q, each
-level of products built once per fit from the one below; the
-Buchsbaum-Rim values λ(Fⁿ/Eⁿ) go through it too.
+J. Pure Appl. Algebra 139, 1999).  _rank_count does the count: over F_p a
+packed echelon, each row one Python int with a slot per column and mod-p
+reduction delayed until a slot is read, so a row operation is one integer
+multiply-add; over Q the exact dict elimination of _RankTracker.  The
+Hilbert-Samuel values λ(M/Q^{n+1}M) are its value on q·e_i for the
+products q of n+1 generators of Q, each level of products built once per
+fit from the one below; the Buchsbaum-Rim values λ(Fⁿ/Eⁿ) go through it
+too.
 Coefficients are integer backward differences of a stabilized tail of
 the table, read off in the binomial basis; the Buchsbaum-Rim tables use
 the same fit.
@@ -44,7 +48,8 @@ from math import comb
 
 from .gb import GBError, module_gb, quotient_by_ideal, reduce_vector
 from .modules import GradedModule, Vector
-from .poly import Poly, mon_deg, mon_divides, mon_mul, monomials_of_degree
+from .poly import (Poly, mon_deg, mon_divides, mon_mul, monomials_of_degree,
+                   require)
 
 NEG_INF = float("-inf")
 
@@ -295,6 +300,56 @@ class _RankTracker:
         return rank
 
 
+def _rank_count(fld, rows, cap):
+    """Add rows until cap of them are independent; return how many were.
+
+    Over Q this is _RankTracker's exact elimination.  Over F_p it is a
+    packed echelon with delayed reduction (J.-G. Dumas, P. Giorgi and
+    C. Pernet, ACM Trans. Math. Software 35, 2008): a row is one int with a
+    slot of w bits per column, columns numbered as terms first appear, and
+    a row operation work += (p − a)·pivot_row is one integer multiply-add.
+    A slot starts below p and each of the fewer than cap eliminations of a
+    row adds less than p², so w = bit_length((cap + 1)·p²) keeps every slot
+    from spilling into the next.  A slot is reduced mod p only when it is read as the
+    row's pivot entry, or when the row joins the basis, normalised by the
+    inverse of its pivot entry.  A basis row is kept as its tail below the
+    pivot, so eliminating a pivot only touches lower slots.
+    """
+    p = fld.p
+    if p is None:
+        return _RankTracker(fld).rank(rows, cap)
+    w = ((cap + 1) * p * p).bit_length()
+    mask = (1 << w) - 1
+    slots = {}   # term -> slot index
+    tails = {}   # bit offset of a pivot slot -> its basis row's tail
+    for terms in rows:
+        if len(tails) == cap:
+            break
+        work = 0
+        for term, c in terms.items():
+            work |= c << w * slots.setdefault(term, len(slots))
+        while work:
+            shift = (work.bit_length() - 1) // w * w
+            top = work >> shift
+            work -= top << shift
+            a = top % p
+            if not a:
+                continue
+            tail = tails.get(shift)
+            if tail is not None:
+                work += (p - a) * tail
+                continue
+            inv = pow(a, p - 2, p)
+            tail = 0
+            for at in range(0, shift, w):
+                c = (work >> at & mask) % p
+                if c:
+                    tail |= c * inv % p << at
+            tails[shift] = tail
+            break
+    return len(tails)
+
+
 def _normal_forms(module: GradedModule):
     """nf(terms): the normal form against M's basis of a field-linear
     combination {term: coefficient} of terms of M's ambient, as such a dict.
@@ -358,7 +413,7 @@ def quotient_length(module: GradedModule, vectors):
                     for (pos, mon), c in terms.items()})
                 for terms, dv in bases
                 for m in monomials_of_degree(ring.num_vars, t - dv))
-        left = std - _RankTracker(fld).rank(rows, std)
+        left = std - _rank_count(fld, rows, std)
         total += left
         if left == 0 and t >= tmax:
             return total
@@ -452,9 +507,10 @@ def hilbert_coefficients(module: GradedModule, q_gens,
         raise HilbertError(
             "Hilbert-Samuel table did not stabilize within n <= %d" % HS_N_MAX)
     e, values, n0 = fit
-    assert e[0] >= 1, "leading Hilbert coefficient must be positive"
+    require(e[0] >= 1, "leading Hilbert coefficient must be positive")
     if len(gens) == dim_module(module) and r >= 1:
-        assert e[1] <= 0, "first Hilbert coefficient of a parameter ideal must be <= 0"
+        require(e[1] <= 0,
+                "first Hilbert coefficient of a parameter ideal must be <= 0")
     table = HilbertSamuelTable(values=values, N=len(values) - 1)
     out = HilbertCoefficients(e=e, r=r, stabilized_at=n0, table=table)
     module._cache[key] = out

@@ -15,6 +15,7 @@ from .gb import (GBError, annihilator, kernel_of_map, minimal_free_resolution,
 from .gb import is_zero_module
 from .hilbert import NEG_INF, dim_module, module_length
 from .modules import FreeModule, GradedModule, ModuleMap, Vector
+from .poly import require
 
 POS_INF = float("inf")
 
@@ -92,13 +93,13 @@ def local_cohomology_lengths(module: GradedModule) -> CohomologyProfile:
     for j in range(r + 1):
         mj = ext_dual(module, j)
         dj = dim_module(mj)
-        assert dj == NEG_INF or dj <= j, "dual dimension exceeds its index"
+        require(dj == NEG_INF or dj <= j, "dual dimension exceeds its index")
         duals.append(mj)
         if dep is None and dj != NEG_INF:
             dep = j
         if j < r:
             h.append(module_length(mj) if dj <= 0 else None)
-    assert dep is not None, "top-dimensional dual of a nonzero module vanished"
+    require(dep is not None, "top-dimensional dual of a nonzero module vanished")
     out = CohomologyProfile(duals=duals, h=h, depth=dep, dim=r)
     module._cache["profile"] = out
     return out

@@ -12,6 +12,7 @@ from .hilbert import (NEG_INF, colength, dim_module, hilbert_coefficients,
 from .homology import local_cohomology_lengths
 from .koszul import chi1_serre
 from .modules import GradedModule
+from .poly import require
 
 
 class InvariantError(GBError):
@@ -72,10 +73,12 @@ def hdeg_report(module: GradedModule, q_gens) -> HdegReport:
     h = hdeg(module, gens)
     d = multiplicity(module, gens)
     ts = [torsion(module, gens, i) for i in range(1, max(r, 1))]
-    assert h >= d
+    require(h >= d, "hdeg must be at least the multiplicity")
     if ts:
-        assert h > ts[0] or h == d == module_length(module)
-        assert all(a >= b for a, b in zip(ts, ts[1:]))
+        require(h > ts[0] or h == d == module_length(module),
+                "hdeg must exceed the first torsion invariant")
+        require(all(a >= b for a, b in zip(ts, ts[1:])),
+                "torsion invariants must be nonincreasing")
     return HdegReport(hdeg=h, deg=d, torsions=ts)
 
 

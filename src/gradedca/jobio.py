@@ -125,7 +125,11 @@ def build_job(raw, default_char=32003, seed_override=None) -> Job:
     validate_job(raw)
     rspec = raw["ring"]
     char = rspec.get("characteristic", default_char)
-    ring = PolyRing(CoeffField(char), rspec["variables"])
+    try:
+        fld = CoeffField(char)
+    except PolyError as exc:
+        raise JobError("invalid characteristic: %s" % exc) from exc
+    ring = PolyRing(fld, rspec["variables"])
     mspec = raw.get("module", {"twists": [0]})
     twists = mspec["twists"]
     amb = FreeModule(ring, twists)

@@ -17,6 +17,7 @@ from .gb import GBError, quotient_by_ideal
 from .hilbert import (colength, colon_series, divide_poles,
                       hilbert_coefficients, hilbert_series, shifted_sum)
 from .modules import FreeModule, GradedModule, ModuleMap, Vector
+from .poly import require
 
 
 class KoszulError(GBError):
@@ -88,7 +89,7 @@ def koszul_homology(module: GradedModule, forms) -> KoszulHomologyReport:
     n = module.ring.num_vars
     diffs = {i: koszul_differential(module, forms, i) for i in range(1, r + 1)}
     for i in range(1, r):
-        assert diffs[i].compose(diffs[i + 1]).is_zero(), "d∘d != 0"
+        require(diffs[i].compose(diffs[i + 1]).is_zero(), "d∘d != 0")
     num = hilbert_series(module)
     degs = [f.total_degree() for f in forms]
     stages = [shifted_sum((1, sum(degs[s] for s in T), num)
@@ -107,11 +108,12 @@ def koszul_homology(module: GradedModule, forms) -> KoszulHomologyReport:
         if j < n:
             raise KoszulError(
                 "non-finite Koszul homology: is the ideal a parameter ideal?")
-        assert all(c >= 0 for c in h_i.values())
+        require(all(c >= 0 for c in h_i.values()),
+                "a Koszul homology module has negative dimension in a degree")
         lengths.append(sum(h_i.values()))
     chi = sum((-1) ** i * l for i, l in enumerate(lengths))
     chi1 = sum((-1) ** (i - 1) * l for i, l in enumerate(lengths) if i >= 1)
-    assert chi1 >= 0, "partial Euler characteristic must be nonnegative"
+    require(chi1 >= 0, "partial Euler characteristic must be nonnegative")
     return KoszulHomologyReport(lengths=lengths, chi=chi, chi1=chi1)
 
 
@@ -150,8 +152,8 @@ def chi1_recursion_check(module: GradedModule, forms) -> Chi1RecursionReport:
         num = shifted_sum([(1, 0, num), (-1, f.total_degree(), num)])
     n = module.ring.num_vars
     j, col = divide_poles(num, n)
-    assert j == n, "x′ is a system of parameters on 0:_M x₁"
+    require(j == n, "x′ is a system of parameters on 0:_M x₁")
     b = sum(col.values())
-    assert b >= 0, "χ(x′; 0:_M x₁) = e(x′; 0:_M x₁) or 0, never negative"
+    require(b >= 0, "χ(x′; 0:_M x₁) = e(x′; 0:_M x₁) or 0, never negative")
     return Chi1RecursionReport(passed=(total == a + b), total=total,
                                from_quotient=a, from_colon=b)

@@ -23,6 +23,16 @@ class RingMismatch(PolyError):
     pass
 
 
+class InvariantViolation(PolyError):
+    """A mathematical invariant failed: a fault of the engine, not of its input."""
+
+
+def require(cond, msg):
+    """Raise InvariantViolation(msg) unless cond; unlike assert, kept under -O."""
+    if not cond:
+        raise InvariantViolation(msg)
+
+
 class PolyParseError(PolyError):
     def __init__(self, message, position):
         super().__init__(f"{message} (at position {position})")

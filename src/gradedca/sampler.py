@@ -15,6 +15,7 @@ from .hilbert import (NEG_INF, HilbertError, ParameterIdeal, dim_module,
                       hilbert_coefficients, make_parameter_ideal)
 from .koszul import chi1_serre
 from .modules import GradedModule
+from .poly import require
 
 
 class SamplerError(GBError):
@@ -89,7 +90,7 @@ def estimate_lambda(module: GradedModule, cfg: SampleConfig) -> LambdaEstimate:
         e = hilbert_coefficients(module, q.gens).e
         return e[1] if len(e) > 1 else 0
     est = _estimate("lambda-estimate (degree-bounded sample)", module, cfg, e1)
-    assert est.max <= 0, "sampled e1 must be nonpositive"
+    require(est.max <= 0, "sampled e1 must be nonpositive")
     return est
 
 
@@ -97,7 +98,7 @@ def estimate_xi(module: GradedModule, cfg: SampleConfig) -> LambdaEstimate:
     """Sampled estimate of Ξ(M) = {χ₁(Q;M)}."""
     est = _estimate("xi-estimate (degree-bounded sample)", module, cfg,
                     lambda q: chi1_serre(module, q.gens))
-    assert est.min >= 0, "sampled chi1 must be nonnegative"
+    require(est.min >= 0, "sampled chi1 must be nonnegative")
     return est
 
 

@@ -99,11 +99,30 @@ def test_infinite_colength_raises_before_rank_counts(monkeypatch):
     x, _ = RING2.gens()
     pm = brim.make_parameter_module(RING2, [], [[x]])
 
-    def no_rank_counts(fld):
-        raise AssertionError("rank loop entered")
-    monkeypatch.setattr(hilbert, "_RankTracker", no_rank_counts)
+    def no_rank_counts(fld, rows, cap):
+        raise AssertionError("rank count started")
+    monkeypatch.setattr(hilbert, "_rank_count", no_rank_counts)
     with pytest.raises(brim.BrimError):
         brim.br_value(pm, 1)
+
+
+def test_br_coefficients_builds_each_product_level_once(monkeypatch):
+    ring = PolyRing(CoeffField(32003), ["x", "y", "z"])
+    pm = random_parameter_module(ring, [ring.poly("x*y - z^2")], 2,
+                                 random.Random(4))
+    assert pm.colength is not None and pm.base_dim == 2
+    products = []
+    original = Poly.__mul__
+
+    def counted(self, other):
+        products.append(self)
+        return original(self, other)
+    monkeypatch.setattr(Poly, "__mul__", counted)
+    top = len(brim.br_coefficients(pm).table) - 1
+    # level n holds the binom(m + n − 1, n) products of n of the m g_j,
+    # each one product of a level-(n − 1) entry with some g_j
+    m = pm.gens_count
+    assert len(products) == sum(comb(m + n - 1, n) for n in range(1, top + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -107,6 +107,24 @@ def test_env_characteristic(tmp_path, capsys, monkeypatch):
         or json.loads(out)["results"][0]["e"] == [1, 0, 0]
 
 
+@pytest.mark.parametrize("char", [2, 4, -7])
+def test_bad_characteristic_exits_2(tmp_path, capsys, char):
+    raw = json.loads(open(os.path.join(CORPUS, "free-plane.json")).read())
+    raw["ring"]["characteristic"] = char
+    path = write_job(tmp_path, raw)
+    code, _, err = run_main(["compute", path], capsys)
+    assert code == 2 and "invalid job" in err
+    code, _, err = run_main(["check", str(tmp_path)], capsys)
+    assert code == 2 and "invalid job" in err
+
+
+def test_bad_env_characteristic_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("GRADEDCA_CHAR", "4")
+    path = write_job(tmp_path, BASIC_JOB)
+    code, _, err = run_main(["compute", path], capsys)
+    assert code == 2 and "4 is not prime" in err
+
+
 def test_check_corpus_passes(tmp_path, capsys):
     # a small corpus: copy two fast instances
     for name in ("free-plane.json", "ci-points.json"):
@@ -238,3 +256,41 @@ def test_unmixed_op_reads_its_component(monkeypatch, relations, unmixed):
     result = jobio.run_job(raw, with_timings=False)["results"][0]["result"]
     assert result["unmixed"] is unmixed
     assert result["component_dim"] == ("-infinite" if unmixed else 0)
+
+
+def _break_leading_coefficient(*args):
+    """A fit whose e₀ = 0 violates the invariant e₀ ≥ 1."""
+    return [0, 0, 0], [0, 0, 0, 0], 0
+
+
+def test_invariant_violation_exits_3_under_O(tmp_path):
+    # under -O an assert would vanish and the job would exit 0
+    path = write_job(tmp_path, BASIC_JOB)
+    script = (
+        "import sys\n"
+        "from gradedca import cli, hilbert\n"
+        "if __debug__:\n"
+        "    sys.exit('not running under -O')\n"
+        "hilbert.fit_binomial = lambda *args: ([0, 0, 0], [0, 0, 0, 0], 0)\n"
+        "sys.exit(cli.main(['compute', sys.argv[1]]))\n")
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-O", "-c", script, path],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 3, proc.stderr
+    assert "computation error [InvariantViolation]: leading Hilbert " \
+        "coefficient must be positive" in proc.stderr
+
+
+def test_check_reports_an_invariant_violation_as_a_row(tmp_path, capsys,
+                                                        monkeypatch):
+    import gradedca.hilbert as hilbert
+    shutil.copy(os.path.join(CORPUS, "free-plane.json"), tmp_path / "a.json")
+    monkeypatch.setattr(hilbert, "fit_binomial", _break_leading_coefficient)
+    code, out, _ = run_main(["check", str(tmp_path)], capsys)
+    assert code == 1
+    failing = [c for c in json.loads(out)["checks"] if not c["passed"]]
+    assert failing == [{"instance": "a", "check": "error:InvariantViolation",
+                        "passed": False,
+                        "detail": "leading Hilbert coefficient must be positive"}]

@@ -304,6 +304,60 @@ def test_normal_form_table_is_reused_across_parameter_ideals(monkeypatch, ring3)
     assert again.table.values == fresh.table.values
 
 
+# ---------------------------------------------------------------------------
+# the packed F_p rank count against the dict elimination over the field
+
+
+PRIMES = [3, 5, 32003, 2 ** 31 - 1, 2 ** 61 - 1]  # the last two need slots
+                                                   # wider than 64 bits
+
+
+@given(st.sampled_from(PRIMES), st.integers(min_value=0, max_value=2 ** 32))
+@settings(max_examples=200, deadline=None)
+def test_rank_count_matches_rank_tracker(p, seed):
+    # random sparse rows, some of them combinations of earlier ones, and
+    # caps below, at and above their rank
+    rng = random.Random(seed)
+    fld = CoeffField(p)
+    ncols = rng.randint(1, 10)
+    rows = []
+    for _ in range(rng.randint(0, 14)):
+        if rows and rng.random() < 0.3:
+            a, b = rng.choice(rows), rng.choice(rows)
+            k = rng.randrange(p)
+            row = {t: (a.get(t, 0) + k * b.get(t, 0)) % p for t in a.keys() | b.keys()}
+        else:
+            row = {(c % 2, (c,)): rng.choice([1, p - 1, rng.randrange(p)])
+                   for c in rng.sample(range(ncols), rng.randint(0, ncols))}
+        rows.append({t: c for t, c in row.items() if c})
+    rank = hb._RankTracker(fld).rank(rows, ncols)
+    for cap in {0, max(rank - 1, 0), rank, rng.randint(0, ncols), ncols + 1}:
+        assert hb._rank_count(fld, iter(rows), cap) == \
+            hb._RankTracker(fld).rank(rows, cap)
+
+
+class _TrackerBuilt(Exception):
+    pass
+
+
+@pytest.mark.parametrize("char", [32003, None])
+def test_rank_tracker_serves_only_the_rationals(monkeypatch, char):
+    ring = PolyRing(CoeffField(char), ["x", "y"])
+    x, y = ring.gens()
+    module = GradedModule.quotient_ring(ring, [x * y])
+    vectors = module.ambient.ideal_multiples([x ** 2, y ** 3])
+
+    def tracker(fld):
+        raise _TrackerBuilt
+    monkeypatch.setattr(hb, "_RankTracker", tracker)
+    if char is None:
+        with pytest.raises(_TrackerBuilt):
+            hb.quotient_length(module, vectors)
+    else:
+        # k[x,y]/(xy, x², y³) has basis 1, x, y, y²
+        assert hb.quotient_length(module, vectors) == 4
+
+
 def _reference_power_products(gens, n):
     """All products of n generators (with repetition), each level rebuilt
     from scratch."""
