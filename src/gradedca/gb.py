@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 
-from .modules import FreeModule, GradedModule, ModuleMap, Vector, term_key
+from .modules import (FreeModule, GradedModule, ModuleMap, Vector, memoized,
+                      term_key)
 from .poly import Poly, PolyError, mon_deg, mon_div, mon_lcm
 
 
@@ -226,6 +227,7 @@ def colon_submodule(n_gens, f: Poly, ambient: FreeModule):
     return [Vector(ambient, dict(k.terms)) for k in ker]
 
 
+@memoized()
 def annihilator(module: GradedModule):
     """Generators of Ann(M) as polynomials, the reduced basis of the ideal.
 
@@ -235,8 +237,6 @@ def annihilator(module: GradedModule):
     shift by −t_b puts e_b of block b in degree 0, so the map is
     homogeneous whatever the twists.  A rank-0 ambient gives Ann = S.
     """
-    if "annihilator" in module._cache:
-        return module._cache["annihilator"]
     ring, amb = module.ring, module.ambient
     rank = amb.rank
     target = FreeModule(ring, [t - tb for tb in amb.twists for t in amb.twists])
@@ -244,9 +244,7 @@ def annihilator(module: GradedModule):
     f = ModuleMap.from_columns(FreeModule(ring, [0]), target, [diagonal])
     rels = module.relations()
     blocks = [_embed(w, target, b * rank) for b in range(rank) for w in rels]
-    ann = [k.coordinates()[0] for k in kernel_of_map(f, target_relations=blocks)]
-    module._cache["annihilator"] = ann
-    return ann
+    return [k.coordinates()[0] for k in kernel_of_map(f, target_relations=blocks)]
 
 
 def minimal_generators(gens, basis=()):
@@ -267,10 +265,9 @@ def minimal_generators(gens, basis=()):
     return kept
 
 
+@memoized()
 def module_gb(module: GradedModule) -> SubmoduleGB:
-    if "gb" not in module._cache:
-        module._cache["gb"] = SubmoduleGB(module.ambient, module.relations())
-    return module._cache["gb"]
+    return SubmoduleGB(module.ambient, module.relations())
 
 
 def is_zero_module(module: GradedModule) -> bool:
@@ -285,7 +282,9 @@ def quotient_module(module: GradedModule, extra_relations) -> GradedModule:
     return GradedModule.from_relations(module.ambient, rels)
 
 
+@memoized(lambda module, polys: tuple(map(repr, polys)))
 def quotient_by_ideal(module: GradedModule, polys) -> GradedModule:
+    """M/(polys)M, keyed by polys in order, the order of its relations."""
     return quotient_module(module, module.ambient.ideal_multiples(polys))
 
 
@@ -337,23 +336,18 @@ def minimize_presentation(pres: ModuleMap) -> ModuleMap:
     return ModuleMap.from_columns(src, new_amb, columns)
 
 
+@memoized()
 def minimal_presentation(module: GradedModule) -> GradedModule:
-    if "minimal" not in module._cache:
-        pres = minimize_presentation(module.presentation)
-        out = GradedModule(pres)
-        out._cache["minimal"] = out
-        module._cache["minimal"] = out
-    return module._cache["minimal"]
+    return GradedModule(minimize_presentation(module.presentation))
 
 
+@memoized()
 def minimal_free_resolution(module: GradedModule):
     """Differentials d1, d2, ... of a minimal graded free resolution.
 
     Over the polynomial ring this terminates within num_vars steps
     (Hilbert syzygy theorem).
     """
-    if "resolution" in module._cache:
-        return module._cache["resolution"]
     mod = minimal_presentation(module)
     d1 = mod.presentation
     maps = []
@@ -370,7 +364,6 @@ def minimal_free_resolution(module: GradedModule):
             break
         src = FreeModule(module.ring, [k.degree() for k in ker])
         maps.append(ModuleMap.from_columns(src, last.source, ker))
-    module._cache["resolution"] = maps
     return maps
 
 

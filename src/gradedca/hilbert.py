@@ -34,11 +34,11 @@ Coefficients are integer backward differences of a stabilized tail of
 the table, read off in the binomial basis; the Buchsbaum-Rim tables use
 the same fit.
 
-The Hilbert coefficients of (M, Q) are memoized on the module, next to its
-basis and series, under (Q, fit degree).  Q is keyed by qkey, the
-sorted reprs of its generators, so a reordered generating set hits the same
-entry; the table values depend only on the ideal, so a hit returns what a
-recomputation would.
+The series, the normal-form table and the Hilbert coefficients of (M, Q)
+are kept on the module by modules.memoized, next to its basis and M/QM.
+The coefficients are keyed by (qkey(Q), fit degree): a reordered
+generating set hits the same entry, and since the table values depend only
+on the ideal, a hit returns what a recomputation would.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 from math import comb
 
 from .gb import GBError, module_gb, quotient_by_ideal, reduce_vector
-from .modules import GradedModule, Vector
+from .modules import GradedModule, Vector, memoized
 from .poly import (Poly, mon_deg, mon_divides, mon_mul, monomials_of_degree,
                    require)
 
@@ -108,14 +108,12 @@ def _lead_monomials_by_position(module: GradedModule):
     return by_pos
 
 
+@memoized()
 def hilbert_series(module: GradedModule):
     """Numerator N(t) of HS(M) = N(t)/(1−t)^n, as {exponent: coefficient}."""
-    if "series" not in module._cache:
-        by_pos = _lead_monomials_by_position(module)
-        module._cache["series"] = shifted_sum(
-            (1, twist, monomial_numerator(by_pos[pos]))
-            for pos, twist in enumerate(module.ambient.twists))
-    return module._cache["series"]
+    by_pos = _lead_monomials_by_position(module)
+    return shifted_sum((1, twist, monomial_numerator(by_pos[pos]))
+                       for pos, twist in enumerate(module.ambient.twists))
 
 
 def shifted_sum(parts):
@@ -350,14 +348,15 @@ def _rank_count(fld, rows, cap):
     return len(tails)
 
 
+@memoized()
 def _normal_forms(module: GradedModule):
     """nf(terms): the normal form against M's basis of a field-linear
     combination {term: coefficient} of terms of M's ambient, as such a dict.
 
     The normal form against a Groebner basis is unique, hence linear, so it
     is Σ c·NF(term).  Each NF(term) is one reduce_vector call on that
-    monomial, made once per module: the table lives on the module, next to
-    its basis.  Against an empty basis each term is its own normal form.
+    monomial, made once per module: nf and its table are memoized on it.
+    Against an empty basis each term is its own normal form.
     """
     gb = module_gb(module)
     if not gb.basis:
@@ -365,7 +364,7 @@ def _normal_forms(module: GradedModule):
     fld = module.ring.field
     zero, one = fld.zero(), fld.one()
     amb, lts = module.ambient, gb.leading_terms()
-    table = module._cache.setdefault("normal_forms", {})
+    table = {}
 
     def nf(terms):
         out = {}
@@ -484,6 +483,8 @@ class HilbertCoefficients:
 HS_N_MAX = 40  # the Hilbert-Samuel fit window ends at n = HS_N_MAX
 
 
+@memoized(lambda module, q_gens, fit_dim=None: (
+    qkey(q_gens), dim_module(module) if fit_dim is None else fit_dim))
 def hilbert_coefficients(module: GradedModule, q_gens,
                          fit_dim=None) -> HilbertCoefficients:
     """Stabilized coefficients e₀..e_r of n ↦ λ(M/Q^{n+1}M).
@@ -497,9 +498,6 @@ def hilbert_coefficients(module: GradedModule, q_gens,
     r = dim_module(module) if fit_dim is None else fit_dim
     if r == NEG_INF:
         raise HilbertError("zero module has no Hilbert coefficients")
-    key = ("coefficients", qkey(gens), r)
-    if key in module._cache:
-        return module._cache[key]
     colength(module, gens)
     products = _power_levels(gens)
     fit = fit_binomial(lambda n: _hs_value(module, products, n), r, 0, HS_N_MAX)
@@ -512,9 +510,7 @@ def hilbert_coefficients(module: GradedModule, q_gens,
         require(e[1] <= 0,
                 "first Hilbert coefficient of a parameter ideal must be <= 0")
     table = HilbertSamuelTable(values=values, N=len(values) - 1)
-    out = HilbertCoefficients(e=e, r=r, stabilized_at=n0, table=table)
-    module._cache[key] = out
-    return out
+    return HilbertCoefficients(e=e, r=r, stabilized_at=n0, table=table)
 
 
 # ---------------------------------------------------------------------------

@@ -14,32 +14,27 @@ from .gb import (GBError, annihilator, kernel_of_map, minimal_free_resolution,
                  minimal_presentation, quotient_module, subquotient)
 from .gb import is_zero_module
 from .hilbert import NEG_INF, dim_module, module_length
-from .modules import FreeModule, GradedModule, ModuleMap, Vector
+from .modules import FreeModule, GradedModule, ModuleMap, Vector, memoized
 from .poly import require
 
 POS_INF = float("inf")
+REGULAR_SEQUENCE_TRIES = 50  # random draws per form of a regular sequence
 
 
 class HomologyError(GBError):
     pass
 
 
+@memoized(lambda module, k: (k,))
 def ext_module(module: GradedModule, k: int) -> GradedModule:
     """Ext^k_S(M, S) from the dualized minimal free resolution."""
-    key = ("ext", k)
-    if key in module._cache:
-        return module._cache[key]
     ring = module.ring
     if is_zero_module(module) or k < 0:
-        out = GradedModule.free(ring, [])
-        module._cache[key] = out
-        return out
+        return GradedModule.free(ring, [])
     maps = minimal_free_resolution(module)
     pd = len(maps)
     if k > pd:
-        out = GradedModule.free(ring, [])
-        module._cache[key] = out
-        return out
+        return GradedModule.free(ring, [])
     duals = [m.transpose() for m in maps]  # duals[i] : F_i^* -> F_{i+1}^*
     if k < pd:
         ambient = duals[k].source
@@ -50,9 +45,7 @@ def ext_module(module: GradedModule, k: int) -> GradedModule:
             ambient = FreeModule(ring, [-t for t in ambient.twists])
         cycles = [ambient.basis(i) for i in range(ambient.rank)]
     boundaries = [c for c in duals[k - 1].columns()] if k >= 1 else []
-    out, _ = subquotient(cycles, boundaries, ambient)
-    module._cache[key] = out
-    return out
+    return subquotient(cycles, boundaries, ambient)[0]
 
 
 def ext_dual(module: GradedModule, j: int) -> GradedModule:
@@ -78,15 +71,12 @@ class CohomologyProfile:
         return self.depth == self.dim
 
 
+@memoized()
 def local_cohomology_lengths(module: GradedModule) -> CohomologyProfile:
     """Profile of h^j = λ(H^j_m(M)) for j < dim, with depth."""
-    if "profile" in module._cache:
-        return module._cache["profile"]
     r = dim_module(module)
     if r == NEG_INF:
-        out = CohomologyProfile(duals=[], h=[], depth=POS_INF, dim=NEG_INF)
-        module._cache["profile"] = out
-        return out
+        return CohomologyProfile(duals=[], h=[], depth=POS_INF, dim=NEG_INF)
     duals = []
     h = []
     dep = None
@@ -100,9 +90,7 @@ def local_cohomology_lengths(module: GradedModule) -> CohomologyProfile:
         if j < r:
             h.append(module_length(mj) if dj <= 0 else None)
     require(dep is not None, "top-dimensional dual of a nonzero module vanished")
-    out = CohomologyProfile(duals=duals, h=h, depth=dep, dim=r)
-    module._cache["profile"] = out
-    return out
+    return CohomologyProfile(duals=duals, h=h, depth=dep, dim=r)
 
 
 def depth(module: GradedModule):
@@ -123,7 +111,7 @@ def is_cohen_macaulay(module: GradedModule) -> bool:
 # unmixed component
 
 
-def _regular_sequence_in(polys, ring, count, rng, retries=50):
+def _regular_sequence_in(polys, ring, count, rng):
     """count forms inside the ideal (polys) cutting the dimension by count."""
     if count == 0:
         return []
@@ -131,7 +119,7 @@ def _regular_sequence_in(polys, ring, count, rng, retries=50):
     chosen = []
     d = ring.num_vars
     for i in range(count):
-        for attempt in range(retries):
+        for attempt in range(REGULAR_SEQUENCE_TRIES):
             f = ring.zero()
             for p in polys:
                 extra = target_deg - p.total_degree()
@@ -155,6 +143,7 @@ def _hom_into_ci_quotient(module: GradedModule, ci):
     return kernel_of_map(t, target_relations=t.target.ideal_multiples(ci)), pres
 
 
+@memoized()
 def unmixed_component(module: GradedModule):
     """(U, N): U the largest submodule of lower dimension, N = M/U.
 
@@ -162,14 +151,9 @@ def unmixed_component(module: GradedModule):
     intersection S/(f) ⊆ Ann(M) of codimension d − dim M; elements of U
     are exactly the ones killed by every hom into S/(f).
     """
-    key = "unmixed"
-    if key in module._cache:
-        return module._cache[key]
     ring = module.ring
     if is_zero_module(module):
-        out = (GradedModule.free(ring, []), module)
-        module._cache[key] = out
-        return out
+        return GradedModule.free(ring, []), module
     r = dim_module(module)
     c = ring.num_vars - r
     ci = (_regular_sequence_in(annihilator(module), ring, c, random.Random(7))
@@ -192,10 +176,7 @@ def unmixed_component(module: GradedModule):
     u_gens = kernel_of_map(psi, target_relations=target.ideal_multiples(ci))
     w = pres.relations()
     u_mod, _ = subquotient(u_gens, w, amb)
-    n_mod = quotient_module(pres, u_gens)
-    out = (u_mod, n_mod)
-    module._cache[key] = out
-    return out
+    return u_mod, quotient_module(pres, u_gens)
 
 
 def is_unmixed(module: GradedModule) -> bool:

@@ -11,7 +11,7 @@ from .hilbert import (NEG_INF, colength, dim_module, hilbert_coefficients,
                       module_length, qkey)
 from .homology import local_cohomology_lengths
 from .koszul import chi1_serre
-from .modules import GradedModule
+from .modules import GradedModule, memoized
 from .poly import require
 
 
@@ -29,25 +29,15 @@ def multiplicity(module: GradedModule, q_gens) -> int:
     return hilbert_coefficients(module, list(q_gens)).e[0]
 
 
+@memoized(lambda module, q_gens: (qkey(q_gens),))
 def hdeg(module: GradedModule, q_gens) -> int:
     """Homological degree: e₀ plus binomially weighted hdeg of the duals."""
-    gens = list(q_gens)
-    key = ("hdeg", qkey(gens))
-    if key in module._cache:
-        return module._cache[key]
     r = dim_module(module)
-    if r == NEG_INF:
-        out = 0
-    elif r <= 0:
-        out = module_length(module)
-    else:
-        prof = local_cohomology_lengths(module)
-        out = multiplicity(module, gens)
-        for j in range(r):
-            sub = hdeg(prof.duals[j], gens)
-            out += comb(r - 1, j) * sub
-    module._cache[key] = out
-    return out
+    if r <= 0:
+        return module_length(module)  # 0 for the zero module
+    duals = local_cohomology_lengths(module).duals
+    return multiplicity(module, q_gens) + sum(
+        comb(r - 1, j) * hdeg(duals[j], q_gens) for j in range(r))
 
 
 def torsion(module: GradedModule, q_gens, i: int) -> int:

@@ -61,7 +61,8 @@ JOB_SCHEMA = {
                     "h": {"type": "string"},
                     "N": {"type": "integer", "minimum": 0},
                     "forms": _POLY_LIST,
-                    "powers": {"type": "array", "items": {"type": "integer"}},
+                    "powers": {"type": "array",
+                               "items": {"type": "integer", "minimum": 1}},
                     "columns": {"type": "array", "items": _POLY_LIST},
                     "ring_relations": _POLY_LIST,
                 },
@@ -142,6 +143,11 @@ def build_job(raw, default_char=32003, seed_override=None) -> Job:
     module = GradedModule.from_relations(amb, rels)
     ideals = {name: [ring.poly(s) for s in polys]
               for name, polys in raw.get("ideals", {}).items()}
+    for name, polys in ideals.items():
+        for p in polys:  # every op reads an ideal as forms in the maximal ideal
+            if p.is_zero() or not p.is_homogeneous() or p.total_degree() == 0:
+                raise JobError("ideal %r: generator %r is not a nonzero "
+                               "form of positive degree" % (name, p))
     sspec = dict(raw.get("sample", {}))
     if seed_override is not None:
         sspec["seed"] = seed_override
@@ -193,7 +199,10 @@ def _parameter_module(job: Job, spec):
     else:
         rels = [job.ring.poly(s) for s in rels]
     cols = [[job.ring.poly(s) for s in col] for col in spec["columns"]]
-    return brim.make_parameter_module(job.ring, rels, cols)
+    try:
+        return brim.make_parameter_module(job.ring, rels, cols)
+    except brim.BrimError as exc:
+        raise JobError("invalid Buchsbaum-Rim columns: %s" % exc) from exc
 
 
 def execute_op(job: Job, opspec):

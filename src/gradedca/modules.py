@@ -9,6 +9,8 @@ poly.grevlex_key, so the smallest key is the leading term.
 
 from __future__ import annotations
 
+from functools import wraps
+
 from .poly import (Poly, PolyRing, PolyError, RingMismatch, SparseTerms,
                    grevlex_key, mon_deg, mon_mul)
 
@@ -207,11 +209,27 @@ class ModuleMap:
         return f"ModuleMap({self.source.rank} -> {self.target.rank})"
 
 
+def memoized(key=lambda module: ()):
+    """Decorator: f(module, …) is computed once and kept in module._cache
+    under (f.__name__,) + key(module, …); key has f's signature."""
+    def decorate(f):
+        name = (f.__name__,)
+
+        @wraps(f)
+        def cached(module, *args, **kwargs):
+            k = name + key(module, *args, **kwargs)
+            if k not in module._cache:
+                module._cache[k] = f(module, *args, **kwargs)
+            return module._cache[k]
+        return cached
+    return decorate
+
+
 class GradedModule:
     """Finitely presented graded module: cokernel of a graded map.
 
-    Immutable; expensive derived data (Groebner basis of the relation
-    submodule, dimension, resolutions, Ext duals) is cached lazily.
+    Immutable; expensive derived data (Groebner basis, series,
+    resolution, Ext duals, quotients M/QM) is kept on it by memoized.
     """
 
     def __init__(self, presentation: ModuleMap):

@@ -116,15 +116,17 @@ def lambda_sweep(module: GradedModule, base_sop, powers):
     return out
 
 
-def random_parameter_module(ring, ring_rels, rank, rng, degree=1,
-                            retry_limit=50):
-    """A sampled parameter module: d + r − 1 random columns of forms with
-    finite colength."""
+MODULE_TRIES = 50  # draws of a parameter module before giving up
+
+
+def random_parameter_module(ring, ring_rels, rank, rng):
+    """A sampled parameter module: d + r − 1 random columns of linear forms
+    with finite colength."""
     base = GradedModule.quotient_ring(ring, list(ring_rels))
     d = dim_module(base)
     m = d + rank - 1
-    for _ in range(retry_limit):
-        cols = [[ring.random_form(degree, rng) for _ in range(rank)]
+    for _ in range(MODULE_TRIES):
+        cols = [[ring.random_form(1, rng) for _ in range(rank)]
                 for _ in range(m)]
         try:
             pm = make_parameter_module(ring, ring_rels, cols)
@@ -133,4 +135,4 @@ def random_parameter_module(ring, ring_rels, rank, rng, degree=1,
         if pm.colength is not None:
             return pm
     raise SamplerError("failed to sample a parameter module in %d tries"
-                       % retry_limit)
+                       % MODULE_TRIES)

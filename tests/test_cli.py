@@ -294,3 +294,53 @@ def test_check_reports_an_invariant_violation_as_a_row(tmp_path, capsys,
     assert failing == [{"instance": "a", "check": "error:InvariantViolation",
                         "passed": False,
                         "detail": "leading Hilbert coefficient must be positive"}]
+
+
+def _mixed_line(ideals=None, ops=()):
+    raw = json.loads(open(os.path.join(CORPUS, "mixed-line.json")).read())
+    if ideals is not None:
+        raw["ideals"] = ideals
+    raw["ops"] = list(ops)
+    return raw
+
+
+BAD_INPUTS = [
+    ({"U": ["1"]}, {"op": "hilbert-coefficients", "ideal": "U"}),
+    ({"U": ["1"]}, {"op": "hdeg", "ideal": "U"}),
+    ({"U": ["1"]}, {"op": "hilbert-samuel", "ideal": "U"}),
+    ({"U": ["1"]}, {"op": "koszul-homology", "ideal": "U"}),
+    ({"U": ["0", "y"]}, {"op": "hilbert-coefficients", "ideal": "U"}),
+    ({"U": ["x+y^2"]}, {"op": "koszul-homology", "ideal": "U"}),
+    ({"U": ["x+y^2"]}, {"op": "hilbert-coefficients", "ideal": "U"}),
+    (None, {"op": "lambda-sweep", "ideal": "Q", "powers": [0]}),
+    (None, {"op": "lambda-sweep", "ideal": "Q", "powers": [-1]}),
+    (None, {"op": "buchsbaum-rim", "columns": [["x", "y"], ["y"]]}),
+    (None, {"op": "buchsbaum-rim", "columns": [["1"], ["y"]]}),
+]
+
+
+@pytest.mark.parametrize("ideals,op", BAD_INPUTS)
+def test_bad_ideal_or_matrix_exits_2(tmp_path, capsys, ideals, op):
+    # a unit, zero or inhomogeneous ideal generator, a power below 1 and a
+    # malformed column matrix are invalid input, not computation errors
+    path = write_job(tmp_path, _mixed_line(ideals, [op]))
+    code, out, err = run_main(["compute", path, "--no-timings"], capsys)
+    assert code == 2 and "invalid job" in err and out == ""
+
+
+@pytest.mark.parametrize("columns", [[["x", "x"], ["x"]], [["1"], ["x"]]])
+def test_check_bad_brim_columns_exits_2(tmp_path, capsys, columns):
+    shutil.copy(os.path.join(CORPUS, "ci-points.json"), tmp_path / "good.json")
+    raw = json.loads(open(os.path.join(CORPUS, "brim-line.json")).read())
+    raw["brim"]["columns"] = columns
+    (tmp_path / "bad.json").write_text(json.dumps(raw))
+    code, _, err = run_main(["check", str(tmp_path)], capsys)
+    assert code == 2 and "invalid Buchsbaum-Rim columns" in err
+
+
+def test_check_bad_ideal_exits_2(tmp_path, capsys):
+    shutil.copy(os.path.join(CORPUS, "ci-points.json"), tmp_path / "good.json")
+    raw = _mixed_line({"U": ["1"]}, [{"op": "hdeg", "ideal": "U"}])
+    (tmp_path / "bad.json").write_text(json.dumps(raw))
+    code, _, err = run_main(["check", str(tmp_path)], capsys)
+    assert code == 2 and "ideal 'U'" in err

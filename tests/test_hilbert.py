@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gradedca import gb as gbmod
 from gradedca import hilbert as hb
+from gradedca import homology, invariants
 from gradedca.gb import module_gb, quotient_by_ideal, reduce_vector
 from gradedca.jobio import build_job
 from gradedca.modules import FreeModule, GradedModule
@@ -430,6 +432,60 @@ def test_multiplicity_shares_the_coefficients_entry(monkeypatch, ring3):
     del calls[:]
     assert multiplicity(module, [z, x + y]) == e[0] == 2
     assert calls == []
+
+
+MEMOIZED = [(gbmod.module_gb, ()), (gbmod.annihilator, ()),
+            (gbmod.minimal_presentation, ()),
+            (gbmod.minimal_free_resolution, ()),
+            (gbmod.quotient_by_ideal, ([Y],)), (hb.hilbert_series, ()),
+            (hb._normal_forms, ()), (hb.hilbert_coefficients, ([Y],)),
+            (homology.ext_module, (1,)),
+            (homology.local_cohomology_lengths, ()),
+            (homology.unmixed_component, ()), (invariants.hdeg, ([Y],))]
+
+
+@pytest.mark.parametrize("fn,args", MEMOIZED,
+                         ids=[fn.__name__ for fn, _ in MEMOIZED])
+def test_memoized_call_returns_the_stored_object(fn, args):
+    module = GradedModule.quotient_ring(RING, [X ** 2, X * Y])
+    first = fn(module, *args)
+    assert fn(module, *args) is first
+    assert [k for k in module._cache if k[0] == fn.__name__]
+
+
+def test_second_colength_runs_no_buchberger(monkeypatch):
+    calls = []
+    original = gbmod.buchberger
+
+    def counted(gens):
+        calls.append(gens)
+        return original(gens)
+    monkeypatch.setattr(gbmod, "buchberger", counted)
+    module = GradedModule.quotient_ring(RING, [X ** 2, X * Y])
+    assert hb.colength(module, [Y]) == 2
+    assert calls
+    del calls[:]
+    assert hb.colength(module, [Y]) == 2
+    assert calls == []
+
+
+def test_coefficients_memo_ignores_generator_order_and_default_fit(ring3):
+    x, y, z = ring3.gens()
+    module = GradedModule.quotient_ring(ring3, [x * y - z ** 2])
+    first = hb.hilbert_coefficients(module, [x + y, z])
+    assert hb.hilbert_coefficients(module, [z, x + y]) is first
+    assert hb.hilbert_coefficients(module, [z, x + y], fit_dim=2) is first
+
+
+def test_quotient_memo_keeps_generator_order(ring3):
+    x, y, z = ring3.gens()
+    module = GradedModule.quotient_ring(ring3, [x * y - z ** 2])
+    ab = quotient_by_ideal(module, [x + y, z])
+    ba = quotient_by_ideal(module, [z, x + y])
+    assert ab is not ba
+    assert quotient_by_ideal(module, [x + y, z]) is ab
+    assert quotient_by_ideal(module, [z, x + y]) is ba
+    assert hb.module_length(ab) == hb.module_length(ba) == 2
 
 
 def test_infinite_colength_raises_on_every_call():
