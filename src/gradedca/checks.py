@@ -151,8 +151,7 @@ def check_instance(job: Job):
         detail = ""
         for _ in range(5):
             try:
-                q = sampler.random_parameter_ideal(m, [1] * r, rng,
-                                                   job.sample.retry_limit)
+                q = sampler.random_parameter_ideal(m, [1] * r, rng)
             except (hb.HilbertError, sampler.SamplerError):
                 detail = "no linear sop"
                 break
@@ -177,8 +176,7 @@ def check_instance(job: Job):
         found = None
         for _ in range(5):
             try:
-                q = sampler.random_parameter_ideal(m, [1] * r, rng,
-                                                   job.sample.retry_limit)
+                q = sampler.random_parameter_ideal(m, [1] * r, rng)
             except (hb.HilbertError, sampler.SamplerError):
                 break
             if invariants.is_d_sequence(m, q.gens):

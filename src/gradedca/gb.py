@@ -193,10 +193,6 @@ class SubmoduleGB:
         return not self.basis
 
 
-def _embed(v: Vector, block: FreeModule, offset: int):
-    return Vector(block, {(i + offset, m): c for (i, m), c in v.terms.items()})
-
-
 def kernel_of_map(f: ModuleMap, target_relations=()):
     """Generators of ker(source -> target/<target_relations>).
 
@@ -207,10 +203,10 @@ def kernel_of_map(f: ModuleMap, target_relations=()):
     """
     offset = f.target.rank
     block = FreeModule(f.source.ring, f.target.twists + f.source.twists)
-    gens = [_embed(f.column(j), block, 0) + _embed(f.source.basis(j), block, offset)
-            for j in range(f.source.rank)]
-    gens += [_embed(w, block, 0) for w in target_relations]
-    return [Vector(f.source, {(i - offset, m): c for (i, m), c in b.terms.items()})
+    gens = [block.embed(col) + block.basis(offset + j)
+            for j, col in enumerate(f.columns())]
+    gens += [block.embed(w) for w in target_relations]
+    return [f.source.embed(b, -offset)
             for b in buchberger(gens) if all(i >= offset for i, _ in b.terms)]
 
 
@@ -222,9 +218,9 @@ def colon_submodule(n_gens, f: Poly, ambient: FreeModule):
         raise GBError("colon by inhomogeneous element")
     d = f.total_degree()
     shifted = FreeModule(ambient.ring, [t + d for t in ambient.twists])
-    mul = ModuleMap.from_columns(shifted, ambient, ambient.ideal_multiples([f]))
+    mul = ModuleMap(shifted, ambient, ambient.ideal_multiples([f]))
     ker = kernel_of_map(mul, target_relations=list(n_gens))
-    return [Vector(ambient, dict(k.terms)) for k in ker]
+    return [ambient.embed(k) for k in ker]
 
 
 @memoized()
@@ -241,9 +237,9 @@ def annihilator(module: GradedModule):
     rank = amb.rank
     target = FreeModule(ring, [t - tb for tb in amb.twists for t in amb.twists])
     diagonal = sum((target.basis(b * rank + b) for b in range(rank)), target.zero())
-    f = ModuleMap.from_columns(FreeModule(ring, [0]), target, [diagonal])
+    f = ModuleMap(FreeModule(ring, [0]), target, [diagonal])
     rels = module.relations()
-    blocks = [_embed(w, target, b * rank) for b in range(rank) for w in rels]
+    blocks = [target.embed(w, b * rank) for b in range(rank) for w in rels]
     return [k.coordinates()[0] for k in kernel_of_map(f, target_relations=blocks)]
 
 
@@ -289,51 +285,37 @@ def quotient_by_ideal(module: GradedModule, polys) -> GradedModule:
 
 
 def minimize_presentation(pres: ModuleMap) -> ModuleMap:
-    """Cancel unit entries and redundant columns; result has entries in m."""
+    """Cancel unit entries and redundant columns; result has entries in m.
+
+    Each round takes the first column with a unit entry, at its lowest
+    position i, clears coordinate i from the other columns with it, and
+    drops that column and e_i.
+    """
     ring = pres.source.ring
-    target_twists = list(pres.target.twists)
-    columns = [c for c in pres.columns() if not c.is_zero()]
+    fld = ring.field
+    amb = pres.target
+    columns = pres.columns()
     while True:
         columns = minimal_generators(columns)
-        unit = None
-        for j, col in enumerate(columns):
-            for (i, m), c in col.terms.items():
-                if mon_deg(m) == 0:
-                    unit = (i, j, c)
-                    break
-            if unit:
-                break
-        if unit is None:
+        j = next((j for j, col in enumerate(columns)
+                  if any(mon_deg(m) == 0 for _, m in col.terms)), None)
+        if j is None:
             break
-        i, j, c = unit
-        fld = ring.field
-        pivot = columns[j]
-        new_cols = []
-        for k, col in enumerate(columns):
-            if k == j:
-                continue
+        pivot = columns.pop(j)
+        i = min(p for p, m in pivot.terms if mon_deg(m) == 0)
+        inv = fld.inv(pivot.terms[(i, ring.zero_mon)])
+        amb = FreeModule(ring, amb.twists[:i] + amb.twists[i + 1:])
+        kept = []
+        for col in columns:
             # clear the whole i-th coordinate, not just the constant part
-            coord = col.coordinates()[i]
-            if not coord.is_zero():
-                factor = coord.scale(fld.inv(c))
-                col = col - pivot.poly_mul(factor)
-            new_cols.append(col)
-        # drop target coordinate i
-        del target_twists[i]
-        new_amb = FreeModule(ring, target_twists)
-        def drop(v):
-            terms = {}
-            for (p, m), cc in v.terms.items():
-                if p == i:
-                    continue
-                terms[(p - 1 if p > i else p, m)] = cc
-            return Vector(new_amb, terms)
-        columns = [drop(col) for col in new_cols]
-        columns = [col for col in columns if not col.is_zero()]
-    new_amb = FreeModule(ring, target_twists)
-    columns = [Vector(new_amb, dict(c.terms)) for c in columns]
+            coord = Poly(ring, {m: c for (p, m), c in col.terms.items() if p == i})
+            if coord.terms:
+                col = col - pivot.poly_mul(coord.scale(inv))
+            kept.append(Vector(amb, {(p - 1 if p > i else p, m): c
+                                     for (p, m), c in col.terms.items() if p != i}))
+        columns = kept
     src = FreeModule(ring, [c.degree() for c in columns])
-    return ModuleMap.from_columns(src, new_amb, columns)
+    return ModuleMap(src, amb, columns)
 
 
 @memoized()
@@ -363,7 +345,7 @@ def minimal_free_resolution(module: GradedModule):
         if not ker:
             break
         src = FreeModule(module.ring, [k.degree() for k in ker])
-        maps.append(ModuleMap.from_columns(src, last.source, ker))
+        maps.append(ModuleMap(src, last.source, ker))
     return maps
 
 
@@ -401,8 +383,8 @@ def subquotient(k_gens, i_gens, ambient: FreeModule):
     if not kept:
         return GradedModule.free(ambient.ring, []), []
     g0 = FreeModule(ambient.ring, [g.degree() for g in kept])
-    psi = ModuleMap.from_columns(g0, ambient, kept)
+    psi = ModuleMap(g0, ambient, kept)
     rels = kernel_of_map(psi, target_relations=i_gens)
     rels = [r for r in rels if not r.is_zero()]
     src = FreeModule(ambient.ring, [r.degree() for r in rels])
-    return GradedModule(ModuleMap.from_columns(src, g0, rels)), kept
+    return GradedModule(ModuleMap(src, g0, rels)), kept

@@ -14,7 +14,7 @@ from .gb import (GBError, annihilator, kernel_of_map, minimal_free_resolution,
                  minimal_presentation, quotient_module, subquotient)
 from .gb import is_zero_module
 from .hilbert import NEG_INF, dim_module, module_length
-from .modules import FreeModule, GradedModule, ModuleMap, Vector, memoized
+from .modules import FreeModule, GradedModule, ModuleMap, memoized
 from .poly import require
 
 POS_INF = float("inf")
@@ -44,7 +44,7 @@ def ext_module(module: GradedModule, k: int) -> GradedModule:
         if pd == 0:
             ambient = FreeModule(ring, [-t for t in ambient.twists])
         cycles = [ambient.basis(i) for i in range(ambient.rank)]
-    boundaries = [c for c in duals[k - 1].columns()] if k >= 1 else []
+    boundaries = duals[k - 1].columns() if k >= 1 else []
     return subquotient(cycles, boundaries, ambient)[0]
 
 
@@ -159,23 +159,15 @@ def unmixed_component(module: GradedModule):
     ci = (_regular_sequence_in(annihilator(module), ring, c, random.Random(7))
           if c else [])
     homs, pres = _hom_into_ci_quotient(module, ci)
-    amb = pres.ambient
     if not homs:
         # no homs at all: everything is lower-dimensional torsion over S/(f)
         raise HomologyError("dual over the complete intersection is zero")
-    target = FreeModule(ring, [-h.degree() for h in homs])
-    cols = []
-    for b in range(amb.rank):
-        terms = {}
-        for i, h in enumerate(homs):
-            coord = h.coordinates()[b]
-            for m, cc in coord.terms.items():
-                terms[(i, m)] = cc
-        cols.append(Vector(target, terms))
-    psi = ModuleMap.from_columns(amb, target, cols)
-    u_gens = kernel_of_map(psi, target_relations=target.ideal_multiples(ci))
-    w = pres.relations()
-    u_mod, _ = subquotient(u_gens, w, amb)
+    # evaluation at the homs, F₀ → ⊕_h S(deg h), is the transpose of the
+    # map whose columns are the homs
+    hom_source = FreeModule(ring, [h.degree() for h in homs])
+    psi = ModuleMap(hom_source, homs[0].module, homs).transpose()
+    u_gens = kernel_of_map(psi, target_relations=psi.target.ideal_multiples(ci))
+    u_mod, _ = subquotient(u_gens, pres.relations(), pres.ambient)
     return u_mod, quotient_module(pres, u_gens)
 
 

@@ -60,7 +60,6 @@ JOB_SCHEMA = {
                     "ideal": {"type": "string"},
                     "h": {"type": "string"},
                     "N": {"type": "integer", "minimum": 0},
-                    "forms": _POLY_LIST,
                     "powers": {"type": "array",
                                "items": {"type": "integer", "minimum": 1}},
                     "columns": {"type": "array", "items": _POLY_LIST},
@@ -76,7 +75,6 @@ JOB_SCHEMA = {
                 "count": {"type": "integer", "minimum": 1},
                 "degree_bounds": {"type": "array",
                                   "items": {"type": "integer", "minimum": 1}},
-                "retry_limit": {"type": "integer", "minimum": 1},
             },
         },
         "brim": {
@@ -122,6 +120,14 @@ class Job:
     name: str
 
 
+def _positive_form(p, what):
+    """p, when it is a nonzero form of positive degree; else JobError."""
+    if p.is_zero() or not p.is_homogeneous() or p.total_degree() == 0:
+        raise JobError("%s %r is not a nonzero form of positive degree"
+                       % (what, p))
+    return p
+
+
 def build_job(raw, default_char=32003, seed_override=None) -> Job:
     validate_job(raw)
     rspec = raw["ring"]
@@ -141,13 +147,10 @@ def build_job(raw, default_char=32003, seed_override=None) -> Job:
                            % (len(row), len(twists)))
         rels.append(amb.element([ring.poly(s) for s in row]))
     module = GradedModule.from_relations(amb, rels)
-    ideals = {name: [ring.poly(s) for s in polys]
+    # every op reads an ideal as forms in the maximal ideal
+    ideals = {name: [_positive_form(ring.poly(s), "ideal %r: generator" % name)
+                     for s in polys]
               for name, polys in raw.get("ideals", {}).items()}
-    for name, polys in ideals.items():
-        for p in polys:  # every op reads an ideal as forms in the maximal ideal
-            if p.is_zero() or not p.is_homogeneous() or p.total_degree() == 0:
-                raise JobError("ideal %r: generator %r is not a nonzero "
-                               "form of positive degree" % (name, p))
     sspec = dict(raw.get("sample", {}))
     if seed_override is not None:
         sspec["seed"] = seed_override
@@ -247,10 +250,11 @@ def execute_op(job: Job, opspec):
         return plain(invariants.check_chi1_hdeg_bound(m, _ideal(job, opspec)))
     if op == "superficial-check":
         gens = _ideal(job, opspec)
-        q = hb.make_parameter_ideal(m, gens)
         if "h" not in opspec:
             raise JobError("superficial-check requires an 'h' field")
-        return plain(hb.superficial_check(m, q, job.ring.poly(opspec["h"])))
+        h = _positive_form(job.ring.poly(opspec["h"]), "superficial-check: h")
+        q = hb.make_parameter_ideal(m, gens)
+        return plain(hb.superficial_check(m, q, h))
     if op == "d-sequence":
         return invariants.is_d_sequence(m, _ideal(job, opspec))
     if op == "hilbert-characteristic":

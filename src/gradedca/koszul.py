@@ -40,36 +40,34 @@ def koszul_stage(module: GradedModule, forms, i):
 
 
 def koszul_differential(module: GradedModule, forms, i) -> ModuleMap:
-    """d_i : F₀ ⊗ Λ^i → F₀ ⊗ Λ^{i−1}."""
+    """d_i : F₀ ⊗ Λ^i → F₀ ⊗ Λ^{i−1}.
+
+    The column of e_b ⊗ e_T is Σ_j (−1)^j x_{T_j}·e_b ⊗ e_{T∖T_j}, whose
+    summands sit at distinct positions.
+    """
     r = len(forms)
-    amb = module.ambient
-    f = amb.rank
+    f = module.ambient.rank
+    fld = module.ring.field
     src = koszul_stage(module, forms, i)
     tgt = koszul_stage(module, forms, i - 1)
     lower = {T: k for k, T in enumerate(_subsets(r, i - 1))}
     cols = []
     for T in _subsets(r, i):
         for b in range(f):
-            col = tgt.zero()
+            terms = {}
             for j, s in enumerate(T):
-                rest = T[:j] + T[j + 1:]
-                pos = lower[rest] * f + b
-                term = tgt.basis(pos).poly_mul(forms[s])
-                col = col + (term if j % 2 == 0 else -term)
-            cols.append(col)
-    return ModuleMap.from_columns(src, tgt, cols)
+                pos = lower[T[:j] + T[j + 1:]] * f + b
+                for m, c in forms[s].terms.items():
+                    terms[(pos, m)] = c if j % 2 == 0 else fld.neg(c)
+            cols.append(Vector(tgt, terms))
+    return ModuleMap(src, tgt, cols)
 
 
 def _stage_relations(module: GradedModule, stage: FreeModule, i, r):
     """Relations of M carried into every exterior block of the stage."""
     f = module.ambient.rank
-    rels = module.relations()
-    out = []
-    for blk in range(len(_subsets(r, i))):
-        for w in rels:
-            terms = {(blk * f + p, m): c for (p, m), c in w.terms.items()}
-            out.append(Vector(stage, terms))
-    return out
+    return [stage.embed(w, blk * f)
+            for blk in range(len(_subsets(r, i))) for w in module.relations()]
 
 
 @dataclass

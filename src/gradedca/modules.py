@@ -4,7 +4,10 @@ A vector in a free module F = ⊕ S(-twist_i) is a sparse dict
 (position, monomial) -> coefficient.  The degree of a term (i, m) is
 deg(m) + twists[i]; homogeneous vectors have all terms in one degree.
 Terms are ordered position over term: term_key, the position followed by
-poly.grevlex_key, so the smallest key is the leading term.
+poly.grevlex_key, so the smallest key is the leading term.  A map is kept
+as its columns, the images of the source basis, and a presentation is the
+map whose columns are the relations.  FreeModule.embed is the one place a
+vector moves into another free module, as into a block of a larger one.
 """
 
 from __future__ import annotations
@@ -35,6 +38,10 @@ class FreeModule:
         """Generators p·e_i of I·F for I = (polys), p outer and i inner."""
         return [Vector(self, {(i, m): c for m, c in p.terms.items()})
                 for p in polys for i in range(self.rank)]
+
+    def embed(self, v, offset=0):
+        """v's terms moved into this module, position i to i + offset."""
+        return Vector(self, {(i + offset, m): c for (i, m), c in v.terms.items()})
 
     def element(self, polys):
         """Vector from a list of rank Poly coordinates."""
@@ -142,68 +149,68 @@ class Vector(SparseTerms):
 
 
 class ModuleMap:
-    """Graded map between free modules, matrix of polynomials.
+    """Graded map between free modules, kept as its columns.
 
-    matrix[i][j] is the i-th coordinate of the image of source basis j.
+    columns[j] is the image of source basis vector e_j: a vector of target,
+    zero or homogeneous of degree source.twists[j].  matrix[i][j] is its
+    i-th coordinate.
     """
 
-    def __init__(self, source: FreeModule, target: FreeModule, matrix):
+    def __init__(self, source: FreeModule, target: FreeModule, columns):
         self.source = source
         self.target = target
-        self.matrix = [list(row) for row in matrix]
-        if len(self.matrix) != target.rank or any(len(r) != source.rank
-                                                  for r in self.matrix):
-            raise PolyError("matrix shape does not match ranks")
-        for i in range(target.rank):
-            for j in range(source.rank):
-                entry = self.matrix[i][j]
-                if entry.is_zero():
-                    continue
-                want = source.twists[j] - target.twists[i]
-                if not entry.is_homogeneous() or entry.total_degree() != want:
-                    raise PolyError(
-                        f"entry ({i},{j}) not homogeneous of degree {want}")
+        self._columns = list(columns)
+        if len(self._columns) != source.rank:
+            raise PolyError("column count does not match source rank")
+        for j, col in enumerate(self._columns):
+            if col.module != target:
+                raise RingMismatch(f"column {j} is not in the target module")
+            want = source.twists[j]
+            if any(col.term_degree(t) != want for t in col.terms):
+                raise PolyError(f"column {j} not homogeneous of degree {want}")
 
-    @classmethod
-    def from_columns(cls, source, target, columns):
-        ring = target.ring
-        matrix = [[ring.zero()] * source.rank for _ in range(target.rank)]
-        for j, col in enumerate(columns):
-            for i, p in enumerate(col.coordinates()):
-                matrix[i][j] = p
-        return cls(source, target, matrix)
+    @property
+    def matrix(self):
+        """Rows of Poly entries, built from the columns on each read."""
+        coords = [c.coordinates() for c in self._columns]
+        return [[col[i] for col in coords] for i in range(self.target.rank)]
 
     def column(self, j):
-        return self.target.element([self.matrix[i][j]
-                                    for i in range(self.target.rank)])
+        return self._columns[j]
 
     def columns(self):
-        return [self.column(j) for j in range(self.source.rank)]
+        return list(self._columns)
 
     def apply(self, v: Vector) -> Vector:
         if v.module != self.source:
             raise RingMismatch("vector not in source module")
         out = self.target.zero()
         for (j, m), c in v.terms.items():
-            out = out + self.column(j).mul_term(m, c)
+            out = out + self._columns[j].mul_term(m, c)
         return out
 
     def transpose(self):
-        """Dual map Hom(target, S) -> Hom(source, S); twists negate."""
+        """Dual map Hom(target, S) -> Hom(source, S); twists negate.
+
+        Column i of the dual holds the terms at position i of every column,
+        position j for column j.
+        """
         ring = self.source.ring
         dual_src = FreeModule(ring, [-t for t in self.target.twists])
         dual_tgt = FreeModule(ring, [-t for t in self.source.twists])
-        matrix = [[self.matrix[i][j] for i in range(self.target.rank)]
-                  for j in range(self.source.rank)]
-        return ModuleMap(dual_src, dual_tgt, matrix)
+        rows = [{} for _ in range(self.target.rank)]
+        for j, col in enumerate(self._columns):
+            for (i, m), c in col.terms.items():
+                rows[i][(j, m)] = c
+        return ModuleMap(dual_src, dual_tgt, [Vector(dual_tgt, r) for r in rows])
 
     def compose(self, other):
         """self ∘ other."""
-        cols = [self.apply(other.column(j)) for j in range(other.source.rank)]
-        return ModuleMap.from_columns(other.source, self.target, cols)
+        return ModuleMap(other.source, self.target,
+                         [self.apply(c) for c in other._columns])
 
     def is_zero(self):
-        return all(e.is_zero() for row in self.matrix for e in row)
+        return not any(c.terms for c in self._columns)
 
     def __repr__(self):
         return f"ModuleMap({self.source.rank} -> {self.target.rank})"
@@ -248,7 +255,7 @@ class GradedModule:
                 raise PolyError("relations must be homogeneous")
             twists.append(r.degree())
         source = FreeModule(ambient.ring, twists)
-        return cls(ModuleMap.from_columns(source, ambient, rels))
+        return cls(ModuleMap(source, ambient, rels))
 
     @classmethod
     def quotient_ring(cls, ring: PolyRing, polys):
@@ -261,7 +268,7 @@ class GradedModule:
     def free(cls, ring: PolyRing, twists=(0,)):
         ambient = FreeModule(ring, twists)
         source = FreeModule(ring, [])
-        return cls(ModuleMap(source, ambient, [[] for _ in range(ambient.rank)]))
+        return cls(ModuleMap(source, ambient, []))
 
     def relations(self):
         return self.presentation.columns()
@@ -270,13 +277,9 @@ class GradedModule:
         if self.ring != other.ring:
             raise RingMismatch("direct sum over different rings")
         amb = FreeModule(self.ring, self.ambient.twists + other.ambient.twists)
-        rels = []
-        for r in self.relations():
-            rels.append(Vector(amb, dict(r.terms)))
         shift = self.ambient.rank
-        for r in other.relations():
-            rels.append(Vector(amb, {(i + shift, m): c
-                                     for (i, m), c in r.terms.items()}))
+        rels = ([amb.embed(r) for r in self.relations()]
+                + [amb.embed(r, shift) for r in other.relations()])
         return GradedModule.from_relations(amb, rels)
 
     def __repr__(self):

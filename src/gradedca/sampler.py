@@ -18,6 +18,10 @@ from .modules import GradedModule
 from .poly import require
 
 
+IDEAL_TRIES = 50  # draws of a parameter ideal before giving up
+MODULE_TRIES = 50  # draws of a parameter module before giving up
+
+
 class SamplerError(GBError):
     pass
 
@@ -27,14 +31,12 @@ class SampleConfig:
     seed: int = 1
     count: int = 25
     degree_bounds: tuple = (1, 2)
-    retry_limit: int = 50
 
     def rng(self):
         return random.Random(self.seed)
 
 
-def random_parameter_ideal(module: GradedModule, degrees, rng,
-                           retry_limit=50) -> ParameterIdeal:
+def random_parameter_ideal(module: GradedModule, degrees, rng) -> ParameterIdeal:
     """Random forms of the given degrees, retried until the quotient is
     Artinian."""
     r = dim_module(module)
@@ -42,7 +44,7 @@ def random_parameter_ideal(module: GradedModule, degrees, rng,
         raise SamplerError("need %s degrees for a parameter ideal, got %s"
                            % (r, len(degrees)))
     ring = module.ring
-    for _ in range(retry_limit):
+    for _ in range(IDEAL_TRIES):
         gens = [ring.random_form(d, rng) for d in degrees]
         if any(g.is_zero() for g in gens):
             continue
@@ -51,7 +53,7 @@ def random_parameter_ideal(module: GradedModule, degrees, rng,
         except HilbertError:
             continue
     raise SamplerError("failed to sample a parameter ideal in %d tries "
-                       "(degenerate module or field too small)" % retry_limit)
+                       "(degenerate module or field too small)" % IDEAL_TRIES)
 
 
 def sample_parameter_ideals(module: GradedModule, cfg: SampleConfig):
@@ -63,8 +65,7 @@ def sample_parameter_ideals(module: GradedModule, cfg: SampleConfig):
     out = []
     for _ in range(cfg.count):
         degrees = [rng.choice(list(cfg.degree_bounds)) for _ in range(r)]
-        out.append(random_parameter_ideal(module, degrees, rng,
-                                          cfg.retry_limit))
+        out.append(random_parameter_ideal(module, degrees, rng))
     return out
 
 
@@ -114,9 +115,6 @@ def lambda_sweep(module: GradedModule, base_sop, powers):
         e = hilbert_coefficients(module, q.gens).e
         out.append((ell, e[1] if len(e) > 1 else 0))
     return out
-
-
-MODULE_TRIES = 50  # draws of a parameter module before giving up
 
 
 def random_parameter_module(ring, ring_rels, rank, rng):

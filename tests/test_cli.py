@@ -90,9 +90,11 @@ def test_malformed_polynomial_exits_2(tmp_path, capsys):
     assert code == 2 and "position" in err
 
 
-def test_unknown_field_exits_2(tmp_path, capsys):
-    job = copy.deepcopy(BASIC_JOB)
-    job["unknown_key"] = 1
+@pytest.mark.parametrize("extra", [{"unknown_key": 1},
+                                   {"sample": {"retry_limit": 50}}],
+                         ids=["unknown_key", "sample.retry_limit"])
+def test_unknown_field_exits_2(tmp_path, capsys, extra):
+    job = dict(copy.deepcopy(BASIC_JOB), **extra)
     path = write_job(tmp_path, job)
     code, _, err = run_main(["compute", path], capsys)
     assert code == 2
@@ -316,13 +318,18 @@ BAD_INPUTS = [
     (None, {"op": "lambda-sweep", "ideal": "Q", "powers": [-1]}),
     (None, {"op": "buchsbaum-rim", "columns": [["x", "y"], ["y"]]}),
     (None, {"op": "buchsbaum-rim", "columns": [["1"], ["y"]]}),
+    (None, {"op": "superficial-check", "ideal": "Q", "h": "0"}),
+    (None, {"op": "superficial-check", "ideal": "Q", "h": "x+y^2"}),
+    (None, {"op": "superficial-check", "ideal": "Q", "h": "1"}),
+    (None, {"op": "d-sequence", "ideal": "Q", "forms": ["x", "y"]}),
 ]
 
 
 @pytest.mark.parametrize("ideals,op", BAD_INPUTS)
 def test_bad_ideal_or_matrix_exits_2(tmp_path, capsys, ideals, op):
-    # a unit, zero or inhomogeneous ideal generator, a power below 1 and a
-    # malformed column matrix are invalid input, not computation errors
+    # a unit, zero or inhomogeneous ideal generator or h, a power below 1,
+    # a malformed column matrix and an op field no op reads are invalid
+    # input, not computation errors
     path = write_job(tmp_path, _mixed_line(ideals, [op]))
     code, out, err = run_main(["compute", path, "--no-timings"], capsys)
     assert code == 2 and "invalid job" in err and out == ""
