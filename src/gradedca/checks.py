@@ -76,9 +76,6 @@ def check_instance(job: Job):
     if r == hb.NEG_INF:
         return rows  # the zero module has no parameter ideals to check
     prof = homology.local_cohomology_lengths(m)
-    is_cm = prof.is_cohen_macaulay
-    gen_cm = prof.finite_below_top()
-    unmixed = homology.is_unmixed(m)
     i_m, bound_s = invariants.buchsbaum_invariant(m)
 
     samples = _sample(job)
@@ -107,13 +104,13 @@ def check_instance(job: Job):
                      "values %s" % sorted(set(devs))))
 
     # CM characterization on unmixed modules: e1 = 0 <=> CM
-    if unmixed and r >= 1:
+    if prof.is_unmixed and r >= 1:
         vanish = all(v == 0 for v in e1s)
-        rows.append(_row(job, "cm-characterization", vanish == is_cm,
-                         "e1 zero: %s, CM: %s" % (vanish, is_cm)))
+        rows.append(_row(job, "cm-characterization", vanish == prof.is_cohen_macaulay,
+                         "e1 zero: %s, CM: %s" % (vanish, prof.is_cohen_macaulay)))
 
     # generalized CM bound and standardness
-    if gen_cm and r >= 1:
+    if prof.finite_below_top() and r >= 1:
         ok = all(0 >= v >= -bound_s for v in e1s) if e1s else True
         rows.append(_row(job, "gencm-e1-bound", ok,
                          "e1 in %s, bound %s" % (sorted(set(e1s)), bound_s)))

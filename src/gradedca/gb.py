@@ -211,7 +211,8 @@ def kernel_of_map(f: ModuleMap, target_relations=()):
 
 
 def colon_submodule(n_gens, f: Poly, ambient: FreeModule):
-    """Generators of (N :_F f) = {v in F : f*v in N}."""
+    """Generators of (N :_F f) = {v in F : f*v in N}; the tests' reference
+    for the colons that hilbert.colon_series measures."""
     if f.is_zero():
         raise GBError("colon by zero")
     if not f.is_homogeneous():
@@ -371,20 +372,16 @@ def depth(module: GradedModule):
     return module.ring.num_vars - pd
 
 
-def subquotient(k_gens, i_gens, ambient: FreeModule):
-    """Present K/I for submodules I ⊆ K of a free module.
-
-    Returns (module, kept) where kept are the chosen generator
-    representatives in the ambient (one per ambient basis vector of the
-    presentation of the result).
-    """
+def subquotient(k_gens, i_gens, ambient: FreeModule) -> GradedModule:
+    """Present K/I for submodules I ⊆ K of a free module, on minimal
+    generators of K modulo I."""
     i_gens = [g for g in i_gens if not g.is_zero()]
     kept = minimal_generators(k_gens, buchberger(i_gens))
     if not kept:
-        return GradedModule.free(ambient.ring, []), []
+        return GradedModule.free(ambient.ring, [])
     g0 = FreeModule(ambient.ring, [g.degree() for g in kept])
     psi = ModuleMap(g0, ambient, kept)
     rels = kernel_of_map(psi, target_relations=i_gens)
     rels = [r for r in rels if not r.is_zero()]
     src = FreeModule(ambient.ring, [r.degree() for r in rels])
-    return GradedModule(ModuleMap(src, g0, rels)), kept
+    return GradedModule(ModuleMap(src, g0, rels))

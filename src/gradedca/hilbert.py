@@ -8,7 +8,7 @@ N(S/I_i) comes from Bigatti's pivot recursion (A. M. Bigatti, "Computation
 of Hilbert-Poincaré series", J. Pure Appl. Algebra 119, 1997).  Twists may
 be negative, so N is a Laurent polynomial, kept as {exponent: coefficient};
 shifted_sum forms the combinations Σ c·t^s·N that exact sequences ask for.
-From it:
+From it, and by series_dim and series_length from any numerator:
 
     dim M    = n − (order of the root t = 1 of N), −inf when N = 0;
     λ(M)     = the value at t = 1 of N/(1−t)^n, when that is a Laurent
@@ -36,9 +36,9 @@ the same fit.
 
 The series, the normal-form table and the Hilbert coefficients of (M, Q)
 are kept on the module by modules.memoized, next to its basis and M/QM.
-The coefficients are keyed by (qkey(Q), fit degree): a reordered
-generating set hits the same entry, and since the table values depend only
-on the ideal, a hit returns what a recomputation would.
+The coefficients are keyed by qkey(Q): a reordered generating set hits
+the same entry, and since the table values depend only on the ideal, a hit
+returns what a recomputation would.
 """
 
 from __future__ import annotations
@@ -152,13 +152,20 @@ def series_coefficient(num, n, d):
 # dimension and length
 
 
+def series_dim(num, n):
+    """Krull dimension of a module with HS = num/(1−t)^n; −inf when num = 0."""
+    return n - divide_poles(num, n)[0] if num else NEG_INF
+
+
+def series_length(num, n):
+    """Length of a module with HS = num/(1−t)^n, or None when infinite."""
+    j, quo = divide_poles(num, n)
+    return sum(quo.values()) if j == n else None
+
+
 def dim_module(module: GradedModule):
     """Krull dimension; −inf for the zero module."""
-    num = hilbert_series(module)
-    if not num:
-        return NEG_INF
-    n = module.ring.num_vars
-    return n - divide_poles(num, n)[0]
+    return series_dim(hilbert_series(module), module.ring.num_vars)
 
 
 def _position_growth_witness(module: GradedModule):
@@ -178,9 +185,7 @@ def hilbert_function(module: GradedModule, n: int) -> int:
 
 def module_length(module: GradedModule):
     """Total length, or None when infinite (positive dimension)."""
-    n = module.ring.num_vars
-    j, quo = divide_poles(hilbert_series(module), n)
-    return sum(quo.values()) if j == n else None
+    return series_length(hilbert_series(module), module.ring.num_vars)
 
 
 # ---------------------------------------------------------------------------
@@ -483,19 +488,16 @@ class HilbertCoefficients:
 HS_N_MAX = 40  # the Hilbert-Samuel fit window ends at n = HS_N_MAX
 
 
-@memoized(lambda module, q_gens, fit_dim=None: (
-    qkey(q_gens), dim_module(module) if fit_dim is None else fit_dim))
-def hilbert_coefficients(module: GradedModule, q_gens,
-                         fit_dim=None) -> HilbertCoefficients:
-    """Stabilized coefficients e₀..e_r of n ↦ λ(M/Q^{n+1}M).
+@memoized(lambda module, q_gens: (qkey(q_gens),))
+def hilbert_coefficients(module: GradedModule, q_gens) -> HilbertCoefficients:
+    """Stabilized coefficients e₀..e_r of n ↦ λ(M/Q^{n+1}M), r = dim M.
 
-    The fit is fit_binomial's, within n ≤ HS_N_MAX.  fit_dim overrides the
-    fit degree (default: dim M), for quotients where the generating set is
-    larger than the dimension of the module.  The result is memoized on the
-    module under (qkey, resolved fit degree).
+    The fit is fit_binomial's, within n ≤ HS_N_MAX.  Q may have more
+    generators than dim M, as for M/hM in superficial_check.  The result is
+    memoized on the module under qkey(Q).
     """
     gens = list(q_gens)
-    r = dim_module(module) if fit_dim is None else fit_dim
+    r = dim_module(module)
     if r == NEG_INF:
         raise HilbertError("zero module has no Hilbert coefficients")
     colength(module, gens)
@@ -506,7 +508,7 @@ def hilbert_coefficients(module: GradedModule, q_gens,
             "Hilbert-Samuel table did not stabilize within n <= %d" % HS_N_MAX)
     e, values, n0 = fit
     require(e[0] >= 1, "leading Hilbert coefficient must be positive")
-    if len(gens) == dim_module(module) and r >= 1:
+    if len(gens) == r >= 1:
         require(e[1] <= 0,
                 "first Hilbert coefficient of a parameter ideal must be <= 0")
     table = HilbertSamuelTable(values=values, N=len(values) - 1)
@@ -544,17 +546,15 @@ def superficial_check(module: GradedModule, q: ParameterIdeal, h: Poly) -> Super
     """
     r = dim_module(module)
     quo = quotient_by_ideal(module, [h])
-    n = module.ring.num_vars
-    j, col = divide_poles(colon_series(module, h, quo), n)
-    if j < n:
+    lam = series_length(colon_series(module, h, quo), module.ring.num_vars)
+    if lam is None:
         return SuperficialReport(False, [], [], -1, "0:_M h has infinite length")
-    lam = sum(col.values())
     dq = dim_module(quo)
     if dq != r - 1:
         return SuperficialReport(False, [], [], lam,
                                  "dim M/hM = %s, expected %d" % (dq, r - 1))
     em = hilbert_coefficients(module, q.gens).e
-    eq = hilbert_coefficients(quo, q.gens, fit_dim=r - 1).e
+    eq = hilbert_coefficients(quo, q.gens).e
     ok = all(em[i] == eq[i] for i in range(r - 1))
     ok = ok and em[r - 1] == eq[r - 1] + (-1) ** r * lam
     detail = "" if ok else "coefficient identities failed"

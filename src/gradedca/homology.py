@@ -1,8 +1,12 @@
-"""Ext duals, local-cohomology lengths, depth, and the unmixed component.
+"""Ext duals, local-cohomology lengths, depth, unmixedness, unmixed part.
 
 Local cohomology enters only through graded duality: the j-th dual
 M_j = Ext^{d−j}_S(M, S) carries the dimension and (when finite) the
 length of H^j_m(M), and no twist normalization is needed downstream.
+
+The duals also answer unmixedness (Eisenbud, Huneke and Vasconcelos,
+Invent. Math. 110, 1992, §1): by local duality over S_P, P of dimension j
+lies in Ass M exactly when it lies in Supp M_j.
 """
 
 from __future__ import annotations
@@ -10,9 +14,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .gb import (GBError, annihilator, kernel_of_map, minimal_free_resolution,
+from .gb import (GBError, annihilator, buchberger, is_zero_module,
+                 kernel_of_map, minimal_free_resolution, minimal_generators,
                  minimal_presentation, quotient_module, subquotient)
-from .gb import is_zero_module
 from .hilbert import NEG_INF, dim_module, module_length
 from .modules import FreeModule, GradedModule, ModuleMap, memoized
 from .poly import require
@@ -45,7 +49,7 @@ def ext_module(module: GradedModule, k: int) -> GradedModule:
             ambient = FreeModule(ring, [-t for t in ambient.twists])
         cycles = [ambient.basis(i) for i in range(ambient.rank)]
     boundaries = duals[k - 1].columns() if k >= 1 else []
-    return subquotient(cycles, boundaries, ambient)[0]
+    return subquotient(cycles, boundaries, ambient)
 
 
 def ext_dual(module: GradedModule, j: int) -> GradedModule:
@@ -69,6 +73,11 @@ class CohomologyProfile:
     @property
     def is_cohen_macaulay(self):
         return self.depth == self.dim
+
+    @property
+    def is_unmixed(self):
+        """dim M_j < j for every j < dim M; true for the zero module."""
+        return all(dim_module(mj) < j for j, mj in enumerate(self.duals[:-1]))
 
 
 @memoized()
@@ -137,48 +146,40 @@ def _regular_sequence_in(polys, ring, count, rng):
 
 
 def _hom_into_ci_quotient(module: GradedModule, ci):
-    """Generators of Hom_{S/(ci)}(M, S/(ci)) as rows over the ambient."""
+    """Generators of Hom_{S/(ci)}(M, S/(ci)) as rows, minimal mod (ci)F₀*."""
     pres = minimal_presentation(module)
     t = pres.presentation.transpose()
-    return kernel_of_map(t, target_relations=t.target.ideal_multiples(ci)), pres
+    homs = kernel_of_map(t, target_relations=t.target.ideal_multiples(ci))
+    return minimal_generators(homs, buchberger(t.source.ideal_multiples(ci))), pres
 
 
 @memoized()
-def unmixed_component(module: GradedModule):
-    """(U, N): U the largest submodule of lower dimension, N = M/U.
+def unmixed_component(module: GradedModule) -> GradedModule:
+    """N = M/U, U the largest submodule of lower dimension.
 
     U is the kernel of the biduality map into the dual over a complete
     intersection S/(f) ⊆ Ann(M) of codimension d − dim M; elements of U
-    are exactly the ones killed by every hom into S/(f).
+    are exactly the ones killed by every hom into S/(f), a condition linear
+    in the hom and void on (f)F₀*.  HS(U) = HS(M) − HS(N).
     """
     ring = module.ring
     if is_zero_module(module):
-        return GradedModule.free(ring, []), module
+        return module
     r = dim_module(module)
     c = ring.num_vars - r
     ci = (_regular_sequence_in(annihilator(module), ring, c, random.Random(7))
           if c else [])
     homs, pres = _hom_into_ci_quotient(module, ci)
     if not homs:
-        # no homs at all: everything is lower-dimensional torsion over S/(f)
         raise HomologyError("dual over the complete intersection is zero")
     # evaluation at the homs, F₀ → ⊕_h S(deg h), is the transpose of the
     # map whose columns are the homs
     hom_source = FreeModule(ring, [h.degree() for h in homs])
     psi = ModuleMap(hom_source, homs[0].module, homs).transpose()
     u_gens = kernel_of_map(psi, target_relations=psi.target.ideal_multiples(ci))
-    u_mod, _ = subquotient(u_gens, pres.relations(), pres.ambient)
-    return u_mod, quotient_module(pres, u_gens)
+    return quotient_module(pres, u_gens)
 
 
 def is_unmixed(module: GradedModule) -> bool:
-    """True when M has no associated prime of lower dimension.
-
-    A Cohen-Macaulay module (depth = dim in its cohomology profile) is
-    unmixed, so it needs no unmixed component.  Callers that already hold
-    the component should test it with is_zero_module instead.
-    """
-    if is_cohen_macaulay(module):
-        return True
-    u, _ = unmixed_component(module)
-    return is_zero_module(u)
+    """No associated prime of lower dimension, read off the Ext duals."""
+    return local_cohomology_lengths(module).is_unmixed

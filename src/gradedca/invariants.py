@@ -6,9 +6,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .gb import GBError, SubmoduleGB, betti_numbers, colon_submodule
-from .hilbert import (NEG_INF, colength, dim_module, hilbert_coefficients,
-                      module_length, qkey)
+from .gb import GBError, betti_numbers, quotient_by_ideal
+from .hilbert import (NEG_INF, colength, colon_series, dim_module,
+                      hilbert_coefficients, module_length, qkey)
 from .homology import local_cohomology_lengths
 from .koszul import chi1_serre
 from .modules import GradedModule, memoized
@@ -104,23 +104,19 @@ def check_chi1_hdeg_bound(module: GradedModule, q_gens) -> BoundReport:
 # d-sequences and the Hilbert characteristic
 
 
-def _same_submodule(a_gens, b_gens, ambient) -> bool:
-    ga = SubmoduleGB(ambient, a_gens)
-    gb_ = SubmoduleGB(ambient, b_gens)
-    return (all(gb_.contains(v) for v in ga.basis)
-            and all(ga.contains(v) for v in gb_.basis))
-
-
 def is_d_sequence(module: GradedModule, forms) -> bool:
-    """((x₁..x_i)M : x_{i+1}x_k) = ((x₁..x_i)M : x_k) for all i < k."""
+    """((x₁..x_i)M : x_{i+1}x_k) = ((x₁..x_i)M : x_k) for all i < k.
+
+    In M_i = M/(x₁..x_i)M they are 0 :_{M_i} x_{i+1}x_k ⊇ 0 :_{M_i} x_k, equal
+    exactly when their series (hilbert.colon_series) are.
+    """
     forms = list(forms)
-    amb = module.ambient
     for i in range(len(forms)):
-        base = module.relations() + amb.ideal_multiples(forms[:i])
+        mi = quotient_by_ideal(module, forms[:i])
         for k in range(i, len(forms)):
-            lhs = colon_submodule(base, forms[i] * forms[k], amb)
-            rhs = colon_submodule(base, forms[k], amb)
-            if not _same_submodule(lhs, rhs, amb):
+            a, b = (colon_series(mi, h, quotient_by_ideal(mi, [h]))
+                    for h in (forms[i] * forms[k], forms[k]))
+            if a != b:
                 return False
     return True
 

@@ -474,7 +474,6 @@ def test_coefficients_memo_ignores_generator_order_and_default_fit(ring3):
     module = GradedModule.quotient_ring(ring3, [x * y - z ** 2])
     first = hb.hilbert_coefficients(module, [x + y, z])
     assert hb.hilbert_coefficients(module, [z, x + y]) is first
-    assert hb.hilbert_coefficients(module, [z, x + y], fit_dim=2) is first
 
 
 def test_quotient_memo_keeps_generator_order(ring3):

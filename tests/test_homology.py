@@ -1,13 +1,39 @@
+import json
+import os
 import random
+
+import pytest
 
 from gradedca import gb
 from gradedca import homology as hm
-from gradedca.hilbert import NEG_INF, dim_module, module_length
+from gradedca.hilbert import (NEG_INF, dim_module, hilbert_series,
+                              module_length, series_dim, series_length,
+                              shifted_sum)
+from gradedca.jobio import build_job
 from gradedca.modules import GradedModule
 from gradedca.poly import CoeffField, PolyRing
 
 RING = PolyRing(CoeffField(32003), ["x", "y"])
 X, Y = RING.gens()
+CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
+CORPUS_MODULES = sorted(n[:-5] for n in os.listdir(CORPUS))
+
+
+def _corpus_raw(name):
+    with open(os.path.join(CORPUS, name + ".json")) as fh:
+        return json.load(fh)
+
+
+def _corpus_module(name, char):
+    raw = _corpus_raw(name)
+    raw["ring"]["characteristic"] = char
+    return build_job(raw).module
+
+
+def _component_series(module):
+    """HS(U) = HS(M) − HS(M/U), from 0 → U → M → M/U → 0."""
+    return shifted_sum([(1, 0, hilbert_series(module)),
+                        (-1, 0, hilbert_series(hm.unmixed_component(module)))])
 
 
 def test_free_module_profile(free_plane):
@@ -51,8 +77,9 @@ def test_depth_two_paths_agree(free_plane, mixed_line, two_plane,
 
 
 def test_unmixed_component_oracles(free_plane, mixed_line, two_plane):
-    u, n = hm.unmixed_component(mixed_line)
-    assert module_length(u) == 1 and dim_module(n) == 1
+    u = _component_series(mixed_line)
+    assert series_length(u, 2) == 1
+    assert dim_module(hm.unmixed_component(mixed_line)) == 1
     assert hm.is_unmixed(free_plane)
     assert hm.is_unmixed(two_plane)
     assert not hm.is_unmixed(mixed_line)
@@ -62,10 +89,24 @@ def test_unmixed_component_of_direct_sum():
     a = GradedModule.quotient_ring(RING, [X])
     b = GradedModule.quotient_ring(RING, [X, Y])
     ds = a.direct_sum(b)
-    u, n = hm.unmixed_component(ds)
-    assert dim_module(u) == 0 and module_length(u) == 1
-    assert dim_module(n) == 1
+    u = _component_series(ds)
+    assert series_dim(u, 2) == 0 and series_length(u, 2) == 1
+    assert dim_module(hm.unmixed_component(ds)) == 1
     assert not hm.is_unmixed(ds)
+
+
+@pytest.mark.parametrize("char", [32003, None])
+@pytest.mark.parametrize("name", CORPUS_MODULES)
+def test_ext_criterion_matches_the_unmixed_component(name, char):
+    # U = 0 exactly when no dual M_j, j < dim M, reaches dimension j, and
+    # U has the largest such j as its dimension
+    module = _corpus_module(name, char)
+    u = _component_series(module)
+    assert hm.is_unmixed(module) == (not u)
+    prof = hm.local_cohomology_lengths(module)
+    top = max((j for j, mj in enumerate(prof.duals[:-1])
+               if dim_module(mj) == j), default=NEG_INF)
+    assert series_dim(u, module.ring.num_vars) == top
 
 
 def test_generalized_cm(free_plane, mixed_line, two_plane, plane_plus_line):
@@ -87,6 +128,7 @@ def test_zero_module_conventions():
     zero = GradedModule.quotient_ring(RING, [RING.one()])
     prof = hm.local_cohomology_lengths(zero)
     assert prof.depth == hm.POS_INF and prof.dim == NEG_INF and prof.h == []
+    assert hm.is_unmixed(zero)
 
 
 def test_vanishing_coefficients_force_vanishing_cohomology(free_plane):
@@ -107,3 +149,15 @@ def test_cohen_macaulay_module_is_unmixed_without_its_component(monkeypatch):
     monkeypatch.setattr(hm, "unmixed_component", no_component)
     assert hm.is_cohen_macaulay(module)
     assert hm.is_unmixed(module)
+
+
+@pytest.mark.parametrize("name", CORPUS_MODULES)
+def test_is_unmixed_builds_no_component(name, monkeypatch):
+    # CM and non-CM modules alike: the answer comes from the Ext duals
+    def no_component(*args, **kwargs):
+        raise AssertionError("is_unmixed needs no unmixed component")
+    monkeypatch.setattr(hm, "unmixed_component", no_component)
+    claims = _corpus_raw(name)["claims"]
+    module = _corpus_module(name, 32003)
+    # ci-points, of dimension 0, carries no claim: such a module is unmixed
+    assert hm.is_unmixed(module) == claims.get("unmixed", claims["dim"] == 0)

@@ -1,13 +1,22 @@
+import json
+import os
 import random
 
+import pytest
+
+from gradedca import gb as gbmod
 from gradedca import invariants as inv
-from gradedca.hilbert import hilbert_coefficients, module_length
-from gradedca.gb import quotient_module
+from gradedca.hilbert import dim_module, hilbert_coefficients, module_length
+from gradedca.gb import SubmoduleGB, colon_submodule, quotient_module
+from gradedca.jobio import build_job
 from gradedca.modules import GradedModule
 from gradedca.poly import CoeffField, PolyRing
-from gradedca.sampler import SampleConfig, sample_parameter_ideals
+from gradedca.sampler import (SampleConfig, random_parameter_ideal,
+                              sample_parameter_ideals)
 
 RING2 = PolyRing(CoeffField(32003), ["x", "y"])
+CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
+CORPUS_MODULES = sorted(n[:-5] for n in os.listdir(CORPUS))
 
 
 def test_hdeg_free_module(free_plane):
@@ -62,6 +71,43 @@ def test_d_sequence_detection(free_plane, mixed_line):
     # y, x on k[x,y]/(x^2, x*y): y is a nonzerodivisor-ish first element
     mx, my = mixed_line.ring.gens()
     assert inv.is_d_sequence(mixed_line, [my])
+
+
+def _reference_d_sequence(module, forms):
+    """The colons presented by elimination and compared by two-way
+    containment in their Groebner bases."""
+    amb = module.ambient
+
+    def same(a_gens, b_gens):
+        ga, gb_ = SubmoduleGB(amb, a_gens), SubmoduleGB(amb, b_gens)
+        return (all(gb_.contains(v) for v in ga.basis)
+                and all(ga.contains(v) for v in gb_.basis))
+    for i in range(len(forms)):
+        base = module.relations() + amb.ideal_multiples(forms[:i])
+        for k in range(i, len(forms)):
+            if not same(colon_submodule(base, forms[i] * forms[k], amb),
+                        colon_submodule(base, forms[k], amb)):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("name", CORPUS_MODULES)
+def test_d_sequence_matches_elimination_reference(name, monkeypatch):
+    with open(os.path.join(CORPUS, name + ".json")) as fh:
+        module = build_job(json.load(fh)).module
+    r = dim_module(module)
+    rng = random.Random(name)
+    # two seeded linear sops, and the first r variables in both orders,
+    # which on mixed-line and plane-plus-line are no d-sequence
+    cases = [list(random_parameter_ideal(module, [1] * r, rng).gens)
+             for _ in range(2)]
+    cases += [module.ring.gens()[:r], module.ring.gens()[:r][::-1]]
+    expected = [_reference_d_sequence(module, forms) for forms in cases]
+
+    def no_elimination(*args, **kwargs):
+        raise AssertionError("is_d_sequence needs no colon module")
+    monkeypatch.setattr(gbmod, "kernel_of_map", no_elimination)
+    assert [inv.is_d_sequence(module, forms) for forms in cases] == expected
 
 
 def test_hilbert_characteristic_equals_colength(free_plane, mixed_line,
