@@ -2,13 +2,13 @@
 
 For a module E ⊆ F = R^r given by a matrix of forms, Fⁿ is the free
 R-module on the degree-n monomials in T₁..T_r, and Eⁿ is spanned by the
-degree-n products of the g_j = Σ_i φ_ij T_i in S[T₁..T_r].  Fⁿ is
-presented over S as a free module with the relations of R at every
-position, all twists 0, so λ(Fⁿ/Eⁿ) is hilbert.quotient_length, the rank
-count that also gives the Hilbert-Samuel values: a packed-integer echelon
-over F_p, the exact elimination over Q.  The levels of products of the g_j
-live on the ParameterModule, so a fit over n = 1, 2, … builds each level
-once.
+degree-n products of the g_j = Σ_i φ_ij T_i.  So E⁰ = F⁰ = R and
+Eⁿ⁺¹ = Σ_j g_j·Eⁿ, the filtration that hilbert._Powers steps for the
+Hilbert-Samuel values too: level n in degree t is an echelon basis, a
+packed-integer one over F_p and the exact elimination over Q, of the
+images g_j·(a, m) = Σ_i (a + e_i, NF_R(φ_ij·m)) of level n − 1's bases.
+The filtration lives on the ParameterModule, so every fit over
+n = 1, 2, … steps each level once.
 """
 
 from __future__ import annotations
@@ -17,11 +17,11 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .gb import GBError
-from .hilbert import (_power_levels, dim_module, fit_binomial,
-                      module_length, quotient_length)
+from .hilbert import (_normal_forms, _Powers, _Space, _standard_terms,
+                      dim_module, fit_binomial, module_length)
 from .homology import is_unmixed, local_cohomology_lengths
-from .modules import FreeModule, GradedModule, Vector
-from .poly import Poly, PolyRing, monomials_of_degree, require
+from .modules import FreeModule, GradedModule
+from .poly import mon_mul, monomials_of_degree, require
 
 
 class BrimError(GBError):
@@ -56,14 +56,9 @@ class ParameterModule:
         return module_length(GradedModule.from_relations(free, rels))
 
     @cached_property  # stored in the instance dict, which frozen allows
-    def product_levels(self):
-        """products(n): the degree-n products of the g_j = Σ_i φ_ij T_i in
-        S[T₁..T_r], each level built once per module from the one below."""
-        tring, r = _t_ring(self), self.rank
-        return _power_levels([
-            Poly(tring, {m + tuple(int(k == i) for k in range(r)): c
-                         for i, e in enumerate(col) for m, c in e.terms.items()})
-            for col in self.columns])
+    def powers(self):
+        """The filtration Eⁿ ⊆ Fⁿ, each level stepped once per module."""
+        return _brim_powers(self)
 
 
 def make_parameter_module(ring, ring_rels, columns) -> ParameterModule:
@@ -95,41 +90,55 @@ def make_parameter_module(ring, ring_rels, columns) -> ParameterModule:
                            rank=rank, columns=tuple(cols))
 
 
-def _t_ring(pm: ParameterModule):
-    """S[T₁..T_r], with T-names that no variable of S already uses."""
-    ring = pm.ring
-    names = list(ring.var_names)
-    for i in range(pm.rank):
-        name = "T%d" % (i + 1)
-        while name in names:
-            name = "_" + name
-        names.append(name)
-    return PolyRing(ring.field, names)
+def _brim_powers(pm: ParameterModule):
+    """Eⁿ ⊆ Fⁿ as a hilbert._Powers filtration.  A_n = Fⁿ has the standard
+    terms (a, m): a a T-monomial of degree n, m a standard monomial of R.
+    g_j·(a, m) = Σ_i (a + e_i, NF_R(φ_ij·m)), and each NF_R(φ_ij·m) is
+    formed once per module, by the normal-form table of R over S.  The
+    closures hold the columns, not pm, so pm and its powers form no cycle."""
+    base = GradedModule.quotient_ring(pm.ring, list(pm.ring_rels))
+    nf = _normal_forms(base)
+    columns, rank = pm.columns, pm.rank
+    known = {}   # the standard terms of R, by degree
+    images = {}  # (i, j, m) -> NF_R(φ_ij·m)
+
+    def space(n):
+        tmons = list(monomials_of_degree(rank, n))
+
+        def terms(t):
+            return [(a, m) for a in tmons
+                    for _, m in _standard_terms(base, t, known)]
+
+        def times(j, u):
+            a, m = u
+            out = {}
+            for i, e in enumerate(columns[j]):
+                form = images.get((i, j, m))
+                if form is None:
+                    form = images[(i, j, m)] = nf(
+                        {(0, mon_mul(m, em)): c for em, c in e.terms.items()})
+                b = a[:i] + (a[i] + 1,) + a[i + 1:]
+                out.update({(b, fm): c for (_, fm), c in form.items()})
+            return out
+        return _Space(terms, times)
+    degrees = [next(e.total_degree() for e in col if not e.is_zero())
+               for col in columns]
+    return _Powers(pm.ring.field, degrees, [0], space)
 
 
 def br_value(pm: ParameterModule, n: int) -> int:
-    """λ(Fⁿ/Eⁿ).
+    """λ(Fⁿ/Eⁿ), level n of pm.powers.
 
-    Fⁿ is the free R-module on the T-monomials of degree n, presented over
-    S with the ring relations at every position, and Eⁿ is spanned by the
-    degree-n products of the g_j = Σ_i φ_ij T_i in S[T₁..T_r], taken from
-    pm.product_levels and read back by T-exponent → position.  λ(F/E) < ∞
-    is certified first; then every λ(Fⁿ/Eⁿ) is finite and quotient_length
-    gives it.
+    Fⁿ is the free R-module on the T-monomials of degree n, and Eⁿ is
+    spanned by the degree-n products of the g_j = Σ_i φ_ij T_i.  λ(F/E) < ∞
+    is certified first; then every λ(Fⁿ/Eⁿ) is finite.
     """
     if n == 0:
         return 0
     if pm.colength is None:
         raise BrimError("λ(F^%d/E^%d) is infinite: generators do not "
                         "have finite colength" % (n, n))
-    nv = pm.ring.num_vars
-    position = {t: k for k, t in enumerate(monomials_of_degree(pm.rank, n))}
-    free = FreeModule(pm.ring, [0] * len(position))
-    fn = GradedModule.from_relations(free, free.ideal_multiples(pm.ring_rels))
-    vectors = (Vector(free, {(position[m[nv:]], m[:nv]): c
-                             for m, c in p.terms.items()})
-               for p in pm.product_levels(n))
-    return quotient_length(fn, vectors)
+    return pm.powers.value(n)
 
 
 def binom_poly(n, s):

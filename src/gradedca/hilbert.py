@@ -16,20 +16,19 @@ From it, and by series_dim and series_length from any numerator:
     H(M, d)  = Σ_k N_k·binom(d − k + n − 1, n − 1);
     N(0:_M h) = N(M) − t^{−deg h}·(N(M) − N(M/hM)), with no colon module.
 
-One kernel, quotient_length, gives λ(M/⟨vectors⟩) for a finite-length
-quotient degree by degree: normal forms of the vectors and their monomial
-multiples against the cached basis of the relation submodule, then a rank
-count over the coefficient field against H(M, d).  A normal form is read
-off a table kept on the module, which reduces each monomial of the
-ambient once, as the symbolic preprocessing of F4 does (J.-C. Faugère,
-J. Pure Appl. Algebra 139, 1999).  _rank_count does the count: over F_p a
-packed echelon, each row one Python int with a slot per column and mod-p
+The Hilbert-Samuel values λ(M/Q^{n+1}M) are levels of _Powers, which
+steps the filtration L_0 = M, L_{k+1} = Σ_j g_j·L_k one level at a time,
+degree by degree, in the linear-algebra view of Groebner bases (D. Lazard,
+EUROCAL 1983; J.-C. Faugère, J. Pure Appl. Algebra 139, 1999): level k+1
+in degree t is an echelon basis of the images of level k's bases in the
+degrees t − d_j, read off tables of NF(g_j·u) on the standard terms u, so
+no product of generators and no monomial multiple is formed.  Each NF
+comes from a normal-form table kept on the module, which reduces each
+monomial of the ambient once.  _echelon does the linear algebra: over F_p
+a packed echelon, each row one Python int with a slot per column and mod-p
 reduction delayed until a slot is read, so a row operation is one integer
 multiply-add; over Q the exact dict elimination of _RankTracker.  The
-Hilbert-Samuel values λ(M/Q^{n+1}M) are its value on q·e_i for the
-products q of n+1 generators of Q, each level of products built once per
-fit from the one below; the Buchsbaum-Rim values λ(Fⁿ/Eⁿ) go through it
-too.
+Buchsbaum-Rim values λ(Fⁿ/Eⁿ) are levels of the same object.
 Coefficients are integer backward differences of a stabilized tail of
 the table, read off in the binomial basis; the Buchsbaum-Rim tables use
 the same fit.
@@ -48,8 +47,7 @@ from math import comb
 
 from .gb import GBError, module_gb, quotient_by_ideal, reduce_vector
 from .modules import GradedModule, Vector, memoized
-from .poly import (Poly, mon_deg, mon_divides, mon_mul, monomials_of_degree,
-                   require)
+from .poly import Poly, mon_deg, mon_divides, mon_mul, require
 
 NEG_INF = float("-inf")
 
@@ -244,22 +242,6 @@ class HilbertSamuelTable:
     N: int
 
 
-def _power_levels(gens):
-    """products(n): the products of n generators (with repetition), as
-    polynomials.  Each level is built once, from the level below it, and
-    kept while products lives; the index tuples of a level are
-    nondecreasing, so each product appears once."""
-    levels = [{(): gens[0].ring.one()} if gens else {}]
-
-    def products(n):
-        while len(levels) <= n:
-            levels.append({key + (j,): p * gens[j]
-                           for key, p in levels[-1].items()
-                           for j in range(key[-1] if key else 0, len(gens))})
-        return list(levels[n].values())
-    return products
-
-
 class _RankTracker:
     """Incremental Gaussian elimination over the coefficient field.
 
@@ -303,34 +285,32 @@ class _RankTracker:
         return rank
 
 
-def _rank_count(fld, rows, cap):
-    """Add rows until cap of them are independent; return how many were.
+def _echelon(fld, rows, w, cap):
+    """An echelon basis of the span of rows, read until cap rows of it are
+    found.
 
-    Over Q this is _RankTracker's exact elimination.  Over F_p it is a
-    packed echelon with delayed reduction (J.-G. Dumas, P. Giorgi and
-    C. Pernet, ACM Trans. Math. Software 35, 2008): a row is one int with a
-    slot of w bits per column, columns numbered as terms first appear, and
-    a row operation work += (p − a)·pivot_row is one integer multiply-add.
-    A slot starts below p and each of the fewer than cap eliminations of a
-    row adds less than p², so w = bit_length((cap + 1)·p²) keeps every slot
-    from spilling into the next.  A slot is reduced mod p only when it is read as the
-    row's pivot entry, or when the row joins the basis, normalised by the
-    inverse of its pivot entry.  A basis row is kept as its tail below the
-    pivot, so eliminating a pivot only touches lower slots.
+    Over Q the rows are {slot: Fraction} dicts and this is _RankTracker's
+    exact elimination; its rows are the basis.  Over F_p it is a packed
+    echelon with delayed reduction (J.-G. Dumas, P. Giorgi and C. Pernet,
+    ACM Trans. Math. Software 35, 2008): a row is one int with a slot of w
+    bits per column, and a row operation work += (p − a)·pivot_row is one
+    integer multiply-add.  A slot is reduced mod p only when it is read as
+    the row's pivot entry, or when the row joins the basis, normalised by
+    the inverse of its pivot entry, so w must hold a row's largest entry
+    plus fewer than cap eliminations of less than p² each.  A basis row is
+    kept as its tail below the pivot, so eliminating a pivot only touches
+    lower slots, and comes back whole: pivot 1 | tail, reduced mod p.
     """
     p = fld.p
     if p is None:
-        return _RankTracker(fld).rank(rows, cap)
-    w = ((cap + 1) * p * p).bit_length()
+        tracker = _RankTracker(fld)
+        tracker.rank(rows, cap)
+        return list(tracker.rows.values())
     mask = (1 << w) - 1
-    slots = {}   # term -> slot index
     tails = {}   # bit offset of a pivot slot -> its basis row's tail
-    for terms in rows:
+    for work in rows:
         if len(tails) == cap:
             break
-        work = 0
-        for term, c in terms.items():
-            work |= c << w * slots.setdefault(term, len(slots))
         while work:
             shift = (work.bit_length() - 1) // w * w
             top = work >> shift
@@ -350,7 +330,7 @@ def _rank_count(fld, rows, cap):
                     tail |= c * inv % p << at
             tails[shift] = tail
             break
-    return len(tails)
+    return [1 << shift | tail for shift, tail in tails.items()]
 
 
 @memoized()
@@ -388,55 +368,181 @@ def _normal_forms(module: GradedModule):
     return nf
 
 
-def quotient_length(module: GradedModule, vectors):
-    """λ(M/⟨vectors⟩) by per-degree rank counts.
+def _standard_terms(module: GradedModule, t, known):
+    """The standard terms of M of degree t: the (pos, mon) with mon
+    divisible by no lead term at pos, H(M, t) of them; known keeps them by
+    degree.  A divisor of a standard monomial is standard, so each is the
+    unit at a position of twist t or x_i·u for a standard term (pos, u) of
+    degree t − 1, with i at most the index of u's first variable, which
+    makes the pair unique."""
+    twists = module.ambient.twists
+    if t < min(twists):
+        return []
+    if t not in known:
+        nv = module.ring.num_vars
+        cands = [(pos, (0,) * nv)
+                 for pos, twist in enumerate(twists) if twist == t]
+        for pos, u in _standard_terms(module, t - 1, known):
+            first = next((i for i, e in enumerate(u) if e), nv - 1)
+            cands += [(pos, u[:i] + (u[i] + 1,) + u[i + 1:])
+                      for i in range(first + 1)]
+        by_pos = _lead_monomials_by_position(module)
+        known[t] = [(pos, mon) for pos, mon in cands
+                    if not any(mon_divides(lt, mon) for lt in by_pos[pos])]
+        require(len(known[t]) == hilbert_function(module, t),
+                "standard terms of degree %d do not number H(M, %d)" % (t, t))
+    return known[t]
 
-    The vectors, homogeneous elements of M's ambient free module, and in
-    each degree t their monomial multiples are brought to normal form by
-    _normal_forms' table, and the rank of the multiples is subtracted from
-    H(M, t).  Callers certify first that the quotient has finite length.
-    It is then Artinian and generated in degrees ≤ the largest twist, so its
-    first vanishing degree at or past that twist ends the sum.
+
+class _Space:
+    """One A_k of a _Powers filtration.  terms(t) lists its standard terms
+    of degree t, its columns of degree t, whose slots number them in that
+    order; times(j, u) is NF(g_j·u) in A_{k+1} as {term: coefficient}.
+    tables[(j, s)] holds those normal forms for the standard terms u of
+    degree s, as rows over A_{k+1}'s columns of degree s + d_j."""
+
+    def __init__(self, terms, times):
+        self.terms = terms
+        self.times = times
+        self.tables = {}
+        self._slots = {}
+
+    def slots(self, t):
+        """{term: slot} for the standard terms of degree t."""
+        slots = self._slots.get(t)
+        if slots is None:
+            slots = self._slots[t] = {u: i for i, u in enumerate(self.terms(t))}
+        return slots
+
+
+def _pack(fld, terms, slots, w):
+    """A row {term: c}: over F_p one int with c in slot slots[term] of w
+    bits, over Q a {slot: c} dict."""
+    if fld.p is None:
+        return {slots[u]: c for u, c in terms.items()}
+    row = 0
+    for u, c in terms.items():
+        row |= c << w * slots[u]
+    return row
+
+
+def _image(fld, row, w, table):
+    """Σ c·table[slot] over the slots of a basis row, whose slots are w
+    bits wide."""
+    if fld.p is None:
+        out = {}
+        for slot, c in row.items():
+            for s, v in table[slot].items():
+                out[s] = out.get(s, 0) + c * v
+        return {s: v for s, v in out.items() if v}
+    mask = (1 << w) - 1
+    out = slot = 0
+    while row:
+        c = row & mask
+        if c:
+            out += c * table[slot]
+        row >>= w
+        slot += 1
+    return out
+
+
+class _Powers:
+    """λ(A_k/L_k) for the filtration L_0 = A_0, L_{k+1} = Σ_j g_j·L_k of
+    graded modules A_k with finite-dimensional pieces, one level at a time.
+
+    space(k) is A_k as a _Space, and d_j = degrees[j].  In every degree
+    (L_{k+1})_t = Σ_j g_j·(L_k)_{t−d_j}, so level k+1 in degree t is the
+    echelon basis of the images, under the tables of A_k, of level k's
+    basis in each degree t − d_j; where L_k is all of A_k the images are
+    the table rows themselves.  Over F_p a slot of degree t is w =
+    bit_length((max_j H(A_k, t − d_j) + H(A_{k+1}, t) + 1)·p²) bits wide: an
+    image is a sum of at most H(A_k, t − d_j) products c·NF of entries
+    below p, and each of the fewer than H(A_{k+1}, t) eliminations of the
+    echelon adds less than p².  Degrees
+    run from the least twist to the first degree at or past the largest
+    twist whose quotient is 0: A_k/L_k is generated in degrees ≤ the
+    largest twist, so past it L_k is all of A_k.  Only the top level's
+    bases are kept, and value(k) steps up to level k once.
     """
-    ring = module.ring
-    fld = ring.field
+
+    def __init__(self, fld, degrees, twists, space):
+        self.fld = fld
+        self.degrees = degrees
+        self.tmin, self.tmax = min(twists), max(twists)
+        self.space = space
+        self.values = [0]
+        self.top = space(0)
+        # degree -> (w, basis), where the top level is not all of its A_k
+        self.bases = {}
+
+    def value(self, k):
+        while len(self.values) <= k:
+            self._step()
+        return self.values[k]
+
+    def _step(self):
+        src, dst = self.top, self.space(len(self.values))
+        p = self.fld.p or 0  # over Q no slot width is read
+        total, bases, t = 0, {}, self.tmin
+        while True:
+            cols = len(dst.slots(t))
+            below = max((len(src.slots(t - d)) for d in self.degrees), default=0)
+            w = ((below + cols + 1) * p * p).bit_length()
+            rows = (row for j, d in enumerate(self.degrees)
+                    for row in self._rows(j, t - d, dst, w))
+            basis = _echelon(self.fld, rows, w, cols)
+            left = cols - len(basis)
+            total += left
+            if left:
+                bases[t] = (w, basis)
+            elif t >= self.tmax:
+                break
+            t += 1
+        self.top, self.bases = dst, bases
+        self.values.append(total)
+
+    def _rows(self, j, s, dst, w):
+        """The rows g_j·(L_k)_s over dst's columns of degree s + d_j."""
+        src = self.top
+        table = src.tables.get((j, s))
+        if table is None:
+            slots = dst.slots(s + self.degrees[j])
+            table = src.tables[(j, s)] = [
+                _pack(self.fld, src.times(j, u), slots, w) for u in src.slots(s)]
+        held = self.bases.get(s)
+        if held is None:
+            return table
+        ws, basis = held
+        return (_image(self.fld, b, ws, table) for b in basis)
+
+
+def _module_powers(module: GradedModule, gens):
+    """The filtration Q^k·M of M by Q = (gens).  A_k = M at every level, so
+    its tables serve every level; NF(g_j·u) comes from _normal_forms."""
+    gens = [g for g in gens if not g.is_zero()]
     nf = _normal_forms(module)
-    amb = module.ambient
-    num = hilbert_series(module)
-    bases = []  # nonzero normal forms of the vectors, with their degrees
-    for v in vectors:
-        terms = nf(v.terms)
-        if terms:
-            bases.append((terms, v.degree()))
-    tmax = max(amb.twists)
-    total = 0
-    t = min(amb.twists)
-    while True:
-        std = series_coefficient(num, ring.num_vars, t)
-        rows = (nf({(pos, mon_mul(mon, m)): c
-                    for (pos, mon), c in terms.items()})
-                for terms, dv in bases
-                for m in monomials_of_degree(ring.num_vars, t - dv))
-        left = std - _rank_count(fld, rows, std)
-        total += left
-        if left == 0 and t >= tmax:
-            return total
-        t += 1
+
+    def times(j, u):
+        pos, mon = u
+        return nf({(pos, mon_mul(mon, m)): c for m, c in gens[j].terms.items()})
+    known = {}
+    space = _Space(lambda t: _standard_terms(module, t, known), times)
+    return _Powers(module.ring.field, [g.total_degree() for g in gens],
+                   module.ambient.twists, lambda k: space)
 
 
-def _hs_value(module: GradedModule, products, n):
-    """λ(M/Q^{n+1}M): the quotient by q·e_i for the products q of n+1
-    generators of Q, given by products = _power_levels(Q).  Callers certify
-    first that M/QM has finite length."""
-    return quotient_length(module, module.ambient.ideal_multiples(products(n + 1)))
+def _hs_value(module: GradedModule, powers, n):
+    """λ(M/Q^{n+1}M), level n + 1 of powers = _module_powers(M, Q).
+    Callers certify first that M/QM has finite length."""
+    return powers.value(n + 1)
 
 
 def hilbert_samuel(module: GradedModule, q_gens, N: int) -> HilbertSamuelTable:
     """Table of λ(M/Q^{n+1}M) for n = 0..N."""
     gens = list(q_gens)
     colength(module, gens)  # certifies the Artinian property once
-    products = _power_levels(gens)
-    values = [_hs_value(module, products, n) for n in range(N + 1)]
+    powers = _module_powers(module, gens)
+    values = [_hs_value(module, powers, n) for n in range(N + 1)]
     return HilbertSamuelTable(values=values, N=N)
 
 
@@ -501,8 +607,8 @@ def hilbert_coefficients(module: GradedModule, q_gens) -> HilbertCoefficients:
     if r == NEG_INF:
         raise HilbertError("zero module has no Hilbert coefficients")
     colength(module, gens)
-    products = _power_levels(gens)
-    fit = fit_binomial(lambda n: _hs_value(module, products, n), r, 0, HS_N_MAX)
+    powers = _module_powers(module, gens)
+    fit = fit_binomial(lambda n: _hs_value(module, powers, n), r, 0, HS_N_MAX)
     if fit is None:
         raise HilbertError(
             "Hilbert-Samuel table did not stabilize within n <= %d" % HS_N_MAX)

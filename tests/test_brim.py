@@ -99,30 +99,39 @@ def test_infinite_colength_raises_before_rank_counts(monkeypatch):
     x, _ = RING2.gens()
     pm = brim.make_parameter_module(RING2, [], [[x]])
 
-    def no_rank_counts(fld, rows, cap):
+    def no_rank_counts(fld, rows, w, cap):
         raise AssertionError("rank count started")
-    monkeypatch.setattr(hilbert, "_rank_count", no_rank_counts)
+    monkeypatch.setattr(hilbert, "_echelon", no_rank_counts)
     with pytest.raises(brim.BrimError):
         brim.br_value(pm, 1)
 
 
 def test_br_coefficients_builds_each_product_level_once(monkeypatch):
+    # each level Eⁿ is stepped once, from the one below, with no product of
+    # polynomials; a second fit, as check_brim's conjecture probe makes,
+    # steps none
     ring = PolyRing(CoeffField(32003), ["x", "y", "z"])
     pm = random_parameter_module(ring, [ring.poly("x*y - z^2")], 2,
                                  random.Random(4))
     assert pm.colength is not None and pm.base_dim == 2
-    products = []
-    original = Poly.__mul__
+    products, steps = [], []
+    original_mul, original_step = Poly.__mul__, hilbert._Powers._step
 
-    def counted(self, other):
+    def counted_mul(self, other):
         products.append(self)
-        return original(self, other)
-    monkeypatch.setattr(Poly, "__mul__", counted)
-    top = len(brim.br_coefficients(pm).table) - 1
-    # level n holds the binom(m + n − 1, n) products of n of the m g_j,
-    # each one product of a level-(n − 1) entry with some g_j
-    m = pm.gens_count
-    assert len(products) == sum(comb(m + n - 1, n) for n in range(1, top + 1))
+        return original_mul(self, other)
+
+    def counted_step(self):
+        steps.append(len(self.values))
+        return original_step(self)
+    monkeypatch.setattr(Poly, "__mul__", counted_mul)
+    monkeypatch.setattr(hilbert._Powers, "_step", counted_step)
+    first = brim.br_coefficients(pm)
+    top = len(first.table) - 1
+    assert steps == list(range(1, top + 1)) and products == []
+    del steps[:]
+    assert brim.br_coefficients(pm).table == first.table
+    assert steps == []
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +216,7 @@ BASES = {
 
 @pytest.mark.parametrize("char", [32003, None])
 @pytest.mark.parametrize("base", sorted(BASES))
-@pytest.mark.parametrize("rank", [1, 2])
+@pytest.mark.parametrize("rank", [1, 2, 3])
 def test_br_value_matches_reference_path(char, base, rank):
     names, rels = BASES[base]
     ring = PolyRing(CoeffField(char), names)

@@ -3,7 +3,6 @@ import json
 import os
 import random
 from fractions import Fraction
-from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +14,8 @@ from gradedca import homology, invariants
 from gradedca.gb import module_gb, quotient_by_ideal, reduce_vector
 from gradedca.jobio import build_job
 from gradedca.modules import FreeModule, GradedModule
-from gradedca.poly import CoeffField, PolyRing, monomials_of_degree, parse_poly
+from gradedca.poly import (CoeffField, Poly, PolyRing, monomials_of_degree,
+                           parse_poly)
 from gradedca.sampler import random_parameter_ideal
 
 RING = PolyRing(CoeffField(32003), ["x", "y"])
@@ -152,10 +152,10 @@ def test_hs_value_is_the_length_of_the_quotient(name):
         module = build_job(json.load(fh)).module
     q = random_parameter_ideal(module, [1] * hb.dim_module(module),
                                random.Random(name)).gens
-    products = hb._power_levels(q)
+    powers = hb._module_powers(module, q)
     for n in range(3):
-        assert hb._hs_value(module, products, n) == \
-            hb.module_length(quotient_by_ideal(module, products(n + 1)))
+        assert hb._hs_value(module, powers, n) == hb.module_length(
+            quotient_by_ideal(module, _reference_power_products(q, n + 1)))
 
 
 def _standard_count(gens, n, d):
@@ -218,7 +218,8 @@ def test_series_matches_standard_monomials(spec):
 
 
 # ---------------------------------------------------------------------------
-# the normal-form table against the per-row reduction it replaced
+# the levels of _Powers against the per-row reduction of products built
+# afresh
 
 
 def _reference_quotient_length(module, vectors):
@@ -255,11 +256,43 @@ def _random_vector(amb, degree, rng):
                         else ring.zero() for tw in amb.twists])
 
 
-@given(st.sampled_from([32003, None]), st.integers(min_value=0, max_value=2 ** 32))
+def _reference_power_products(gens, n):
+    """All products of n generators (with repetition), each level rebuilt
+    from scratch."""
+    out = {(): gens[0].ring.one()} if gens else {}
+    for _ in range(n):
+        nxt = {}
+        for key, p in out.items():
+            for j in range(key[-1] if key else 0, len(gens)):
+                nxt[key + (j,)] = p * gens[j]
+        out = nxt
+    return list(out.values())
+
+
+PRIMES = [3, 5, 32003, 2 ** 31 - 1, 2 ** 61 - 1]  # the last two need slots
+                                                   # wider than 64 bits
+
+
+def _triangular_ideal(ring, rng):
+    """Forms x_k^d + f_k of degree d in 1..2, f_k in the variables after
+    x_k, shuffled: every x_k is nilpotent modulo them, so M/QM has finite
+    length for every M."""
+    q = []
+    for k, x in enumerate(ring.gens()):
+        d = rng.randint(1, 2)
+        f = ring.random_form(d, rng)
+        q.append(x ** d + Poly(ring, {m: c for m, c in f.terms.items()
+                                      if not any(m[:k + 1])}))
+    rng.shuffle(q)
+    return q
+
+
+@given(st.sampled_from(PRIMES + [None]),
+       st.integers(min_value=0, max_value=2 ** 32))
 @settings(max_examples=40, deadline=None)
-def test_quotient_length_matches_per_row_reduction(char, seed):
-    # a random graded module with unequal twists, and random homogeneous
-    # vectors made of finite colength by pure powers at every position
+def test_hs_value_matches_reference_quotient_length(char, seed):
+    # a random graded module with unequal twists, and the quotient by
+    # Q^{n+1}·e_i for the products of n + 1 generators of Q, n ≤ 3
     rng = random.Random(seed)
     ring = PolyRing(CoeffField(char), ["x", "y", "z"][:rng.randint(2, 3)])
     twists = [rng.randint(-1, 1) for _ in range(rng.randint(1, 3))]
@@ -269,12 +302,29 @@ def test_quotient_length_matches_per_row_reduction(char, seed):
     rels = [_random_vector(amb, max(twists) + rng.randint(1, 2), rng)
             for _ in range(rng.randint(0, 3))]
     module = GradedModule.from_relations(amb, rels)
-    vectors = [_random_vector(amb, max(twists) + rng.randint(0, 2), rng)
-               for _ in range(rng.randint(0, 3))]
-    vectors += amb.ideal_multiples([v ** rng.randint(2, 3) for v in ring.gens()])
-    rng.shuffle(vectors)
-    assert hb.quotient_length(module, vectors) == \
-        _reference_quotient_length(module, vectors)
+    q = _triangular_ideal(ring, rng)
+    powers = hb._module_powers(module, q)
+    for n in range(4):
+        vectors = amb.ideal_multiples(_reference_power_products(q, n + 1))
+        assert hb._hs_value(module, powers, n) == \
+            _reference_quotient_length(module, vectors)
+
+
+@pytest.mark.parametrize("gens", ["", "x", "x+y,z", "x,y,z", "x^2,y+z,x", "x*z,y^2"])
+def test_power_levels_match_products_built_afresh(ring3, gens):
+    # level n of _Powers against M/(products of n generators)M on an
+    # Artinian M with unequal twists, so that every ideal has finite
+    # colength: the zero ideal, repeated generators and non-parameters too
+    x, y, z = ring3.gens()
+    gens = [parse_poly(ring3, g) for g in gens.split(",") if g]
+    amb = FreeModule(ring3, [0, 1])
+    rels = amb.ideal_multiples([x ** 3, y ** 3, z ** 3])
+    rels.append(amb.element([x ** 2, -y]))
+    module = GradedModule.from_relations(amb, rels)
+    powers = hb._module_powers(module, gens)
+    for n in range(1, 5):
+        assert powers.value(n) == hb.module_length(
+            quotient_by_ideal(module, _reference_power_products(gens, n)))
 
 
 def _count_reductions(monkeypatch):
@@ -307,18 +357,30 @@ def test_normal_form_table_is_reused_across_parameter_ideals(monkeypatch, ring3)
 
 
 # ---------------------------------------------------------------------------
-# the packed F_p rank count against the dict elimination over the field
+# the echelon against the dict elimination over the field
 
 
-PRIMES = [3, 5, 32003, 2 ** 31 - 1, 2 ** 61 - 1]  # the last two need slots
-                                                   # wider than 64 bits
+def _reduce(fld, row, basis):
+    """row minus the multiples of the basis rows that clear their pivots,
+    highest pivot first; a basis row's pivot is its highest slot, with
+    coefficient 1."""
+    row = dict(row)
+    for b in sorted(basis, key=max, reverse=True):
+        c = row.get(max(b))
+        if c:
+            for s, v in b.items():
+                row[s] = fld.sub(row.get(s, fld.zero()), fld.mul(c, v))
+    return {s: c for s, c in row.items() if c}
 
 
-@given(st.sampled_from(PRIMES), st.integers(min_value=0, max_value=2 ** 32))
+@given(st.sampled_from(PRIMES + [None]),
+       st.integers(min_value=0, max_value=2 ** 32))
 @settings(max_examples=200, deadline=None)
 def test_rank_count_matches_rank_tracker(p, seed):
     # random sparse rows, some of them combinations of earlier ones, and
-    # caps below, at and above their rank
+    # caps below, at and above their rank: _echelon finds min(cap, rank)
+    # rows, pivot 1 and tail reduced, and at a cap of at least the rank
+    # every row reduces to zero against them
     rng = random.Random(seed)
     fld = CoeffField(p)
     ncols = rng.randint(1, 10)
@@ -326,16 +388,28 @@ def test_rank_count_matches_rank_tracker(p, seed):
     for _ in range(rng.randint(0, 14)):
         if rows and rng.random() < 0.3:
             a, b = rng.choice(rows), rng.choice(rows)
-            k = rng.randrange(p)
-            row = {t: (a.get(t, 0) + k * b.get(t, 0)) % p for t in a.keys() | b.keys()}
+            k = fld.random(rng)
+            row = {s: fld.add(a.get(s, fld.zero()), fld.mul(k, b.get(s, fld.zero())))
+                   for s in a.keys() | b.keys()}
         else:
-            row = {(c % 2, (c,)): rng.choice([1, p - 1, rng.randrange(p)])
-                   for c in rng.sample(range(ncols), rng.randint(0, ncols))}
-        rows.append({t: c for t, c in row.items() if c})
+            row = {s: rng.choice([fld.one(), fld.neg(fld.one()), fld.random(rng)])
+                   for s in rng.sample(range(ncols), rng.randint(0, ncols))}
+        rows.append({s: c for s, c in row.items() if c})
     rank = hb._RankTracker(fld).rank(rows, ncols)
     for cap in {0, max(rank - 1, 0), rank, rng.randint(0, ncols), ncols + 1}:
-        assert hb._rank_count(fld, iter(rows), cap) == \
-            hb._RankTracker(fld).rank(rows, cap)
+        if p is None:
+            basis = hb._echelon(fld, iter(rows), None, cap)
+        else:
+            w = ((cap + 1) * p * p).bit_length()
+            packed = (sum(c << w * s for s, c in r.items()) for r in rows)
+            basis = [{s: b >> w * s & (1 << w) - 1 for s in range(ncols)}
+                     for b in hb._echelon(fld, packed, w, cap)]
+            basis = [{s: c for s, c in b.items() if c} for b in basis]
+            assert all(c < p for b in basis for c in b.values())
+        assert len(basis) == min(cap, rank)
+        assert all(b[max(b)] == 1 for b in basis)
+        if cap >= rank:
+            assert all(not _reduce(fld, r, basis) for r in rows)
 
 
 class _TrackerBuilt(Exception):
@@ -347,45 +421,16 @@ def test_rank_tracker_serves_only_the_rationals(monkeypatch, char):
     ring = PolyRing(CoeffField(char), ["x", "y"])
     x, y = ring.gens()
     module = GradedModule.quotient_ring(ring, [x * y])
-    vectors = module.ambient.ideal_multiples([x ** 2, y ** 3])
 
     def tracker(fld):
         raise _TrackerBuilt
     monkeypatch.setattr(hb, "_RankTracker", tracker)
     if char is None:
         with pytest.raises(_TrackerBuilt):
-            hb.quotient_length(module, vectors)
+            hb.hilbert_samuel(module, [x ** 2, y ** 3], 0)
     else:
         # k[x,y]/(xy, x², y³) has basis 1, x, y, y²
-        assert hb.quotient_length(module, vectors) == 4
-
-
-def _reference_power_products(gens, n):
-    """All products of n generators (with repetition), each level rebuilt
-    from scratch."""
-    out = {(): gens[0].ring.one()} if gens else {}
-    for _ in range(n):
-        nxt = {}
-        for key, p in out.items():
-            for j in range(key[-1] if key else 0, len(gens)):
-                nxt[key + (j,)] = p * gens[j]
-        out = nxt
-    return list(out.values())
-
-
-@pytest.mark.parametrize("gens", ["", "x", "x+y,z", "x,y,z", "x^2,y+z,x", "x*z,y^2"])
-def test_power_levels_match_products_built_afresh(ring3, gens):
-    gens = [parse_poly(ring3, g) for g in gens.split(",") if g]
-    products = hb._power_levels(gens)
-
-    def as_set(polys):
-        return {frozenset(p.terms.items()) for p in polys}
-    for n in range(5):
-        got = products(n)
-        assert as_set(got) == as_set(_reference_power_products(gens, n))
-        expected = {frozenset(reduce(lambda a, b: a * b, c, ring3.one()).terms.items())
-                    for c in itertools.combinations_with_replacement(gens, n)}
-        assert as_set(got) == (expected if gens else set())
+        assert hb.hilbert_samuel(module, [x ** 2, y ** 3], 0).values == [4]
 
 
 # ---------------------------------------------------------------------------
