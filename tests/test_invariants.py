@@ -7,12 +7,14 @@ import pytest
 from gradedca import gb as gbmod
 from gradedca import invariants as inv
 from gradedca.hilbert import dim_module, hilbert_coefficients, module_length
-from gradedca.gb import SubmoduleGB, colon_submodule, quotient_module
+from gradedca.gb import SubmoduleGB, quotient_module
 from gradedca.jobio import build_job
 from gradedca.modules import GradedModule
 from gradedca.poly import CoeffField, PolyRing
 from gradedca.sampler import (SampleConfig, random_parameter_ideal,
                               sample_parameter_ideals)
+
+from reference import colon_submodule
 
 RING2 = PolyRing(CoeffField(32003), ["x", "y"])
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")

