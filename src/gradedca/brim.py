@@ -86,6 +86,8 @@ def make_parameter_module(ring, ring_rels, columns) -> ParameterModule:
         cols.append(col)
     if not cols:
         raise BrimError("no generators")
+    if not all(f.is_homogeneous() for f in ring_rels):
+        raise BrimError("ring relations must be homogeneous")
     return ParameterModule(ring=ring, ring_rels=tuple(ring_rels),
                            rank=rank, columns=tuple(cols))
 

@@ -11,8 +11,8 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 
 from .modules import (FreeModule, GradedModule, ModuleMap, Vector, memoized,
-                      term_key)
-from .poly import Poly, PolyError, mon_deg, mon_div, mon_lcm
+                      term_key, term_mul)
+from .poly import Poly, PolyError, lincomb, mon_deg, mon_div, mon_lcm
 
 
 class GBError(PolyError):
@@ -34,7 +34,7 @@ def reduce_vector(v: Vector, basis, lts=None):
         return Vector(v.module, dict(v.terms))
     if lts is None:
         lts = [b.leading_term()[0] for b in basis]
-    fld = v.module.ring.field
+    reduce = v.module.ring.field.reduce
     out = {}
     work = dict(v.terms)
     heap = [term_key(t) + (t,) for t in work]
@@ -57,11 +57,10 @@ def reduce_vector(v: Vector, basis, lts=None):
             del work[term]
             continue
         b, q = hit
-        for (bp, bm), bc in b.terms.items():
-            m = tuple(x + y for x, y in zip(bm, q))
-            t = (bp, m)
+        for bt, bc in b.terms.items():
+            t = term_mul(bt, q)
             old = work.get(t)
-            s = fld.sub(fld.zero() if old is None else old, fld.mul(bc, coeff))
+            s = reduce((old or 0) - bc * coeff)
             if s == 0:
                 if old is not None:
                     del work[t]
@@ -75,10 +74,9 @@ def reduce_vector(v: Vector, basis, lts=None):
 def _spair(f, mf, g, mg):
     """The S-vector of f and g, whose lead monomials are mf and mg."""
     lcm = mon_lcm(mf, mg)
-    one = f.module.ring.field.one()
-    qf = tuple(a - b for a, b in zip(lcm, mf))
-    qg = tuple(a - b for a, b in zip(lcm, mg))
-    return f.mul_term(qf, one) - g.mul_term(qg, one)
+    return Vector(f.module, lincomb(f.field.reduce,
+                                    [(1, mon_div(lcm, mf), f.terms),
+                                     (-1, mon_div(lcm, mg), g.terms)], term_mul))
 
 
 def buchberger(gens):

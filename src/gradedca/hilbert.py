@@ -27,9 +27,9 @@ comes from a normal-form table kept on the module, which reduces each
 monomial of the ambient once.  _echelon does the linear algebra: over F_p
 a packed echelon, each row one Python int with a slot per column and mod-p
 reduction delayed until a slot is read, so a row operation is one integer
-multiply-add; over Q a fraction-free elimination on primitive integer
-rows, so no Fraction grows inside it.  The Buchsbaum-Rim values
-λ(Fⁿ/Eⁿ) are levels of the same object.
+multiply-add; over Q, where each table is scaled to integers by the lcm
+of its denominators, a fraction-free elimination on primitive integer
+rows.  The Buchsbaum-Rim values λ(Fⁿ/Eⁿ) are levels of the same object.
 Coefficients are integer backward differences of a stabilized tail of
 the table, read off in the binomial basis; the Buchsbaum-Rim tables use
 the same fit.
@@ -43,12 +43,13 @@ returns what a recomputation would.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from math import comb, gcd, lcm
 
 from .gb import GBError, module_gb, quotient_by_ideal, reduce_vector
 from .modules import GradedModule, Vector, memoized
-from .poly import Poly, mon_deg, mon_divides, mon_mul, require
+from .poly import Poly, lincomb, mon_deg, mon_divides, mon_mul, require
 
 NEG_INF = float("-inf")
 
@@ -117,11 +118,7 @@ def hilbert_series(module: GradedModule):
 
 def shifted_sum(parts):
     """Σ c·t^s·N over the (c, s, N) in parts, as {exponent: coefficient}."""
-    out = {}
-    for c, s, num in parts:
-        for e, v in num.items():
-            out[e + s] = out.get(e + s, 0) + c * v
-    return {e: v for e, v in out.items() if v}
+    return lincomb(operator.pos, parts, operator.add)
 
 
 def divide_poles(num, k):
@@ -247,13 +244,14 @@ def _echelon(fld, rows, w, cap):
     """An echelon basis of the span of rows, read until cap rows of it are
     found.
 
-    Over Q the rows are {slot: c} dicts, c a Fraction or an int, and the
-    elimination is fraction-free (E. H. Bareiss, Math. Comp. 22, 1968, with
-    each row's content divided out in place of the previous pivot): a row's
-    denominators are cleared by their lcm, its top slot is eliminated by
-    the cross-multiple a·work − c·row of the basis row with that top slot,
-    and its content is divided out before each step.  The basis comes back
-    as primitive integer rows with distinct top slots, a basis of the span
+    Over Q the rows are {slot: c} dicts of integers, as _pack and _image
+    build them (a row with Fraction entries has its denominators cleared
+    by their lcm first), and the elimination is fraction-free (E. H.
+    Bareiss, Math. Comp. 22, 1968, with each row's content divided out in
+    place of the previous pivot): a row's top slot is eliminated by the
+    cross-multiple a·work − c·row of the basis row with that top slot, and
+    its content is divided out before each step.  The basis comes back as
+    primitive integer rows with distinct top slots, a basis of the span
     rather than a reduced one.  Over F_p it is a packed
     echelon with delayed reduction (J.-G. Dumas, P. Giorgi and C. Pernet,
     ACM Trans. Math. Software 35, 2008): a row is one int with a slot of w
@@ -327,24 +325,17 @@ def _normal_forms(module: GradedModule):
     if not gb.basis:
         return dict
     fld = module.ring.field
-    zero, one = fld.zero(), fld.one()
+    one = fld.one()
     amb, lts = module.ambient, gb.leading_terms()
     table = {}
 
     def nf(terms):
-        out = {}
-        for term, c in terms.items():
-            form = table.get(term)
-            if form is None:
-                form = table[term] = reduce_vector(
-                    Vector(amb, {term: one}), gb.basis, lts).terms
-            for t, d in form.items():
-                s = fld.add(out.get(t, zero), fld.mul(c, d))
-                if s == 0:
-                    out.pop(t, None)
-                else:
-                    out[t] = s
-        return out
+        for t in terms:
+            if t not in table:
+                v = Vector(amb, {t: one})
+                table[t] = reduce_vector(v, gb.basis, lts).terms
+        return lincomb(fld.reduce,
+                       [(c, None, table[t]) for t, c in terms.items()], None)
     return nf
 
 
@@ -395,26 +386,30 @@ class _Space:
         return slots
 
 
-def _pack(fld, terms, slots, w):
-    """A row {term: c}: over F_p one int with c in slot slots[term] of w
-    bits, over Q a {slot: c} dict."""
+def _pack(fld, forms, slots, w):
+    """A table, one row per form {term: c}: over F_p one int with c in slot
+    slots[term] of w bits, over Q a {slot: c} dict of integers, the whole
+    table scaled by the lcm of its denominators, which scales every image
+    under it alike and so changes no span."""
     if fld.p is None:
-        return {slots[u]: c for u, c in terms.items()}
-    row = 0
-    for u, c in terms.items():
-        row |= c << w * slots[u]
-    return row
+        den = lcm(*(c.denominator for f in forms for c in f.values()))
+        return [{slots[u]: c.numerator * (den // c.denominator)
+                 for u, c in f.items()} for f in forms]
+    rows = []
+    for f in forms:
+        row = 0
+        for u, c in f.items():
+            row |= c << w * slots[u]
+        rows.append(row)
+    return rows
 
 
 def _image(fld, row, w, table):
     """Σ c·table[slot] over the slots of a basis row, whose slots are w
     bits wide."""
     if fld.p is None:
-        out = {}
-        for slot, c in row.items():
-            for s, v in table[slot].items():
-                out[s] = out.get(s, 0) + c * v
-        return {s: v for s, v in out.items() if v}
+        return lincomb(fld.reduce,
+                       [(c, None, table[slot]) for slot, c in row.items()], None)
     mask = (1 << w) - 1
     out = slot = 0
     while row:
@@ -487,8 +482,8 @@ class _Powers:
         table = src.tables.get((j, s))
         if table is None:
             slots = dst.slots(s + self.degrees[j])
-            table = src.tables[(j, s)] = [
-                _pack(self.fld, src.times(j, u), slots, w) for u in src.slots(s)]
+            table = src.tables[(j, s)] = _pack(
+                self.fld, [src.times(j, u) for u in src.slots(s)], slots, w)
         held = self.bases.get(s)
         if held is None:
             return table

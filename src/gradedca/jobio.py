@@ -35,7 +35,7 @@ JOB_SCHEMA = {
             "properties": {
                 "characteristic": {"type": ["integer", "null"]},
                 "variables": {"type": "array", "items": {"type": "string"},
-                              "minItems": 1},
+                              "minItems": 1, "uniqueItems": True},
             },
         },
         "module": {
@@ -146,6 +146,8 @@ def build_job(raw, default_char=32003, seed_override=None) -> Job:
             raise JobError("relation vector length %d != %d twists"
                            % (len(row), len(twists)))
         rels.append(amb.element([ring.poly(s) for s in row]))
+    if not all(r.is_homogeneous() for r in rels):
+        raise JobError("module relations must be homogeneous for the twists")
     module = GradedModule.from_relations(amb, rels)
     # every op reads an ideal as forms in the maximal ideal
     ideals = {name: [_positive_form(ring.poly(s), "ideal %r: generator" % name)

@@ -60,7 +60,7 @@ def koszul_differential(module: GradedModule, forms, i) -> ModuleMap:
             for j, s in enumerate(T):
                 pos = lower[T[:j] + T[j + 1:]] * f + b
                 for m, c in forms[s].terms.items():
-                    terms[(pos, m)] = c if j % 2 == 0 else fld.neg(c)
+                    terms[(pos, m)] = c if j % 2 == 0 else fld.reduce(-c)
             cols.append(Vector(tgt, terms))
     return ModuleMap(src, tgt, cols)
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from functools import wraps
 
 from .poly import (Poly, PolyRing, PolyError, RingMismatch, SparseTerms,
-                   grevlex_key, mon_deg, mon_mul)
+                   grevlex_key, lincomb, mon_deg, mon_mul)
 
 
 class FreeModule:
@@ -77,9 +77,16 @@ def term_key(term):
     return (pos,) + grevlex_key(mon)
 
 
+def term_mul(term, mon):
+    """The term (position, monomial) times the monomial mon."""
+    pos, m = term
+    return pos, mon_mul(m, mon)
+
+
 class Vector(SparseTerms):
     __slots__ = ("module", "terms")
     key = staticmethod(term_key)
+    shift = staticmethod(term_mul)
 
     def __init__(self, module, terms):
         self.module = module
@@ -100,25 +107,6 @@ class Vector(SparseTerms):
         if not isinstance(other, Vector):
             return NotImplemented
         return self.module == other.module and self.terms == other.terms
-
-    def poly_mul(self, p: Poly):
-        fld = self.module.ring.field
-        out = {}
-        for (i, m1), c1 in self.terms.items():
-            for m2, c2 in p.terms.items():
-                t = (i, mon_mul(m1, m2))
-                s = fld.add(out.get(t, fld.zero()), fld.mul(c1, c2))
-                if s == 0:
-                    out.pop(t, None)
-                else:
-                    out[t] = s
-        return Vector(self.module, out)
-
-    def mul_term(self, mon, coeff):
-        """Multiply by coeff * x^mon."""
-        fld = self.module.ring.field
-        return Vector(self.module, {(i, mon_mul(m, mon)): fld.mul(c, coeff)
-                                    for (i, m), c in self.terms.items()})
 
     def term_degree(self, term):
         i, m = term
@@ -184,10 +172,10 @@ class ModuleMap:
     def apply(self, v: Vector) -> Vector:
         if v.module != self.source:
             raise RingMismatch("vector not in source module")
-        out = self.target.zero()
-        for (j, m), c in v.terms.items():
-            out = out + self._columns[j].mul_term(m, c)
-        return out
+        cols = self._columns
+        return Vector(self.target, lincomb(
+            self.target.ring.field.reduce,
+            [(c, m, cols[j].terms) for (j, m), c in v.terms.items()], term_mul))
 
     def transpose(self):
         """Dual map Hom(target, S) -> Hom(source, S); twists negate.

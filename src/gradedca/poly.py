@@ -5,8 +5,10 @@ live either in a prime field F_p (default p = 32003, large enough that
 random linear forms behave generically) or in the rationals.
 
 The term order is graded reverse lex, stated once in grevlex_key as an
-ascending key: the smallest key is the leading monomial.  SparseTerms holds
-the dict arithmetic that Poly and modules.Vector share.
+ascending key: the smallest key is the leading monomial.  Every sparse sum
+Σ c·x^m·v is one lincomb, which sums exactly and reduces each coefficient
+once by CoeffField.reduce (delayed reduction: J.-G. Dumas, P. Giorgi and
+C. Pernet, ACM Trans. Math. Software 35, 2008).
 """
 
 from __future__ import annotations
@@ -72,26 +74,14 @@ class CoeffField:
             raise PolyError("characteristic 2 is not supported (p >= 3 required)")
         self.p = p
 
-    @property
-    def kind(self):
-        return "rationals" if self.p is None else "prime-field"
-
     def coerce(self, c):
         if self.p is None:
             return Fraction(c)
         return int(c) % self.p
 
-    def add(self, a, b):
-        return a + b if self.p is None else (a + b) % self.p
-
-    def sub(self, a, b):
-        return a - b if self.p is None else (a - b) % self.p
-
-    def mul(self, a, b):
-        return a * b if self.p is None else (a * b) % self.p
-
-    def neg(self, a):
-        return -a if self.p is None else (-a) % self.p
+    def reduce(self, c):
+        """c mod p over F_p, c itself over Q."""
+        return c if self.p is None else c % self.p
 
     def inv(self, a):
         if self.p is None:
@@ -101,9 +91,6 @@ class CoeffField:
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, self.p - 2, self.p)
-
-    def zero(self):
-        return Fraction(0) if self.p is None else 0
 
     def one(self):
         return Fraction(1) if self.p is None else 1
@@ -199,8 +186,7 @@ class PolyRing:
         return Poly(self, {self.zero_mon: self.field.one()})
 
     def const(self, c):
-        c = self.field.coerce(c)
-        return Poly(self, {self.zero_mon: c} if c != 0 else {})
+        return self.monomial(self.zero_mon, c)
 
     def var(self, i_or_name):
         i = self._var_index[i_or_name] if isinstance(i_or_name, str) else i_or_name
@@ -240,13 +226,30 @@ class PolyRing:
         return f"{self.field}[{', '.join(self.var_names)}]"
 
 
+def lincomb(reduce, parts, shift):
+    """Σ c·v·shift(t, m) over the terms t: v of each (c, m, terms) in
+    parts, with t itself where m is None, summed exactly; each resulting
+    coefficient is reduced once, by reduce, and the zero ones are dropped."""
+    out = {}
+    for c, m, terms in parts:
+        for t, v in terms.items():
+            if m is not None:
+                t = shift(t, m)
+            if t in out:
+                out[t] += c * v
+            else:
+                out[t] = c * v
+    return {t: r for t, v in out.items() if (r := reduce(v))}
+
+
 class SparseTerms:
     """A sparse sum of terms: dict term -> nonzero coefficient.
 
     A Poly's terms are monomials and a Vector's are (position, monomial)
     pairs.  A subclass gives key, the ascending order of its terms (the
-    smallest key is the leading term), field, its coefficient field, _new,
-    which builds a sibling from a terms dict, and its own _check.
+    smallest key is the leading term), shift(t, m), the term t times the
+    monomial m, field, its coefficient field, _new, which builds a sibling
+    from a terms dict, and its own _check.  All arithmetic is one lincomb.
     """
 
     __slots__ = ()
@@ -257,34 +260,32 @@ class SparseTerms:
     def __bool__(self):
         return bool(self.terms)
 
+    def _lincomb(self, parts):
+        return self._new(lincomb(self.field.reduce, parts, self.shift))
+
     def __add__(self, other):
         self._check(other)
-        fld = self.field
-        out = dict(self.terms)
-        for t, c in other.terms.items():
-            s = fld.add(out.get(t, fld.zero()), c)
-            if s == 0:
-                out.pop(t, None)
-            else:
-                out[t] = s
-        return self._new(out)
+        return self._lincomb([(1, None, self.terms), (1, None, other.terms)])
 
     def __neg__(self):
-        fld = self.field
-        return self._new({t: fld.neg(c) for t, c in self.terms.items()})
+        return self._lincomb([(-1, None, self.terms)])
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c):
-        fld = self.field
-        c = fld.coerce(c)
-        if c == 0:
-            return self._new({})
-        return self._new({t: fld.mul(cc, c) for t, cc in self.terms.items()})
+        return self._lincomb([(self.field.coerce(c), None, self.terms)])
 
     def __rmul__(self, other):
         return self.scale(other)
+
+    def mul_term(self, mon, coeff):
+        """Multiply by coeff·x^mon."""
+        return self._lincomb([(coeff, mon, self.terms)])
+
+    def poly_mul(self, p):
+        """Multiply by the polynomial p."""
+        return self._lincomb([(c, m, self.terms) for m, c in p.terms.items()])
 
     def leading_term(self):
         """(term, coeff) of the leading term, the one of smallest key."""
@@ -304,6 +305,7 @@ class Poly(SparseTerms):
 
     __slots__ = ("ring", "terms")
     key = staticmethod(grevlex_key)
+    shift = staticmethod(mon_mul)
 
     def __init__(self, ring, terms):
         self.ring = ring
@@ -332,30 +334,13 @@ class Poly(SparseTerms):
         if not isinstance(other, Poly):
             return self.scale(other)
         self._check(other)
-        fld = self.ring.field
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = mon_mul(m1, m2)
-                s = fld.add(out.get(m, fld.zero()), fld.mul(c1, c2))
-                if s == 0:
-                    out.pop(m, None)
-                else:
-                    out[m] = s
-        return Poly(self.ring, out)
+        return self.poly_mul(other)
 
     def __pow__(self, n):
         out = self.ring.one()
         for _ in range(n):
             out = out * self
         return out
-
-    def mul_monomial(self, mon, coeff=None):
-        fld = self.ring.field
-        if coeff is None:
-            coeff = fld.one()
-        return Poly(self.ring, {mon_mul(m, mon): fld.mul(c, coeff)
-                                for m, c in self.terms.items()})
 
     def total_degree(self):
         """Max total degree, or None for the zero polynomial."""

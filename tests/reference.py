@@ -32,11 +32,11 @@ class _RankTracker:
             if row is None:
                 c = work[pivot]
                 inv = fld.inv(c)
-                self.rows[pivot] = {t: fld.mul(v, inv) for t, v in work.items()}
+                self.rows[pivot] = {t: fld.reduce(v * inv) for t, v in work.items()}
                 return True
             c = work[pivot]
             for t, v in row.items():
-                s = fld.sub(work.get(t, fld.zero()), fld.mul(v, c))
+                s = fld.reduce(work.get(t, 0) - v * c)
                 if s == 0:
                     work.pop(t, None)
                 else:

@@ -191,7 +191,7 @@ def _reference_br_value(pm, n):
     def terms(p, mon):
         out = {}
         for alpha, c in p.items():
-            red = _reference_nf(c.mul_monomial(mon, fld.one()), gb, amb)
+            red = _reference_nf(c.mul_term(mon, fld.one()), gb, amb)
             for m2, cc in red.terms.items():
                 out[(alpha, m2)] = cc
         return out

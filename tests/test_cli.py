@@ -198,6 +198,29 @@ def test_console_entrypoint():
     assert proc.returncode == 0 and "compute" in proc.stdout
 
 
+def _top_level_packages_after(module):
+    """The top-level packages in sys.modules of a fresh interpreter that
+    has imported module."""
+    script = ("import json, sys, %s\n"
+              "print(json.dumps(sorted({m.split('.')[0] for m in sys.modules})))"
+              % module)
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=env, check=True)
+    return set(json.loads(proc.stdout))
+
+
+def test_cli_import_loads_no_package_beyond_jsonschema():
+    # startup cost: importing the CLI may load the standard library,
+    # jsonschema with what it loads itself, and gradedca, nothing else
+    extra = (_top_level_packages_after("gradedca.cli")
+             - _top_level_packages_after("jsonschema")
+             - set(sys.stdlib_module_names) - {"gradedca"})
+    assert not extra
+
+
 @pytest.mark.parametrize("error", [GBError("no basis"),
                                    AssertionError("e1 must be <= 0")])
 def test_check_isolates_a_failing_instance(tmp_path, capsys, monkeypatch, error):
@@ -322,6 +345,10 @@ BAD_INPUTS = [
     (None, {"op": "superficial-check", "ideal": "Q", "h": "x+y^2"}),
     (None, {"op": "superficial-check", "ideal": "Q", "h": "1"}),
     (None, {"op": "d-sequence", "ideal": "Q", "forms": ["x", "y"]}),
+    (None, {"op": "buchsbaum-rim", "columns": [["x"], ["y"]],
+            "ring_relations": ["x+x^2"]}),
+    (None, {"op": "probe-9-5", "columns": [["x"], ["y"]],
+            "ring_relations": ["x+x^2"]}),
 ]
 
 
@@ -343,6 +370,30 @@ def test_check_bad_brim_columns_exits_2(tmp_path, capsys, columns):
     (tmp_path / "bad.json").write_text(json.dumps(raw))
     code, _, err = run_main(["check", str(tmp_path)], capsys)
     assert code == 2 and "invalid Buchsbaum-Rim columns" in err
+
+
+BAD_JOBS = [
+    ("mixed-line", {"ring": {"variables": ["x", "x"]}}),
+    ("mixed-line", {"module": {"twists": [0], "relations": [["x+y^2"]]}}),
+    ("mixed-line", {"module": {"twists": [0, 1], "relations": [["x", "x"]]}}),
+    ("brim-line", {"ops": [{"op": "buchsbaum-rim", "columns": [["x"]],
+                            "ring_relations": ["x+x^2"]}],
+                   "brim": {"columns": [["x"]], "ring_relations": ["x+x^2"]}}),
+]
+
+
+@pytest.mark.parametrize("command", ["compute", "check"])
+@pytest.mark.parametrize("name,edit", BAD_JOBS)
+def test_bad_ring_or_relations_exits_2(tmp_path, capsys, command, name, edit):
+    # duplicate variable names, a module relation that is not homogeneous
+    # for the twists and an inhomogeneous Buchsbaum-Rim ring relation are
+    # invalid input, from compute and from check alike
+    raw = json.loads(open(os.path.join(CORPUS, name + ".json")).read())
+    raw.update(edit)
+    path = write_job(tmp_path, raw)
+    code, _, err = run_main([command, path if command == "compute"
+                             else str(tmp_path)], capsys)
+    assert code == 2 and "invalid job" in err
 
 
 def test_check_bad_ideal_exits_2(tmp_path, capsys):

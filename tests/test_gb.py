@@ -123,6 +123,14 @@ def test_module_map_contract():
                      [src.element([Y, RING.const(3)]), src.element([X * Y, X])])
     fg = f.compose(g)
     assert [fg.column(j) for j in range(2)] == [f.apply(c) for c in g.columns()]
+    # apply is linear, and a vector's products agree with each other
+    u = src.element([X + Y, RING.const(2) * X * Y])
+    w = src.element([RING.const(-1) * Y, Y * Y + X * Y])
+    assert f.apply(u + w) == f.apply(u) + f.apply(w)
+    a, b = X - RING.const(3) * Y, X * Y + Y * Y
+    for v in (u, w, cols[1]):
+        assert v.mul_term((1, 2), 5) == v.poly_mul(RING.monomial((1, 2), 5))
+        assert v.poly_mul(a).poly_mul(b) == v.poly_mul(a * b)
 
 
 CORPUS_MODULES = sorted(n[:-5] for n in os.listdir(
@@ -205,7 +213,7 @@ def _reference_reduce(v, basis):
         b, q = hit
         for (bp, bm), bc in b.terms.items():
             t = (bp, tuple(x + y for x, y in zip(bm, q)))
-            s = fld.sub(work.get(t, fld.zero()), fld.mul(bc, coeff))
+            s = fld.reduce(work.get(t, 0) - bc * coeff)
             if s == 0:
                 work.pop(t, None)
             else:

@@ -370,9 +370,9 @@ def _reduce(fld, row, basis):
     for b in sorted(basis, key=max, reverse=True):
         c = row.get(max(b))
         if c:
-            c = fld.mul(c, fld.inv(b[max(b)]))
+            c = fld.reduce(c * fld.inv(b[max(b)]))
             for s, v in b.items():
-                row[s] = fld.sub(row.get(s, fld.zero()), fld.mul(c, v))
+                row[s] = fld.reduce(row.get(s, 0) - c * v)
     return {s: c for s, c in row.items() if c}
 
 
@@ -393,10 +393,10 @@ def test_rank_count_matches_rank_tracker(p, seed):
         if rows and rng.random() < 0.3:
             a, b = rng.choice(rows), rng.choice(rows)
             k = fld.random(rng)
-            row = {s: fld.add(a.get(s, fld.zero()), fld.mul(k, b.get(s, fld.zero())))
+            row = {s: fld.reduce(a.get(s, 0) + k * b.get(s, 0))
                    for s in a.keys() | b.keys()}
         else:
-            row = {s: rng.choice([fld.one(), fld.neg(fld.one()), fld.random(rng)])
+            row = {s: rng.choice([fld.one(), fld.reduce(-fld.one()), fld.random(rng)])
                    for s in rng.sample(range(ncols), rng.randint(0, ncols))}
         rows.append({s: c for s, c in row.items() if c})
     rank = _RankTracker(fld).rank(rows, ncols)

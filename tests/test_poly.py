@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -13,33 +14,49 @@ FIELD = CoeffField(32003)
 RING = PolyRing(FIELD, ["x", "y", "z"])
 
 
-def rand_poly(rng, max_deg=3, terms=4):
-    p = RING.zero()
+def rand_poly(rng, ring=RING, max_deg=3, terms=4):
+    p = ring.zero()
     for _ in range(terms):
         mon = tuple(rng.randrange(max_deg + 1) for _ in range(3))
-        p = p + RING.monomial(mon, FIELD.random(rng))
+        p = p + ring.monomial(mon, ring.field.random(rng))
     return p
+
+
+def _canonical(p):
+    """Every coefficient in its field's canonical form: an int in [1, p)
+    over F_p and a Fraction over Q, which reports print as a string."""
+    fld = p.ring.field
+    if fld.p is None:
+        return all(type(c) is Fraction for c in p.terms.values())
+    return all(type(c) is int and 0 < c < fld.p for c in p.terms.values())
 
 
 @given(st.integers(min_value=0, max_value=2 ** 40))
 def test_field_inverse(seed):
     rng = random.Random(seed)
     a = FIELD.random_nonzero(rng)
-    assert FIELD.mul(a, FIELD.inv(a)) == FIELD.one()
+    assert FIELD.reduce(a * FIELD.inv(a)) == FIELD.one()
 
 
+@pytest.mark.parametrize("p", [3, 32003, None])
 @given(st.integers(min_value=0, max_value=2 ** 40))
 @settings(max_examples=40)
-def test_ring_axioms(seed):
+def test_ring_axioms(p, seed):
+    ring = PolyRing(CoeffField(p), ["x", "y", "z"])
     rng = random.Random(seed)
-    a, b, c = (rand_poly(rng) for _ in range(3))
+    a, b, c = (rand_poly(rng, ring) for _ in range(3))
     assert a + b == b + a
     assert a * b == b * a
     assert (a + b) * c == a * c + b * c
     assert (a * b) * c == a * (b * c)
-    assert a + RING.zero() == a
-    assert a * RING.one() == a
-    assert a - a == RING.zero()
+    assert a + ring.zero() == a
+    assert a * ring.one() == a
+    assert a - a == ring.zero()
+    assert a - b == a + (-b)
+    mon = (1, 0, 2)
+    assert a.mul_term(mon, 5) == a * ring.monomial(mon, 5)
+    assert all(map(_canonical, [a, b, c, a + b, a - b, -a, a * b, (a + b) * c,
+                                a.scale(-2), a.mul_term(mon, -1), a.poly_mul(b)]))
 
 
 def test_field_validation():
@@ -47,7 +64,6 @@ def test_field_validation():
         CoeffField(4)
     with pytest.raises(PolyError):
         CoeffField(2)
-    assert CoeffField(None).kind == "rationals"
 
 
 def test_monomial_helpers():
