@@ -1,9 +1,11 @@
 """Groebner bases for submodules of graded free modules.
 
-Buchberger with degree-first pair selection over the position-over-term
-extension of grevlex.  Kernels and the annihilator, the colon (W :_S F),
-go through one elimination primitive, kernel_of_map: a Groebner basis in
-target ⊕ source where the target block dominates.
+Homogeneous Buchberger over the position-over-term extension of grevlex,
+one degree at a time, which also yields minimal generators (M. Kreuzer
+and L. Robbiano, Computational Commutative Algebra 2, Springer 2005).
+Kernels and the annihilator, the colon (W :_S F), go through one
+elimination primitive, kernel_of_map: a Groebner basis in target ⊕ source
+where the target block dominates.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from heapq import heapify, heappop, heappush
 
 from .modules import (FreeModule, GradedModule, ModuleMap, Vector, memoized,
                       term_key, term_mul)
-from .poly import Poly, PolyError, lincomb, mon_deg, mon_div, mon_lcm
+from .poly import Poly, PolyError, lincomb, mon_deg, mon_div, mon_lcm, mon_mul
 
 
 class GBError(PolyError):
@@ -60,111 +62,98 @@ def reduce_vector(v: Vector, basis, lts=None):
         for bt, bc in b.terms.items():
             t = term_mul(bt, q)
             old = work.get(t)
-            s = reduce((old or 0) - bc * coeff)
-            if s == 0:
-                if old is not None:
-                    del work[t]
-            else:
-                if old is None:
-                    heappush(heap, term_key(t) + (t,))
+            if old is None:
+                # a new term: nonzero, as a product of two nonzero ones
+                work[t] = reduce(-(bc * coeff))
+                heappush(heap, term_key(t) + (t,))
+            elif s := reduce(old - bc * coeff):
                 work[t] = s
+            else:
+                del work[t]
     return Vector(v.module, out)
 
 
 def _spair(f, mf, g, mg):
     """The S-vector of f and g, whose lead monomials are mf and mg."""
     lcm = mon_lcm(mf, mg)
+    one = f.field.one()
     return Vector(f.module, lincomb(f.field.reduce,
-                                    [(1, mon_div(lcm, mf), f.terms),
-                                     (-1, mon_div(lcm, mg), g.terms)], term_mul))
+                                    [(one, mon_div(lcm, mf), f.terms),
+                                     (-one, mon_div(lcm, mg), g.terms)], term_mul))
 
 
-def buchberger(gens):
-    """Reduced Groebner basis of the submodule generated by gens.
+def _groebner(base, gens):
+    """The reduced Groebner basis of ⟨base⟩ + ⟨gens⟩, and the gens that
+    minimally generate it modulo ⟨base⟩, from one homogeneous run.
 
-    Input vectors must be homogeneous; returns monic, auto-reduced basis
-    sorted by leading term, the leading one first.
+    One heap holds the S-pairs and the input vectors, keyed by degree, a
+    pair's being that of its lcm.  In each degree t the S-pairs come first,
+    those at later positions (smaller lcm in position-over-term order,
+    which over Q keeps the coefficients of eliminations smaller) before
+    the others; then base's vectors, then gens' in input order.  So the
+    basis is a Groebner basis up to degree t when a vector of degree t is
+    reduced, and a gen is kept exactly when it reduces to something
+    nonzero (graded Nakayama).  A remainder joins the basis monic, in a
+    degree no smaller than any basis vector's and reduced against them
+    all, so no lead term divides another and the basis stays minimal.  A
+    pair is dropped by the product criterion, in the ideal case only, or
+    by the chain criterion: some k whose lead divides the lcm, with both
+    sub-pairs no longer pending.  Inputs must be homogeneous.
     """
-    gens = [g for g in gens if not g.is_zero()]
-    if not gens:
-        return []
-    module = gens[0].module
+    # S-pair (i, j): (degree, 0, -position, i, j); vector v, i-th of base
+    # (kind 1) or gens (kind 2): (degree, kind, 0, i, v), v never compared
+    heap = [(v.degree(), kind, 0, i, v) for kind, vs in ((1, base), (2, gens))
+            for i, v in enumerate(vs) if v]
+    if not heap:
+        return [], []
+    heapify(heap)
+    module = heap[0][-1].module
     fld = module.ring.field
-    for g in gens:
-        if not g.is_homogeneous():
-            raise GBError("inhomogeneous generator")
-    basis = []
-    lts = []
-
-    def adjoin(r):
-        """Append r, made monic, and its lead term; True unless r is zero."""
+    rank1 = module.rank == 1
+    pending = set()
+    basis, lts, kept = [], [], []
+    while heap:
+        _, kind, _, i, v = heappop(heap)
+        if not kind:
+            j = v
+            pending.remove((i, j))
+            pos, lcm = lts[i][0], mon_lcm(lts[i][1], lts[j][1])
+            if any(k != i and k != j and lts[k][0] == pos
+                   and mon_div(lcm, lts[k][1]) is not None
+                   and (min(i, k), max(i, k)) not in pending
+                   and (min(j, k), max(j, k)) not in pending
+                   for k in range(len(basis))):
+                continue
+            v = _spair(basis[i], lts[i][1], basis[j], lts[j][1])
+        r = reduce_vector(v, basis, lts)
         if r.is_zero():
-            return False
+            continue
+        if kind == 2:
+            kept.append(v)
         lt, c = r.leading_term()
         basis.append(r.scale(fld.inv(c)))
         lts.append(lt)
-        return True
-
-    for g in gens:
-        adjoin(reduce_vector(g, basis, lts))
-
-    rank1 = module.rank == 1
-    pairs = set()
-
-    def lcm_of(i, j):
-        return mon_lcm(lts[i][1], lts[j][1])
-
-    def add_pairs(j):
-        for i in range(j):
-            if lts[i][0] != lts[j][0]:
+        new = len(basis) - 1
+        for i, (pos, mon) in enumerate(lts[:new]):
+            if pos != lt[0]:
                 continue
+            lcm = mon_lcm(mon, lt[1])
             # product criterion is only valid in the ideal case
-            if rank1 and mon_lcm(lts[i][1], lts[j][1]) == tuple(
-                    a + b for a, b in zip(lts[i][1], lts[j][1])):
-                continue
-            pairs.add((i, j))
-
-    for j in range(len(basis)):
-        add_pairs(j)
-
-    while pairs:
-        i, j = min(pairs, key=lambda p: (mon_deg(lcm_of(*p)), p))
-        pairs.remove((i, j))
-        # chain criterion: some k whose leading monomial divides the lcm,
-        # with both sub-pairs already handled (not pending)
-        lcm = lcm_of(i, j)
-        skip = False
-        for k in range(len(basis)):
-            if k in (i, j) or lts[k][0] != lts[i][0]:
-                continue
-            if mon_div(lcm, lts[k][1]) is not None:
-                pi = (min(i, k), max(i, k))
-                pj = (min(j, k), max(j, k))
-                if pi not in pairs and pj not in pairs:
-                    skip = True
-                    break
-        if skip:
-            continue
-        s = _spair(basis[i], lts[i][1], basis[j], lts[j][1])
-        if adjoin(reduce_vector(s, basis, lts)):
-            add_pairs(len(basis) - 1)
-
-    # minimalize: drop elements whose lead is divisible by another lead
-    keep = []
-    for i, lt in enumerate(lts):
-        redundant = any(k != i and lts[k][0] == lt[0]
-                        and mon_div(lt[1], lts[k][1]) is not None
-                        and (lts[k] != lt or k < i)
-                        for k in range(len(basis)))
-        if not redundant:
-            keep.append(i)
-    keep.sort(key=lambda i: term_key(lts[i]))
+            if not (rank1 and lcm == mon_mul(mon, lt[1])):
+                pending.add((i, new))
+                heappush(heap, (mon_deg(lcm) + module.twists[pos], 0, -pos, i, new))
+    basis, lts = zip(*sorted(zip(basis, lts), key=lambda b: term_key(b[1])))
     # interreduce tails: each result is the one reduced-basis element with
     # that lead term (coefficient 1), so the order of the reducers does not
     # change it
-    return [reduce_vector(basis[i], [basis[k] for k in keep if k != i],
-                          [lts[k] for k in keep if k != i])
-            for i in keep]
+    return [reduce_vector(b, basis[:i] + basis[i + 1:], lts[:i] + lts[i + 1:])
+            for i, b in enumerate(basis)], kept
+
+
+def buchberger(gens):
+    """Reduced Groebner basis of the homogeneous gens' span: monic and
+    sorted by leading term, the leading one first."""
+    return _groebner((), gens)[0]
 
 
 class SubmoduleGB:
@@ -228,22 +217,11 @@ def annihilator(module: GradedModule):
     return [k.coordinates()[0] for k in kernel_of_map(f, target_relations=blocks)]
 
 
-def minimal_generators(gens, basis=()):
-    """Greedy minimal generating subset (graded Nakayama, by degree).
-
-    basis is a Groebner basis of a submodule I to work modulo: the kept
-    generators then minimally generate (⟨gens⟩ + I)/I.
-    """
-    gens = [g for g in gens if not g.is_zero()]
-    gens.sort(key=lambda g: g.degree())
-    kept = []
-    basis = list(basis)
-    for g in gens:
-        r = reduce_vector(g, basis)
-        if not r.is_zero():
-            kept.append(g)
-            basis = buchberger(basis + [r])
-    return kept
+def minimal_generators(gens, base=()):
+    """The gens that minimally generate (⟨gens⟩ + ⟨base⟩)/⟨base⟩, in order
+    of degree and, within a degree, of input (graded Nakayama); base may
+    be any generating set."""
+    return _groebner(base, gens)[1]
 
 
 @memoized()
@@ -272,16 +250,17 @@ def quotient_by_ideal(module: GradedModule, polys) -> GradedModule:
 def minimize_presentation(pres: ModuleMap) -> ModuleMap:
     """Cancel unit entries and redundant columns; result has entries in m.
 
-    Each round takes the first column with a unit entry, at its lowest
-    position i, clears coordinate i from the other columns with it, and
-    drops that column and e_i.
+    The columns are cut to minimal generators once.  Then each round takes
+    the first column with a unit entry, at its lowest position i, clears
+    coordinate i from the other columns with it, and drops that column and
+    e_i: an invertible graded change of generators that splits off the
+    pivot's span, so the columns left stay minimal.
     """
     ring = pres.source.ring
     fld = ring.field
     amb = pres.target
-    columns = pres.columns()
+    columns = minimal_generators(pres.columns())
     while True:
-        columns = minimal_generators(columns)
         j = next((j for j, col in enumerate(columns)
                   if any(mon_deg(m) == 0 for _, m in col.terms)), None)
         if j is None:
@@ -359,8 +338,7 @@ def depth(module: GradedModule):
 def subquotient(k_gens, i_gens, ambient: FreeModule) -> GradedModule:
     """Present K/I for submodules I ⊆ K of a free module, on minimal
     generators of K modulo I."""
-    i_gens = [g for g in i_gens if not g.is_zero()]
-    kept = minimal_generators(k_gens, buchberger(i_gens))
+    kept = minimal_generators(k_gens, i_gens)
     if not kept:
         return GradedModule.free(ambient.ring, [])
     g0 = FreeModule(ambient.ring, [g.degree() for g in kept])

@@ -245,14 +245,14 @@ def _echelon(fld, rows, w, cap):
     found.
 
     Over Q the rows are {slot: c} dicts of integers, as _pack and _image
-    build them (a row with Fraction entries has its denominators cleared
-    by their lcm first), and the elimination is fraction-free (E. H.
-    Bareiss, Math. Comp. 22, 1968, with each row's content divided out in
+    build them, and the elimination is fraction-free (E. H. Bareiss,
+    Math. Comp. 22, 1968, with each row's content divided out in
     place of the previous pivot): a row's top slot is eliminated by the
     cross-multiple a·work − c·row of the basis row with that top slot, and
     its content is divided out before each step.  The basis comes back as
     primitive integer rows with distinct top slots, a basis of the span
-    rather than a reduced one.  Over F_p it is a packed
+    rather than a reduced one; a row may come back as the very dict it
+    came in as, so neither may be mutated.  Over F_p it is a packed
     echelon with delayed reduction (J.-G. Dumas, P. Giorgi and C. Pernet,
     ACM Trans. Math. Software 35, 2008): a row is one int with a slot of w
     bits per column, and a row operation work += (p − a)·pivot_row is one
@@ -266,11 +266,9 @@ def _echelon(fld, rows, w, cap):
     p = fld.p
     if p is None:
         basis = {}   # pivot slot -> a primitive integer row with that top slot
-        for row in rows:
+        for work in rows:
             if len(basis) == cap:
                 break
-            den = lcm(*(c.denominator for c in row.values()))
-            work = {s: c.numerator * (den // c.denominator) for s, c in row.items()}
             while work:
                 g = gcd(*work.values())
                 if g > 1:

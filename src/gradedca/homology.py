@@ -14,8 +14,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .gb import (GBError, annihilator, buchberger, is_zero_module,
-                 kernel_of_map, minimal_free_resolution, minimal_generators,
+from .gb import (GBError, annihilator, is_zero_module, kernel_of_map,
+                 minimal_free_resolution, minimal_generators,
                  minimal_presentation, quotient_module, subquotient)
 from .hilbert import NEG_INF, dim_module, module_length
 from .modules import FreeModule, GradedModule, ModuleMap, memoized
@@ -150,7 +150,7 @@ def _hom_into_ci_quotient(module: GradedModule, ci):
     pres = minimal_presentation(module)
     t = pres.presentation.transpose()
     homs = kernel_of_map(t, target_relations=t.target.ideal_multiples(ci))
-    return minimal_generators(homs, buchberger(t.source.ideal_multiples(ci))), pres
+    return minimal_generators(homs, t.source.ideal_multiples(ci)), pres
 
 
 @memoized()

@@ -265,10 +265,11 @@ class SparseTerms:
 
     def __add__(self, other):
         self._check(other)
-        return self._lincomb([(1, None, self.terms), (1, None, other.terms)])
+        one = self.field.one()
+        return self._lincomb([(one, None, self.terms), (one, None, other.terms)])
 
     def __neg__(self):
-        return self._lincomb([(-1, None, self.terms)])
+        return self._lincomb([(-self.field.one(), None, self.terms)])
 
     def __sub__(self, other):
         return self + (-other)
@@ -421,7 +422,8 @@ def parse_poly(ring: PolyRing, text: str) -> Poly:
                 pos += 1
                 skip_ws()
                 exp = parse_int()
-            return ring.var(name) ** exp
+            i = ring._var_index[name]
+            return ring.monomial(exp if j == i else 0 for j in range(ring.num_vars))
         raise PolyParseError(f"unexpected character '{ch}'", pos)
 
     def parse_term():

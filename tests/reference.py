@@ -4,11 +4,16 @@ _RankTracker is exact Gaussian elimination over the coefficient field on
 {term: coefficient} dicts, the independent rank count behind the
 reference quotient lengths; colon_submodule presents (N :_F f) by one
 kernel, the elimination the series colons are checked against.
+reference_buchberger is Buchberger with pairs taken by a min() scan over
+all pending ones and a minimalizing pass before the interreduction, and
+reference_minimal_generators the greedy graded-Nakayama loop that reruns
+it for every generator it keeps: the two separate loops that gb._groebner
+replaces with one run.
 """
 
-from gradedca.gb import GBError, kernel_of_map
-from gradedca.modules import FreeModule, ModuleMap
-from gradedca.poly import Poly
+from gradedca.gb import GBError, _spair, kernel_of_map, reduce_vector
+from gradedca.modules import FreeModule, ModuleMap, term_key
+from gradedca.poly import Poly, mon_deg, mon_div, mon_lcm
 
 
 class _RankTracker:
@@ -66,3 +71,109 @@ def colon_submodule(n_gens, f: Poly, ambient: FreeModule):
     mul = ModuleMap(shifted, ambient, ambient.ideal_multiples([f]))
     ker = kernel_of_map(mul, target_relations=list(n_gens))
     return [ambient.embed(k) for k in ker]
+
+
+def reference_buchberger(gens):
+    """Reduced Groebner basis of the submodule generated by gens.
+
+    Input vectors must be homogeneous; returns monic, auto-reduced basis
+    sorted by leading term, the leading one first.
+    """
+    gens = [g for g in gens if not g.is_zero()]
+    if not gens:
+        return []
+    module = gens[0].module
+    fld = module.ring.field
+    for g in gens:
+        if not g.is_homogeneous():
+            raise GBError("inhomogeneous generator")
+    basis = []
+    lts = []
+
+    def adjoin(r):
+        """Append r, made monic, and its lead term; True unless r is zero."""
+        if r.is_zero():
+            return False
+        lt, c = r.leading_term()
+        basis.append(r.scale(fld.inv(c)))
+        lts.append(lt)
+        return True
+
+    for g in gens:
+        adjoin(reduce_vector(g, basis, lts))
+
+    rank1 = module.rank == 1
+    pairs = set()
+
+    def lcm_of(i, j):
+        return mon_lcm(lts[i][1], lts[j][1])
+
+    def add_pairs(j):
+        for i in range(j):
+            if lts[i][0] != lts[j][0]:
+                continue
+            # product criterion is only valid in the ideal case
+            if rank1 and mon_lcm(lts[i][1], lts[j][1]) == tuple(
+                    a + b for a, b in zip(lts[i][1], lts[j][1])):
+                continue
+            pairs.add((i, j))
+
+    for j in range(len(basis)):
+        add_pairs(j)
+
+    while pairs:
+        i, j = min(pairs, key=lambda p: (mon_deg(lcm_of(*p)), p))
+        pairs.remove((i, j))
+        # chain criterion: some k whose leading monomial divides the lcm,
+        # with both sub-pairs already handled (not pending)
+        lcm = lcm_of(i, j)
+        skip = False
+        for k in range(len(basis)):
+            if k in (i, j) or lts[k][0] != lts[i][0]:
+                continue
+            if mon_div(lcm, lts[k][1]) is not None:
+                pi = (min(i, k), max(i, k))
+                pj = (min(j, k), max(j, k))
+                if pi not in pairs and pj not in pairs:
+                    skip = True
+                    break
+        if skip:
+            continue
+        s = _spair(basis[i], lts[i][1], basis[j], lts[j][1])
+        if adjoin(reduce_vector(s, basis, lts)):
+            add_pairs(len(basis) - 1)
+
+    # minimalize: drop elements whose lead is divisible by another lead
+    keep = []
+    for i, lt in enumerate(lts):
+        redundant = any(k != i and lts[k][0] == lt[0]
+                        and mon_div(lt[1], lts[k][1]) is not None
+                        and (lts[k] != lt or k < i)
+                        for k in range(len(basis)))
+        if not redundant:
+            keep.append(i)
+    keep.sort(key=lambda i: term_key(lts[i]))
+    # interreduce tails: each result is the one reduced-basis element with
+    # that lead term (coefficient 1), so the order of the reducers does not
+    # change it
+    return [reduce_vector(basis[i], [basis[k] for k in keep if k != i],
+                          [lts[k] for k in keep if k != i])
+            for i in keep]
+
+
+def reference_minimal_generators(gens, basis=()):
+    """Greedy minimal generating subset (graded Nakayama, by degree).
+
+    basis is a Groebner basis of a submodule I to work modulo: the kept
+    generators then minimally generate (⟨gens⟩ + I)/I.
+    """
+    gens = [g for g in gens if not g.is_zero()]
+    gens.sort(key=lambda g: g.degree())
+    kept = []
+    basis = list(basis)
+    for g in gens:
+        r = reduce_vector(g, basis)
+        if not r.is_zero():
+            kept.append(g)
+            basis = reference_buchberger(basis + [r])
+    return kept

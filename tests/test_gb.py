@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 from gradedca import gb
 from gradedca.jobio import build_job
 from gradedca.modules import FreeModule, GradedModule, Vector
-from gradedca.poly import (CoeffField, PolyError, PolyRing, RingMismatch, mon_div,
-                           monomials_of_degree)
+from gradedca.hilbert import hilbert_series
+from gradedca.poly import (CoeffField, PolyError, PolyRing, RingMismatch, mon_deg,
+                           mon_div, monomials_of_degree)
 
-from reference import colon_submodule
+from reference import (colon_submodule, reference_buchberger,
+                       reference_minimal_generators)
 
 RING = PolyRing(CoeffField(32003), ["x", "y"])
 X, Y = RING.gens()
@@ -158,13 +160,22 @@ def test_depth_auslander_buchsbaum(free_plane, mixed_line, two_plane):
     assert gb.depth(two_plane) == 1
 
 
-def test_minimize_presentation_cancels_units():
-    amb = FreeModule(RING, [0, 1])
+@pytest.mark.parametrize("twists, columns, ranks", [
     # second generator equals x * first: unit entry cancels a summand
-    rel = amb.element([X, RING.const(-1)])
-    pres = gb.ModuleMap(FreeModule(RING, [1]), amb, [rel])
+    ([0, 1], [[X, -1]], (1, 0)),
+    # unit entries in two columns, at positions 1 and 2, and a third
+    # column that becomes -2xy·e_0 once both are cleared
+    ([0, 1, 1], [[X, 1, 0], [Y, 0, 1], [0, Y, X]], (1, 1)),
+], ids=["one-unit", "two-units"])
+def test_minimize_presentation_cancels_units(twists, columns, ranks):
+    amb = FreeModule(RING, twists)
+    cols = [amb.element([RING.const(c) if isinstance(c, int) else c for c in col])
+            for col in columns]
+    pres = gb.ModuleMap(FreeModule(RING, [c.degree() for c in cols]), amb, cols)
     out = gb.minimize_presentation(pres)
-    assert out.target.rank == 1 and out.source.rank == 0
+    assert (out.target.rank, out.source.rank) == ranks
+    assert not any(mon_deg(m) == 0 for col in out.columns() for _, m in col.terms)
+    assert hilbert_series(GradedModule(out)) == hilbert_series(GradedModule(pres))
 
 
 def test_subquotient_length_one():
@@ -356,6 +367,33 @@ def test_buchberger_returns_the_reduced_basis_in_descending_order(char, seed):
             if lts[i][0] == lts[j][0]:
                 s = gb._spair(basis[i], lts[i][1], basis[j], lts[j][1])
                 assert gb.reduce_vector(s, basis).is_zero()
+
+
+@given(st.sampled_from([32003, None]), st.integers(min_value=0, max_value=2 ** 32))
+@settings(max_examples=30, deadline=None)
+def test_one_run_matches_the_separate_basis_and_generator_loops(char, seed):
+    """The one degree-by-degree run gives the reference loops' reduced
+    basis, element by element, and their kept generators, in order."""
+    rng = random.Random(seed)
+    ring = PolyRing(CoeffField(char), ["x", "y", "z"])
+    amb = FreeModule(ring, rng.choice([[0], [1], [0, 1], [1, 0], [0, 2],
+                                       [0, 1, 1], [2, 0, 1]]))
+    lo, hi = min(amb.twists), max(amb.twists)
+
+    def draw(count):
+        return [_random_vector(amb, rng.randint(lo, hi + 2), rng)
+                for _ in range(count)]
+
+    base, gens = draw(rng.randint(0, 2)), draw(rng.randint(1, 4))
+    # a member of what comes before it and a repeat, so some gens are
+    # redundant and the kept ones are not all of them
+    nonzero = [v for v in base + gens if not v.is_zero()]
+    if nonzero:
+        gens.append(_random_member(nonzero, hi + 3, rng))
+    gens.insert(rng.randint(0, len(gens)), rng.choice(gens))
+    assert gb.buchberger(base + gens) == reference_buchberger(base + gens)
+    assert gb.minimal_generators(gens, base) == \
+        reference_minimal_generators(gens, reference_buchberger(base))
 
 
 # ---------------------------------------------------------------------------

@@ -131,6 +131,9 @@ def test_parser_roundtrip():
         RING.const(3) * x ** 2 * y - y ** 3 + RING.one()
     assert RING.poly("0").is_zero()
     assert RING.poly("-x") == -x
+    assert RING.poly("x^0") == RING.one()
+    assert RING.poly("x^1") == x
+    assert RING.poly("y^3*z") == y * y * y * z
 
 
 def test_parser_position_diagnostics():
