@@ -101,7 +101,6 @@ def _brim_powers(pm: ParameterModule):
     base = GradedModule.quotient_ring(pm.ring, list(pm.ring_rels))
     nf = _normal_forms(base)
     columns, rank = pm.columns, pm.rank
-    known = {}   # the standard terms of R, by degree
     images = {}  # (i, j, m) -> NF_R(φ_ij·m)
 
     def space(n):
@@ -109,7 +108,7 @@ def _brim_powers(pm: ParameterModule):
 
         def terms(t):
             return [(a, m) for a in tmons
-                    for _, m in _standard_terms(base, t, known)]
+                    for _, m in _standard_terms(base, t)]
 
         def times(j, u):
             a, m = u

@@ -3,6 +3,9 @@
 Homogeneous Buchberger over the position-over-term extension of grevlex,
 one degree at a time, which also yields minimal generators (M. Kreuzer
 and L. Robbiano, Computational Commutative Algebra 2, Springer 2005).
+The basis stays reduced as it grows: a new element's lead term can occur
+in an older, homogeneous element of no larger degree only as that very
+term, so one reduction by the new element alone clears it.
 Kernels and the annihilator, the colon (W :_S F), go through one
 elimination primitive, kernel_of_map: a Groebner basis in target ⊕ source
 where the target block dominates.
@@ -93,9 +96,12 @@ def _groebner(base, gens):
     the others; then base's vectors, then gens' in input order.  So the
     basis is a Groebner basis up to degree t when a vector of degree t is
     reduced, and a gen is kept exactly when it reduces to something
-    nonzero (graded Nakayama).  A remainder joins the basis monic, in a
+    nonzero (graded Nakayama).  A remainder r joins the basis monic, in a
     degree no smaller than any basis vector's and reduced against them
-    all, so no lead term divides another and the basis stays minimal.  A
+    all, so no lead term divides another and the basis stays minimal.
+    Each older b holding r's lead term lt is reduced by r alone: a term of
+    b at lt's position that lt divides has degree ≥ deg r ≥ deg b, so it
+    is lt itself.  So every tail stays reduced, with no final pass.  A
     pair is dropped by the product criterion, in the ideal case only, or
     by the chain criterion: some k whose lead divides the lcm, with both
     sub-pairs no longer pending.  Inputs must be homogeneous.
@@ -131,7 +137,10 @@ def _groebner(base, gens):
         if kind == 2:
             kept.append(v)
         lt, c = r.leading_term()
-        basis.append(r.scale(fld.inv(c)))
+        r = r.scale(fld.inv(c))
+        basis = [reduce_vector(b, [r], [lt]) if lt in b.terms else b
+                 for b in basis]
+        basis.append(r)
         lts.append(lt)
         new = len(basis) - 1
         for i, (pos, mon) in enumerate(lts[:new]):
@@ -142,12 +151,7 @@ def _groebner(base, gens):
             if not (rank1 and lcm == mon_mul(mon, lt[1])):
                 pending.add((i, new))
                 heappush(heap, (mon_deg(lcm) + module.twists[pos], 0, -pos, i, new))
-    basis, lts = zip(*sorted(zip(basis, lts), key=lambda b: term_key(b[1])))
-    # interreduce tails: each result is the one reduced-basis element with
-    # that lead term (coefficient 1), so the order of the reducers does not
-    # change it
-    return [reduce_vector(b, basis[:i] + basis[i + 1:], lts[:i] + lts[i + 1:])
-            for i, b in enumerate(basis)], kept
+    return [b for _, b in sorted(zip(lts, basis), key=lambda p: term_key(p[0]))], kept
 
 
 def buchberger(gens):
@@ -157,27 +161,14 @@ def buchberger(gens):
 
 
 class SubmoduleGB:
-    """A submodule of a free module together with its reduced basis."""
+    """A submodule of a free module given by its reduced basis."""
 
-    def __init__(self, ambient: FreeModule, generators):
-        self.ambient = ambient
-        self.generators = list(generators)
-        self.basis = buchberger(self.generators)
+    def __init__(self, generators):
+        self.basis = buchberger(generators)
         self._lts = [b.leading_term()[0] for b in self.basis]
-
-    def normal_form(self, v: Vector) -> Vector:
-        if v.module.ring != self.ambient.ring or v.module.rank != self.ambient.rank:
-            raise GBError("ambient mismatch")
-        return reduce_vector(v, self.basis, self._lts)
-
-    def contains(self, v: Vector) -> bool:
-        return self.normal_form(v).is_zero()
 
     def leading_terms(self):
         return list(self._lts)
-
-    def is_zero(self):
-        return not self.basis
 
 
 def kernel_of_map(f: ModuleMap, target_relations=()):
@@ -226,13 +217,13 @@ def minimal_generators(gens, base=()):
 
 @memoized()
 def module_gb(module: GradedModule) -> SubmoduleGB:
-    return SubmoduleGB(module.ambient, module.relations())
+    return SubmoduleGB(module.relations())
 
 
 def is_zero_module(module: GradedModule) -> bool:
-    gb = module_gb(module)
-    return all(gb.contains(module.ambient.basis(i))
-               for i in range(module.ambient.rank))
+    """M = 0 exactly when every e_i is a lead term of M's basis."""
+    lts = module_gb(module).leading_terms()
+    return all((i, module.ring.zero_mon) in lts for i in range(module.ambient.rank))
 
 
 def quotient_module(module: GradedModule, extra_relations) -> GradedModule:

@@ -34,8 +34,8 @@ Coefficients are integer backward differences of a stabilized tail of
 the table, read off in the binomial basis; the Buchsbaum-Rim tables use
 the same fit.
 
-The series, the normal-form table and the Hilbert coefficients of (M, Q)
-are kept on the module by modules.memoized, next to its basis and M/QM.
+The series, the normal-form table, the standard terms and the Hilbert
+coefficients of (M, Q) are kept on the module by modules.memoized.
 The coefficients are keyed by qkey(Q): a reordered generating set hits
 the same entry, and since the table values depend only on the ideal, a hit
 returns what a recomputation would.
@@ -337,30 +337,29 @@ def _normal_forms(module: GradedModule):
     return nf
 
 
-def _standard_terms(module: GradedModule, t, known):
+@memoized(lambda module, t: (t,))
+def _standard_terms(module: GradedModule, t):
     """The standard terms of M of degree t: the (pos, mon) with mon
-    divisible by no lead term at pos, H(M, t) of them; known keeps them by
-    degree.  A divisor of a standard monomial is standard, so each is the
-    unit at a position of twist t or x_i·u for a standard term (pos, u) of
-    degree t − 1, with i at most the index of u's first variable, which
-    makes the pair unique."""
+    divisible by no lead term at pos, H(M, t) of them, listed once per
+    module and degree.  A divisor of a standard monomial is standard, so
+    each is the unit at a position of twist t or x_i·u for a standard term
+    (pos, u) of degree t − 1, with i at most the index of u's first
+    variable, which makes the pair unique."""
     twists = module.ambient.twists
     if t < min(twists):
         return []
-    if t not in known:
-        nv = module.ring.num_vars
-        cands = [(pos, (0,) * nv)
-                 for pos, twist in enumerate(twists) if twist == t]
-        for pos, u in _standard_terms(module, t - 1, known):
-            first = next((i for i, e in enumerate(u) if e), nv - 1)
-            cands += [(pos, u[:i] + (u[i] + 1,) + u[i + 1:])
-                      for i in range(first + 1)]
-        by_pos = _lead_monomials_by_position(module)
-        known[t] = [(pos, mon) for pos, mon in cands
-                    if not any(mon_divides(lt, mon) for lt in by_pos[pos])]
-        require(len(known[t]) == hilbert_function(module, t),
-                "standard terms of degree %d do not number H(M, %d)" % (t, t))
-    return known[t]
+    nv = module.ring.num_vars
+    cands = [(pos, (0,) * nv) for pos, twist in enumerate(twists) if twist == t]
+    for pos, u in _standard_terms(module, t - 1):
+        first = next((i for i, e in enumerate(u) if e), nv - 1)
+        cands += [(pos, u[:i] + (u[i] + 1,) + u[i + 1:])
+                  for i in range(first + 1)]
+    by_pos = _lead_monomials_by_position(module)
+    terms = [(pos, mon) for pos, mon in cands
+             if not any(mon_divides(lt, mon) for lt in by_pos[pos])]
+    require(len(terms) == hilbert_function(module, t),
+            "standard terms of degree %d do not number H(M, %d)" % (t, t))
+    return terms
 
 
 class _Space:
@@ -498,8 +497,7 @@ def _module_powers(module: GradedModule, gens):
     def times(j, u):
         pos, mon = u
         return nf({(pos, mon_mul(mon, m)): c for m, c in gens[j].terms.items()})
-    known = {}
-    space = _Space(lambda t: _standard_terms(module, t, known), times)
+    space = _Space(lambda t: _standard_terms(module, t), times)
     return _Powers(module.ring.field, [g.total_degree() for g in gens],
                    module.ambient.twists, lambda k: space)
 

@@ -73,7 +73,7 @@ JOB_SCHEMA = {
             "properties": {
                 "seed": {"type": "integer"},
                 "count": {"type": "integer", "minimum": 1},
-                "degree_bounds": {"type": "array",
+                "degree_bounds": {"type": "array", "minItems": 1,
                                   "items": {"type": "integer", "minimum": 1}},
             },
         },

@@ -8,7 +8,8 @@ reference_buchberger is Buchberger with pairs taken by a min() scan over
 all pending ones and a minimalizing pass before the interreduction, and
 reference_minimal_generators the greedy graded-Nakayama loop that reruns
 it for every generator it keeps: the two separate loops that gb._groebner
-replaces with one run.
+replaces with one run.  contains is submodule membership by the normal
+form against a reduced basis.
 """
 
 from gradedca.gb import GBError, _spair, kernel_of_map, reduce_vector
@@ -57,6 +58,11 @@ class _RankTracker:
             if terms and self.add(terms):
                 rank += 1
         return rank
+
+
+def contains(gb, v):
+    """Whether v lies in the submodule of which gb is the SubmoduleGB."""
+    return reduce_vector(v, gb.basis).is_zero()
 
 
 def colon_submodule(n_gens, f: Poly, ambient: FreeModule):

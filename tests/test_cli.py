@@ -379,6 +379,7 @@ BAD_JOBS = [
     ("brim-line", {"ops": [{"op": "buchsbaum-rim", "columns": [["x"]],
                             "ring_relations": ["x+x^2"]}],
                    "brim": {"columns": [["x"]], "ring_relations": ["x+x^2"]}}),
+    ("mixed-line", {"sample": {"seed": 19, "degree_bounds": []}}),
 ]
 
 
@@ -386,8 +387,9 @@ BAD_JOBS = [
 @pytest.mark.parametrize("name,edit", BAD_JOBS)
 def test_bad_ring_or_relations_exits_2(tmp_path, capsys, command, name, edit):
     # duplicate variable names, a module relation that is not homogeneous
-    # for the twists and an inhomogeneous Buchsbaum-Rim ring relation are
-    # invalid input, from compute and from check alike
+    # for the twists, an inhomogeneous Buchsbaum-Rim ring relation and no
+    # degree bound to sample parameter ideals from are invalid input, from
+    # compute and from check alike
     raw = json.loads(open(os.path.join(CORPUS, name + ".json")).read())
     raw.update(edit)
     path = write_job(tmp_path, raw)

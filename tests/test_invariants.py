@@ -14,7 +14,7 @@ from gradedca.poly import CoeffField, PolyRing
 from gradedca.sampler import (SampleConfig, random_parameter_ideal,
                               sample_parameter_ideals)
 
-from reference import colon_submodule
+from reference import colon_submodule, contains
 
 RING2 = PolyRing(CoeffField(32003), ["x", "y"])
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
@@ -81,9 +81,9 @@ def _reference_d_sequence(module, forms):
     amb = module.ambient
 
     def same(a_gens, b_gens):
-        ga, gb_ = SubmoduleGB(amb, a_gens), SubmoduleGB(amb, b_gens)
-        return (all(gb_.contains(v) for v in ga.basis)
-                and all(ga.contains(v) for v in gb_.basis))
+        ga, gb_ = SubmoduleGB(a_gens), SubmoduleGB(b_gens)
+        return (all(contains(gb_, v) for v in ga.basis)
+                and all(contains(ga, v) for v in gb_.basis))
     for i in range(len(forms)):
         base = module.relations() + amb.ideal_multiples(forms[:i])
         for k in range(i, len(forms)):
