@@ -6,7 +6,11 @@ length of H^j_m(M), and no twist normalization is needed downstream.
 
 The duals also answer unmixedness (Eisenbud, Huneke and Vasconcelos,
 Invent. Math. 110, 1992, §1): by local duality over S_P, P of dimension j
-lies in Ass M exactly when it lies in Supp M_j.
+lies in Ass M exactly when it lies in Supp M_j.  They give the Hilbert
+series of the lower-dimensional part U of M as well: a random form g in
+the product of the annihilators of the duals M_j with dim M_j = j < dim M,
+checked by dim M/gM = dim M − 1, has U = 0 :_M g^∞, and the nested colons
+0 :_M g^k stop growing at the first k where their series repeats.
 """
 
 from __future__ import annotations
@@ -15,14 +19,14 @@ import random
 from dataclasses import dataclass
 
 from .gb import (GBError, annihilator, is_zero_module, kernel_of_map,
-                 minimal_free_resolution, minimal_generators,
-                 minimal_presentation, quotient_module, subquotient)
-from .hilbert import NEG_INF, dim_module, module_length
-from .modules import FreeModule, GradedModule, ModuleMap, memoized
+                 minimal_free_resolution, minimal_presentation,
+                 quotient_by_ideal, subquotient)
+from .hilbert import NEG_INF, colon_series, dim_module, module_length
+from .modules import FreeModule, GradedModule, memoized
 from .poly import require
 
 POS_INF = float("inf")
-REGULAR_SEQUENCE_TRIES = 50  # random draws per form of a regular sequence
+UNMIXED_FORM_TRIES = 50  # random draws of the form g that cuts out U
 
 
 class HomologyError(GBError):
@@ -120,64 +124,51 @@ def is_cohen_macaulay(module: GradedModule) -> bool:
 # unmixed component
 
 
-def _regular_sequence_in(polys, ring, count, rng):
-    """count forms inside the ideal (polys) cutting the dimension by count."""
-    if count == 0:
-        return []
+def _form_in(polys, rng):
+    """A random form of the ideal (polys), in their largest degree."""
+    ring = polys[0].ring
     target_deg = max(p.total_degree() for p in polys)
-    chosen = []
-    d = ring.num_vars
-    for i in range(count):
-        for attempt in range(REGULAR_SEQUENCE_TRIES):
-            f = ring.zero()
-            for p in polys:
-                extra = target_deg - p.total_degree()
-                f = f + ring.random_form(extra, rng) * p
-            if f.is_zero():
-                continue
-            quo = GradedModule.quotient_ring(ring, chosen + [f])
-            if dim_module(quo) == d - (i + 1):
-                chosen.append(f)
-                break
-        else:
-            raise HomologyError("failed to cut the annihilator down to a "
-                                "complete intersection")
-    return chosen
-
-
-def _hom_into_ci_quotient(module: GradedModule, ci):
-    """Generators of Hom_{S/(ci)}(M, S/(ci)) as rows, minimal mod (ci)F₀*."""
-    pres = minimal_presentation(module)
-    t = pres.presentation.transpose()
-    homs = kernel_of_map(t, target_relations=t.target.ideal_multiples(ci))
-    return minimal_generators(homs, t.source.ideal_multiples(ci)), pres
+    f = ring.zero()
+    for p in polys:
+        f = f + ring.random_form(target_deg - p.total_degree(), rng) * p
+    return f
 
 
 @memoized()
-def unmixed_component(module: GradedModule) -> GradedModule:
-    """N = M/U, U the largest submodule of lower dimension.
+def unmixed_component(module: GradedModule):
+    """Numerator of HS(U), U the largest submodule of M of lower dimension.
 
-    U is the kernel of the biduality map into the dual over a complete
-    intersection S/(f) ⊆ Ann(M) of codimension d − dim M; elements of U
-    are exactly the ones killed by every hom into S/(f), a condition linear
-    in the hom and void on (f)F₀*.  HS(U) = HS(M) − HS(N).
+    The duals M_j with j < dim M and dim M_j = j carry the lower-dimensional
+    associated primes, each of which contains the product I of their
+    annihilators; no top-dimensional prime does, since dim M_j < dim M.  A
+    random g ∈ I with dim M/gM = dim M − 1 therefore avoids every
+    top-dimensional prime, and U = 0 :_M g^∞.  The colons 0 :_M g^k are
+    nested, so the first k whose series equals that for k − 1 (the empty
+    one for k = 0) marks the stable chain.
     """
-    ring = module.ring
     if is_zero_module(module):
-        return module
-    r = dim_module(module)
-    c = ring.num_vars - r
-    ci = (_regular_sequence_in(annihilator(module), ring, c, random.Random(7))
-          if c else [])
-    homs, pres = _hom_into_ci_quotient(module, ci)
-    if not homs:
-        raise HomologyError("dual over the complete intersection is zero")
-    # evaluation at the homs, F₀ → ⊕_h S(deg h), is the transpose of the
-    # map whose columns are the homs
-    hom_source = FreeModule(ring, [h.degree() for h in homs])
-    psi = ModuleMap(hom_source, homs[0].module, homs).transpose()
-    u_gens = kernel_of_map(psi, target_relations=psi.target.ideal_multiples(ci))
-    return quotient_module(pres, u_gens)
+        return {}
+    prof = local_cohomology_lengths(module)
+    if prof.is_unmixed:
+        return {}
+    factors = [annihilator(mj) for j, mj in enumerate(prof.duals[:-1])
+               if dim_module(mj) == j]
+    rng = random.Random(7)
+    for _ in range(UNMIXED_FORM_TRIES):
+        g = module.ring.one()
+        for gens in factors:
+            g = g * _form_in(gens, rng)
+        if dim_module(quotient_by_ideal(module, [g])) == prof.dim - 1:
+            break
+    else:
+        raise HomologyError("no random form of the dual annihilators cuts "
+                            "the dimension")
+    prev, h = {}, g
+    while True:
+        u = colon_series(module, h, quotient_by_ideal(module, [h]))
+        if u == prev:
+            return u
+        prev, h = u, h * g
 
 
 def is_unmixed(module: GradedModule) -> bool:

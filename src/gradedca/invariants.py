@@ -78,10 +78,6 @@ class BoundReport:
     lhs: int
     rhs: int
 
-    @property
-    def slack(self):
-        return self.rhs - self.lhs
-
 
 def check_e1_torsion_bound(module: GradedModule, q_gens) -> BoundReport:
     """−e₁(Q,M) ≤ T^(1)(M), both sides computed independently."""
@@ -165,9 +161,6 @@ class BuchsbaumData:
 
     def all_standard(self):
         return all(s.is_standard for s in self.samples)
-
-    def constant_e1(self):
-        return len({s.e1 for s in self.samples}) <= 1
 
 
 def buchsbaum_invariant(module: GradedModule):

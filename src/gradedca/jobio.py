@@ -225,14 +225,12 @@ def execute_op(job: Job, opspec):
         return {"h": ["infinite" if v is None else v for v in prof.h],
                 "depth": plain(prof.depth), "dim": plain(prof.dim)}
     if op == "unmixed":
-        n = homology.unmixed_component(m)
-        # HS(U) = HS(M) − HS(M/U), from 0 → U → M → M/U → 0
-        u = hb.shifted_sum([(1, 0, hb.hilbert_series(m)), (-1, 0, hb.hilbert_series(n))])
+        u = homology.unmixed_component(m)
         k = m.ring.num_vars
         return {"unmixed": not u,
                 "component_dim": plain(hb.series_dim(u, k)),
                 "component_length": plain(hb.series_length(u, k)),
-                "quotient_dim": plain(hb.dim_module(n))}
+                "quotient_dim": plain(hb.dim_module(m))}
     if op == "classify":
         qs = sampler.sample_parameter_ideals(m, job.sample)
         return invariants.classify(m, [q.gens for q in qs])

@@ -100,11 +100,6 @@ class CoeffField:
             return Fraction(rng.randrange(-20, 21))
         return rng.randrange(self.p)
 
-    def random_nonzero(self, rng):
-        if self.p is None:
-            return Fraction(rng.choice([c for c in range(-20, 21) if c]))
-        return rng.randrange(1, self.p)
-
     def __eq__(self, other):
         return isinstance(other, CoeffField) and self.p == other.p
 

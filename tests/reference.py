@@ -9,12 +9,30 @@ all pending ones and a minimalizing pass before the interreduction, and
 reference_minimal_generators the greedy graded-Nakayama loop that reruns
 it for every generator it keeps: the two separate loops that gb._groebner
 replaces with one run.  contains is submodule membership by the normal
-form against a reduced basis.
+form against a reduced basis.  reference_unmixed_series is HS(U) by
+biduality over a random complete intersection inside Ann(M), apart from
+the Ext duals that homology.unmixed_component reads U off.
+random_nonzero draws the nonzero coefficients of the random test inputs.
 """
 
-from gradedca.gb import GBError, _spair, kernel_of_map, reduce_vector
-from gradedca.modules import FreeModule, ModuleMap, term_key
+import random
+from fractions import Fraction
+
+from gradedca.gb import (GBError, _spair, annihilator, is_zero_module,
+                         kernel_of_map, minimal_generators,
+                         minimal_presentation, quotient_module, reduce_vector)
+from gradedca.hilbert import dim_module, hilbert_series, shifted_sum
+from gradedca.modules import FreeModule, GradedModule, ModuleMap, term_key
 from gradedca.poly import Poly, mon_deg, mon_div, mon_lcm
+
+REGULAR_SEQUENCE_TRIES = 50  # random draws per form of a regular sequence
+
+
+def random_nonzero(fld, rng):
+    """A uniform nonzero element of F_p, or of −20..20 over Q."""
+    if fld.p is None:
+        return Fraction(rng.choice([c for c in range(-20, 21) if c]))
+    return rng.randrange(1, fld.p)
 
 
 class _RankTracker:
@@ -183,3 +201,55 @@ def reference_minimal_generators(gens, basis=()):
             kept.append(g)
             basis = reference_buchberger(basis + [r])
     return kept
+
+
+def _regular_sequence_in(polys, ring, count, rng):
+    """count forms inside the ideal (polys) cutting the dimension by count."""
+    target_deg = max(p.total_degree() for p in polys)
+    chosen = []
+    d = ring.num_vars
+    for i in range(count):
+        for _ in range(REGULAR_SEQUENCE_TRIES):
+            f = ring.zero()
+            for p in polys:
+                f = f + ring.random_form(target_deg - p.total_degree(), rng) * p
+            if f.is_zero():
+                continue
+            quo = GradedModule.quotient_ring(ring, chosen + [f])
+            if dim_module(quo) == d - (i + 1):
+                chosen.append(f)
+                break
+        else:
+            raise GBError("failed to cut the annihilator down to a "
+                          "complete intersection")
+    return chosen
+
+
+def reference_unmixed_series(module):
+    """HS(U) = HS(M) − HS(M/U), U the largest submodule of lower dimension.
+
+    U is the kernel of the biduality map into the dual over a complete
+    intersection S/(f) ⊆ Ann(M) of codimension d − dim M; elements of U
+    are exactly the ones killed by every hom into S/(f), a condition linear
+    in the hom and void on (f)F₀*.
+    """
+    ring = module.ring
+    if is_zero_module(module):
+        return {}
+    c = ring.num_vars - dim_module(module)
+    ci = (_regular_sequence_in(annihilator(module), ring, c, random.Random(7))
+          if c else [])
+    # Hom_{S/(ci)}(M, S/(ci)) as rows, minimal mod (ci)F₀*
+    pres = minimal_presentation(module)
+    t = pres.presentation.transpose()
+    homs = kernel_of_map(t, target_relations=t.target.ideal_multiples(ci))
+    homs = minimal_generators(homs, t.source.ideal_multiples(ci))
+    if not homs:
+        raise GBError("dual over the complete intersection is zero")
+    # evaluation at the homs, F₀ → ⊕_h S(deg h), is the transpose of the
+    # map whose columns are the homs
+    hom_source = FreeModule(ring, [h.degree() for h in homs])
+    psi = ModuleMap(hom_source, homs[0].module, homs).transpose()
+    u_gens = kernel_of_map(psi, target_relations=psi.target.ideal_multiples(ci))
+    return shifted_sum([(1, 0, hilbert_series(module)),
+                        (-1, 0, hilbert_series(quotient_module(pres, u_gens)))])

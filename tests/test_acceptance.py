@@ -157,8 +157,8 @@ def test_criterion_6_hdeg_bounds(mixed_line, two_plane):
     lin = [x + z, yy + w]
     eq2 = invariants.check_e1_torsion_bound(two_plane, lin)
     eq3 = invariants.check_chi1_hdeg_bound(two_plane, lin)
-    equalities = (eq1.passed and eq1.slack == 0 and eq2.passed
-                  and eq2.slack == 0 and eq3.passed and eq3.slack == 0)
+    equalities = all(eq.passed and eq.rhs - eq.lhs == 0
+                     for eq in (eq1, eq2, eq3))
     _report("6 (torsion and degree bounds with worked equalities)",
             ok and equalities and checked >= 10,
             "%d sampled checks, equalities %s" % (checked, equalities))

@@ -269,18 +269,26 @@ def test_check_unreadable_json_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("relations,unmixed", [([["x"]], True),
                                                ([["x^2"], ["x*y"]], False)])
 def test_unmixed_op_reads_its_component(monkeypatch, relations, unmixed):
-    # the op holds the unmixed component already; no cohomology profile
-    from gradedca import homology, jobio
-
-    def no_profile(module):
-        raise AssertionError("the unmixed op needs no cohomology profile")
-    monkeypatch.setattr(homology, "local_cohomology_lengths", no_profile)
+    # the op reads U's dimension and length off HS(U); dim M/U = dim M
+    from gradedca import gb, homology, jobio
     raw = {"name": "unmixed", "ring": {"variables": ["x", "y"]},
            "module": {"twists": [0], "relations": relations},
            "ops": [{"op": "unmixed"}]}
     result = jobio.run_job(raw, with_timings=False)["results"][0]["result"]
     assert result["unmixed"] is unmixed
     assert result["component_dim"] == ("-infinite" if unmixed else 0)
+    assert result["quotient_dim"] == 1
+    # each fact once: with the profile built, an unmixed module's component
+    # needs no further Groebner basis
+    with open(os.path.join(CORPUS, "two-plane.json")) as fh:
+        module = jobio.build_job(json.load(fh)).module
+    homology.local_cohomology_lengths(module)
+
+    def no_groebner(*args, **kwargs):
+        raise AssertionError("the profile already says U = 0")
+    monkeypatch.setattr(gb, "buchberger", no_groebner)
+    monkeypatch.setattr(gb, "_groebner", no_groebner)
+    assert homology.unmixed_component(module) == {}
 
 
 def _break_leading_coefficient(*args):

@@ -13,8 +13,8 @@ from gradedca.hilbert import hilbert_series
 from gradedca.poly import (CoeffField, PolyError, PolyRing, RingMismatch, mon_deg,
                            mon_div, monomials_of_degree)
 
-from reference import (colon_submodule, contains, reference_buchberger,
-                       reference_minimal_generators)
+from reference import (colon_submodule, contains, random_nonzero,
+                       reference_buchberger, reference_minimal_generators)
 
 RING = PolyRing(CoeffField(32003), ["x", "y"])
 X, Y = RING.gens()
@@ -245,7 +245,7 @@ def _sparse_form(ring, degree, rng):
     """A homogeneous form with a few random terms (none when degree < 0)."""
     mons = list(monomials_of_degree(ring.num_vars, degree))
     picked = rng.sample(mons, min(len(mons), rng.randint(1, 3))) if mons else []
-    return sum((ring.monomial(m, ring.field.random_nonzero(rng)) for m in picked),
+    return sum((ring.monomial(m, random_nonzero(ring.field, rng)) for m in picked),
                ring.zero())
 
 
@@ -273,7 +273,7 @@ def _lead_multiples(basis, degree, rng):
         if mons and rng.random() < 0.5:
             m = rng.choice(mons)
             terms[(pos, tuple(x + y for x, y in zip(lead, m)))] = \
-                amb.ring.field.random_nonzero(rng)
+                random_nonzero(amb.ring.field, rng)
     return Vector(amb, terms)
 
 

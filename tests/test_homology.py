@@ -13,6 +13,8 @@ from gradedca.jobio import build_job
 from gradedca.modules import GradedModule
 from gradedca.poly import CoeffField, PolyRing
 
+from reference import reference_unmixed_series
+
 RING = PolyRing(CoeffField(32003), ["x", "y"])
 X, Y = RING.gens()
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
@@ -30,10 +32,9 @@ def _corpus_module(name, char):
     return build_job(raw).module
 
 
-def _component_series(module):
-    """HS(U) = HS(M) − HS(M/U), from 0 → U → M → M/U → 0."""
-    return shifted_sum([(1, 0, hilbert_series(module)),
-                        (-1, 0, hilbert_series(hm.unmixed_component(module)))])
+def _quotient_series(module, u):
+    """HS(M/U) = HS(M) − HS(U), from 0 → U → M → M/U → 0."""
+    return shifted_sum([(1, 0, hilbert_series(module)), (-1, 0, u)])
 
 
 def test_free_module_profile(free_plane):
@@ -77,9 +78,9 @@ def test_depth_two_paths_agree(free_plane, mixed_line, two_plane,
 
 
 def test_unmixed_component_oracles(free_plane, mixed_line, two_plane):
-    u = _component_series(mixed_line)
+    u = hm.unmixed_component(mixed_line)
     assert series_length(u, 2) == 1
-    assert dim_module(hm.unmixed_component(mixed_line)) == 1
+    assert series_dim(_quotient_series(mixed_line, u), 2) == 1
     assert hm.is_unmixed(free_plane)
     assert hm.is_unmixed(two_plane)
     assert not hm.is_unmixed(mixed_line)
@@ -89,19 +90,32 @@ def test_unmixed_component_of_direct_sum():
     a = GradedModule.quotient_ring(RING, [X])
     b = GradedModule.quotient_ring(RING, [X, Y])
     ds = a.direct_sum(b)
-    u = _component_series(ds)
+    u = hm.unmixed_component(ds)
     assert series_dim(u, 2) == 0 and series_length(u, 2) == 1
-    assert dim_module(hm.unmixed_component(ds)) == 1
+    assert series_dim(_quotient_series(ds, u), 2) == 1
     assert not hm.is_unmixed(ds)
 
 
+def _three_sum(char):
+    """S/(x) ⊕ S/(x,y) ⊕ S/(x,y,z): U is the last two summands, of
+    dimensions 1 and 0, so two duals enter the form that cuts U out."""
+    ring = PolyRing(CoeffField(char), ["x", "y", "z"])
+    x, y, z = ring.gens()
+    a, b, c = (GradedModule.quotient_ring(ring, gens)
+               for gens in ([x], [x, y], [x, y, z]))
+    return a.direct_sum(b).direct_sum(c)
+
+
 @pytest.mark.parametrize("char", [32003, None])
-@pytest.mark.parametrize("name", CORPUS_MODULES)
+@pytest.mark.parametrize("name", CORPUS_MODULES + ["three-sum"])
 def test_ext_criterion_matches_the_unmixed_component(name, char):
     # U = 0 exactly when no dual M_j, j < dim M, reaches dimension j, and
-    # U has the largest such j as its dimension
-    module = _corpus_module(name, char)
-    u = _component_series(module)
+    # U has the largest such j as its dimension; the complete-intersection
+    # biduality gives the same HS(U)
+    module = (_three_sum(char) if name == "three-sum"
+              else _corpus_module(name, char))
+    u = hm.unmixed_component(module)
+    assert u == reference_unmixed_series(module)
     assert hm.is_unmixed(module) == (not u)
     prof = hm.local_cohomology_lengths(module)
     top = max((j for j, mj in enumerate(prof.duals[:-1])

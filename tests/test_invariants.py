@@ -166,7 +166,7 @@ def test_standardness_biconditional(two_plane):
     assert data.I_M == 1
     for s in data.samples:
         assert s.is_standard == (s.deviation == data.I_M)
-    assert data.all_standard() and data.constant_e1()
+    assert data.all_standard()
     assert {s.e1 for s in data.samples} == {-1}
 
 
