@@ -152,8 +152,7 @@ def main(argv=None):
     try:
         return args.func(args)
     except PolyParseError as exc:
-        print("invalid polynomial: %s (position %s)"
-              % (exc, getattr(exc, "position", "?")), file=sys.stderr)
+        print("invalid polynomial: %s" % exc, file=sys.stderr)
         return 2
     except JobError as exc:
         print("invalid job: %s" % exc, file=sys.stderr)

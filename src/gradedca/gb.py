@@ -6,6 +6,11 @@ and L. Robbiano, Computational Commutative Algebra 2, Springer 2005).
 The basis stays reduced as it grows: a new element's lead term can occur
 in an older, homogeneous element of no larger degree only as that very
 term, so one reduction by the new element alone clears it.
+Reduction and S-pairs run on integers, fraction-free: each basis element
+is also kept as its integer form, over Q its primitive integer multiple
+(as hilbert._echelon's rows are), so no Fraction operation is left in
+their inner loops; a remainder is made monic, with Fraction
+coefficients over Q, only when it joins the basis.
 Kernels and the annihilator, the colon (W :_S F), go through one
 elimination primitive, kernel_of_map: a Groebner basis in target ⊕ source
 where the target block dominates.
@@ -13,7 +18,10 @@ where the target block dominates.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from functools import cached_property
 from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 
 from .modules import (FreeModule, GradedModule, ModuleMap, Vector, memoized,
                       term_key, term_mul)
@@ -24,8 +32,52 @@ class GBError(PolyError):
     pass
 
 
-def reduce_vector(v: Vector, basis, lts=None):
-    """Full normal form of v against a list of monic vectors.
+def _cleared(terms):
+    """(den, terms times den), den the lcm of the denominators of the
+    rational coefficients, ints or Fractions."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    return den, {t: c.numerator * (den // c.denominator) for t, c in terms.items()}
+
+
+def integer_form(b, lt):
+    """(L, tail), the reducer that reduce_vector uses for b, tail holding
+    the terms of b other than its lead term lt: over Q, b's primitive
+    integer multiple, whose lead coefficient L is positive; over F_p, b
+    made monic, with L = 1."""
+    fld = b.field
+    if fld.p is not None:
+        inv = fld.inv(b.terms[lt])
+        return 1, {t: c * inv % fld.p for t, c in b.terms.items() if t != lt}
+    ints = _cleared(b.terms)[1]
+    content = gcd(*ints.values())
+    lead = ints.pop(lt)
+    if lead < 0:
+        content = -content
+    return lead // content, {t: c // content for t, c in ints.items()}
+
+
+def _monic(module, lt, form):
+    """The monic vector with lead term lt whose integer form is form."""
+    lead, tail = form
+    if module.ring.field.p is None:
+        tail = {t: Fraction(c, lead) for t, c in tail.items()}
+    return Vector(module, {lt: module.ring.field.one(), **tail})
+
+
+def reduce_vector(v: Vector, basis, lts=None, forms=None):
+    """Full normal form of v against a list of nonzero vectors, each used
+    through its integer form, so any nonzero multiple of it will do.
+
+    The work runs on integers.  Over Q, v's coefficients may be ints or
+    Fractions, and the terms still to be reduced are integers w standing
+    for w·num/den.  Each reducer is an integer_form (L, tail), from forms
+    or built from basis.  A term c·x^q·lt is cleared in three parts: g =
+    gcd(L, c); the pending work is scaled by L/g, and den with it; then
+    (c/g)·x^q·tail is subtracted.  After a scaling step the content of
+    the work moves into num.  Over F_p, L = 1: no gcd and no scaling.
+    Each irreducible term is emitted once, as Fraction(c·num, den) over Q
+    or as the residue over F_p, so the normal form and its coefficient
+    types are those of exact field arithmetic.
 
     The terms still to be reduced sit in the dict work; a min-heap of
     term_key(t) + (t,) holds one entry for each time a term t enters work,
@@ -39,30 +91,43 @@ def reduce_vector(v: Vector, basis, lts=None):
         return Vector(v.module, dict(v.terms))
     if lts is None:
         lts = [b.leading_term()[0] for b in basis]
-    reduce = v.module.ring.field.reduce
+    if forms is None:
+        forms = [integer_form(b, lt) for b, lt in zip(basis, lts)]
+    fld = v.module.ring.field
+    reduce, rational = fld.reduce, fld.p is None
+    if rational:
+        num, (den, work) = 1, _cleared(v.terms)
+    else:
+        work = dict(v.terms)
     out = {}
-    work = dict(v.terms)
     heap = [term_key(t) + (t,) for t in work]
     heapify(heap)
     while heap:
         term = heappop(heap)[-1]
-        coeff = work.get(term)
+        coeff = work.pop(term, None)
         if coeff is None:
             continue
         pos, mon = term
-        hit = None
-        for b, (bpos, bmon) in zip(basis, lts):
+        for form, (bpos, bmon) in zip(forms, lts):
             if bpos == pos:
                 q = mon_div(mon, bmon)
                 if q is not None:
-                    hit = (b, q)
                     break
-        if hit is None:
-            out[term] = coeff
-            del work[term]
+        else:
+            out[term] = Fraction(coeff * num, den) if rational else coeff
             continue
-        b, q = hit
-        for bt, bc in b.terms.items():
+        lead, tail = form
+        scaled = False
+        if lead != 1:
+            g = gcd(lead, coeff)
+            coeff //= g
+            if g != lead:
+                m = lead // g
+                for t in work:
+                    work[t] *= m
+                den *= m
+                scaled = True
+        for bt, bc in tail.items():
             t = term_mul(bt, q)
             old = work.get(t)
             if old is None:
@@ -73,16 +138,16 @@ def reduce_vector(v: Vector, basis, lts=None):
                 work[t] = s
             else:
                 del work[t]
+        if scaled and work:
+            content = gcd(*work.values())
+            if content != 1:
+                for t in work:
+                    work[t] //= content
+                num *= content
+            g = gcd(num, den)
+            num //= g
+            den //= g
     return Vector(v.module, out)
-
-
-def _spair(f, mf, g, mg):
-    """The S-vector of f and g, whose lead monomials are mf and mg."""
-    lcm = mon_lcm(mf, mg)
-    one = f.field.one()
-    return Vector(f.module, lincomb(f.field.reduce,
-                                    [(one, mon_div(lcm, mf), f.terms),
-                                     (-one, mon_div(lcm, mg), g.terms)], term_mul))
 
 
 def _groebner(base, gens):
@@ -101,10 +166,15 @@ def _groebner(base, gens):
     all, so no lead term divides another and the basis stays minimal.
     Each older b holding r's lead term lt is reduced by r alone: a term of
     b at lt's position that lt divides has degree ≥ deg r ≥ deg b, so it
-    is lt itself.  So every tail stays reduced, with no final pass.  A
-    pair is dropped by the product criterion, in the ideal case only, or
-    by the chain criterion: some k whose lead divides the lcm, with both
-    sub-pairs no longer pending.  Inputs must be homogeneous.
+    is lt itself.  So every tail stays reduced, with no final pass.
+    forms, beside lts, holds each element's integer form, refreshed when
+    its tail is reduced.  An S-pair is formed from them as
+    (L_j/g)·m_i·tail_i − (L_i/g)·m_j·tail_j, g = gcd(L_i, L_j), a positive
+    multiple of the monic S-pair whose lead terms cancel, so only the
+    remainder that joins the basis is made monic.  A pair is dropped by
+    the product criterion, in the ideal case only, or by the chain
+    criterion: some k whose lead divides the lcm, with both sub-pairs no
+    longer pending.  Inputs must be homogeneous.
     """
     # S-pair (i, j): (degree, 0, -position, i, j); vector v, i-th of base
     # (kind 1) or gens (kind 2): (degree, kind, 0, i, v), v never compared
@@ -117,7 +187,7 @@ def _groebner(base, gens):
     fld = module.ring.field
     rank1 = module.rank == 1
     pending = set()
-    basis, lts, kept = [], [], []
+    basis, lts, forms, kept = [], [], [], []
     while heap:
         _, kind, _, i, v = heappop(heap)
         if not kind:
@@ -130,18 +200,27 @@ def _groebner(base, gens):
                    and (min(j, k), max(j, k)) not in pending
                    for k in range(len(basis))):
                 continue
-            v = _spair(basis[i], lts[i][1], basis[j], lts[j][1])
-        r = reduce_vector(v, basis, lts)
+            (li, fi), (lj, fj) = forms[i], forms[j]
+            g = gcd(li, lj)
+            v = Vector(module, lincomb(fld.reduce,
+                                       [(lj // g, mon_div(lcm, lts[i][1]), fi),
+                                        (-(li // g), mon_div(lcm, lts[j][1]), fj)],
+                                       term_mul))
+        r = reduce_vector(v, basis, lts, forms)
         if r.is_zero():
             continue
         if kind == 2:
             kept.append(v)
-        lt, c = r.leading_term()
-        r = r.scale(fld.inv(c))
-        basis = [reduce_vector(b, [r], [lt]) if lt in b.terms else b
-                 for b in basis]
+        lt = r.leading_term()[0]
+        form = integer_form(r, lt)
+        r = _monic(module, lt, form)
+        for k, b in enumerate(basis):
+            if lt in b.terms:
+                basis[k] = b = reduce_vector(b, [r], [lt], [form])
+                forms[k] = integer_form(b, lts[k])
         basis.append(r)
         lts.append(lt)
+        forms.append(form)
         new = len(basis) - 1
         for i, (pos, mon) in enumerate(lts[:new]):
             if pos != lt[0]:
@@ -161,11 +240,17 @@ def buchberger(gens):
 
 
 class SubmoduleGB:
-    """A submodule of a free module given by its reduced basis."""
+    """A submodule of a free module given by its reduced basis; forms, the
+    basis' integer forms for reduce_vector, are built once, when first
+    read."""
 
     def __init__(self, generators):
         self.basis = buchberger(generators)
         self._lts = [b.leading_term()[0] for b in self.basis]
+
+    @cached_property
+    def forms(self):
+        return [integer_form(b, lt) for b, lt in zip(self.basis, self._lts)]
 
     def leading_terms(self):
         return list(self._lts)

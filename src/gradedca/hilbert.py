@@ -331,7 +331,7 @@ def _normal_forms(module: GradedModule):
         for t in terms:
             if t not in table:
                 v = Vector(amb, {t: one})
-                table[t] = reduce_vector(v, gb.basis, lts).terms
+                table[t] = reduce_vector(v, gb.basis, lts, gb.forms).terms
         return lincomb(fld.reduce,
                        [(c, None, table[t]) for t, c in terms.items()], None)
     return nf

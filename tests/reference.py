@@ -4,26 +4,38 @@ _RankTracker is exact Gaussian elimination over the coefficient field on
 {term: coefficient} dicts, the independent rank count behind the
 reference quotient lengths; colon_submodule presents (N :_F f) by one
 kernel, the elimination the series colons are checked against.
-reference_buchberger is Buchberger with pairs taken by a min() scan over
-all pending ones and a minimalizing pass before the interreduction, and
-reference_minimal_generators the greedy graded-Nakayama loop that reruns
-it for every generator it keeps: the two separate loops that gb._groebner
-replaces with one run.  contains is submodule membership by the normal
-form against a reduced basis.  reference_unmixed_series is HS(U) by
-biduality over a random complete intersection inside Ann(M), apart from
-the Ext duals that homology.unmixed_component reads U off.
-random_nonzero draws the nonzero coefficients of the random test inputs.
+reference_reduce_vector is the normal form in exact field arithmetic, a
+Fraction operation per step over Q, and reference_spair the S-vector of
+two monic vectors: the loop and the pair that gb's integer kernel
+replaces.  reference_buchberger is Buchberger with pairs taken by a min()
+scan over all pending ones and a minimalizing pass before the
+interreduction, and reference_minimal_generators the greedy
+graded-Nakayama loop that reruns it for every generator it keeps: the two
+separate loops that gb._groebner replaces with one run.  contains is
+submodule membership by the normal form against a reduced basis.  These
+three reduce through reference_reduce_vector alone, so gb's kernel is
+never held to itself.  sympy_groebner is sympy's reduced grevlex basis
+over Q, as a set of monic polynomials (sympy is imported only when it
+is called).  reference_unmixed_series is HS(U) by biduality over a
+random complete intersection inside Ann(M), apart from the Ext duals
+that homology.unmixed_component reads U off.
+random_nonzero draws the nonzero coefficients of the random test inputs,
+and random_integer_forms the text of random forms with small integer
+coefficients, read alike over Q and over F_p.
 """
 
 import random
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
-from gradedca.gb import (GBError, _spair, annihilator, is_zero_module,
-                         kernel_of_map, minimal_generators,
-                         minimal_presentation, quotient_module, reduce_vector)
+from gradedca.gb import (GBError, annihilator, is_zero_module, kernel_of_map,
+                         minimal_generators, minimal_presentation,
+                         quotient_module)
 from gradedca.hilbert import dim_module, hilbert_series, shifted_sum
-from gradedca.modules import FreeModule, GradedModule, ModuleMap, term_key
-from gradedca.poly import Poly, mon_deg, mon_div, mon_lcm
+from gradedca.modules import (FreeModule, GradedModule, ModuleMap, Vector,
+                              term_key, term_mul)
+from gradedca.poly import (Poly, lincomb, mon_deg, mon_div, mon_lcm,
+                           monomials_of_degree)
 
 REGULAR_SEQUENCE_TRIES = 50  # random draws per form of a regular sequence
 
@@ -33,6 +45,22 @@ def random_nonzero(fld, rng):
     if fld.p is None:
         return Fraction(rng.choice([c for c in range(-20, 21) if c]))
     return rng.randrange(1, fld.p)
+
+
+def random_integer_forms(rng, names, count, top):
+    """count homogeneous forms of degree 1..top in names, as text, with
+    integer coefficients in ±1..3: each monomial is kept with probability
+    1/2, and the first one when no other is."""
+    texts = []
+    for _ in range(count):
+        mons = list(monomials_of_degree(len(names), rng.randint(1, top)))
+        text = "0"
+        for m in [m for m in mons if rng.random() < 0.5] or mons[:1]:
+            c = rng.choice([-3, -2, -1, 1, 2, 3])
+            text += " %s %d*%s" % ("-" if c < 0 else "+", abs(c), "*".join(
+                "%s^%d" % (v, e) for v, e in zip(names, m)))
+        texts.append(text)
+    return texts
 
 
 class _RankTracker:
@@ -78,9 +106,90 @@ class _RankTracker:
         return rank
 
 
+def reference_reduce_vector(v: Vector, basis, lts=None):
+    """Full normal form of v against a list of monic vectors.
+
+    The terms still to be reduced sit in the dict work; a min-heap of
+    term_key(t) + (t,) holds one entry for each time a term t enters work,
+    so its top is the leading term of work.  A popped entry whose term has
+    since cancelled out of work is skipped.  A processed term never comes
+    back, since every other term of its reducer is smaller, so terms are
+    processed in descending order.  Against an empty basis v is its own
+    normal form, and a copy of it comes back at once.
+    """
+    if not basis:
+        return Vector(v.module, dict(v.terms))
+    if lts is None:
+        lts = [b.leading_term()[0] for b in basis]
+    reduce = v.module.ring.field.reduce
+    out = {}
+    work = dict(v.terms)
+    heap = [term_key(t) + (t,) for t in work]
+    heapify(heap)
+    while heap:
+        term = heappop(heap)[-1]
+        coeff = work.get(term)
+        if coeff is None:
+            continue
+        pos, mon = term
+        hit = None
+        for b, (bpos, bmon) in zip(basis, lts):
+            if bpos == pos:
+                q = mon_div(mon, bmon)
+                if q is not None:
+                    hit = (b, q)
+                    break
+        if hit is None:
+            out[term] = coeff
+            del work[term]
+            continue
+        b, q = hit
+        for bt, bc in b.terms.items():
+            t = term_mul(bt, q)
+            old = work.get(t)
+            if old is None:
+                # a new term: nonzero, as a product of two nonzero ones
+                work[t] = reduce(-(bc * coeff))
+                heappush(heap, term_key(t) + (t,))
+            elif s := reduce(old - bc * coeff):
+                work[t] = s
+            else:
+                del work[t]
+    return Vector(v.module, out)
+
+
+def reference_spair(f, mf, g, mg):
+    """The S-vector of f and g, whose lead monomials are mf and mg."""
+    lcm = mon_lcm(mf, mg)
+    one = f.field.one()
+    return Vector(f.module, lincomb(f.field.reduce,
+                                    [(one, mon_div(lcm, mf), f.terms),
+                                     (-one, mon_div(lcm, mg), g.terms)], term_mul))
+
+
+def sympy_groebner(texts, variables):
+    """Reduced grevlex Groebner basis over Q, each element monic."""
+    import sympy
+    syms = sympy.symbols(list(variables))
+    local = dict(zip(variables, syms))
+    exprs = [sympy.parse_expr(t.replace("^", "**"), local_dict=local)
+             for t in texts]
+    basis = sympy.groebner(exprs, *syms, order="grevlex", domain="QQ")
+    return {monic({tuple(m): Fraction(int(c.p), int(c.q))
+                   for m, c in sympy.Poly(g, *syms, domain="QQ").terms()})
+            for g in basis.exprs}
+
+
+def monic(poly):
+    """Frozen monic form of {exponents: coefficient} under grevlex."""
+    lead = max(poly, key=lambda m: (sum(m), tuple(-e for e in reversed(m))))
+    c = Fraction(poly[lead])
+    return frozenset((m, Fraction(v) / c) for m, v in poly.items())
+
+
 def contains(gb, v):
     """Whether v lies in the submodule of which gb is the SubmoduleGB."""
-    return reduce_vector(v, gb.basis).is_zero()
+    return reference_reduce_vector(v, gb.basis).is_zero()
 
 
 def colon_submodule(n_gens, f: Poly, ambient: FreeModule):
@@ -124,7 +233,7 @@ def reference_buchberger(gens):
         return True
 
     for g in gens:
-        adjoin(reduce_vector(g, basis, lts))
+        adjoin(reference_reduce_vector(g, basis, lts))
 
     rank1 = module.rank == 1
     pairs = set()
@@ -163,8 +272,8 @@ def reference_buchberger(gens):
                     break
         if skip:
             continue
-        s = _spair(basis[i], lts[i][1], basis[j], lts[j][1])
-        if adjoin(reduce_vector(s, basis, lts)):
+        s = reference_spair(basis[i], lts[i][1], basis[j], lts[j][1])
+        if adjoin(reference_reduce_vector(s, basis, lts)):
             add_pairs(len(basis) - 1)
 
     # minimalize: drop elements whose lead is divisible by another lead
@@ -180,8 +289,8 @@ def reference_buchberger(gens):
     # interreduce tails: each result is the one reduced-basis element with
     # that lead term (coefficient 1), so the order of the reducers does not
     # change it
-    return [reduce_vector(basis[i], [basis[k] for k in keep if k != i],
-                          [lts[k] for k in keep if k != i])
+    return [reference_reduce_vector(basis[i], [basis[k] for k in keep if k != i],
+                                    [lts[k] for k in keep if k != i])
             for i in keep]
 
 
@@ -196,7 +305,7 @@ def reference_minimal_generators(gens, basis=()):
     kept = []
     basis = list(basis)
     for g in gens:
-        r = reduce_vector(g, basis)
+        r = reference_reduce_vector(g, basis)
         if not r.is_zero():
             kept.append(g)
             basis = reference_buchberger(basis + [r])

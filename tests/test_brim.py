@@ -143,7 +143,8 @@ def test_br_coefficients_builds_each_product_level_once(monkeypatch):
 
 
 def _reference_nf(p, gb, amb):
-    return reduce_vector(amb.element([p]), gb.basis).coordinates()[0]
+    return reduce_vector(amb.element([p]), gb.basis, gb.leading_terms(),
+                         gb.forms).coordinates()[0]
 
 
 def _reference_products(pm, n, gb, amb):

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -13,8 +14,10 @@ from gradedca.hilbert import hilbert_series
 from gradedca.poly import (CoeffField, PolyError, PolyRing, RingMismatch, mon_deg,
                            mon_div, monomials_of_degree)
 
-from reference import (colon_submodule, contains, random_nonzero,
-                       reference_buchberger, reference_minimal_generators)
+from reference import (colon_submodule, contains, monic, random_nonzero,
+                       reference_buchberger, reference_minimal_generators,
+                       random_integer_forms, reference_reduce_vector,
+                       reference_spair, sympy_groebner)
 
 RING = PolyRing(CoeffField(32003), ["x", "y"])
 X, Y = RING.gens()
@@ -36,7 +39,7 @@ def test_spairs_reduce_to_zero():
     leads = [b.leading_term()[0][1] for b in basis]
     for i in range(len(basis)):
         for j in range(i):
-            s = gb._spair(basis[i], leads[i], basis[j], leads[j])
+            s = reference_spair(basis[i], leads[i], basis[j], leads[j])
             assert contains(sgb, s)
 
 
@@ -343,6 +346,67 @@ def test_partial_basis_is_not_a_groebner_basis():
     assert len(gb.buchberger(basis)) > len(basis)
 
 
+@given(st.sampled_from([3, 32003, None]), st.booleans(),
+       st.integers(min_value=1, max_value=5),
+       st.integers(min_value=0, max_value=2 ** 32))
+@settings(max_examples=60, deadline=None)
+def test_integer_reduction_matches_the_fraction_reference(char, reduced, degree, seed):
+    """The integer kernel gives the Fraction loop's normal form term for
+    term, in the same order, with Fraction coefficients over Q: against
+    random monic vectors and against the reduced basis of random integer
+    vectors (non-integral and monic over Q), whose integer forms come
+    from SubmoduleGB or are built afresh.  Over Q, v is scaled by a
+    non-integral rational."""
+    rng = random.Random(seed)
+    basis = _partial_basis(char, rng)
+    amb = basis[0].module
+    if reduced:
+        sgb = gb.SubmoduleGB([_random_vector(amb, 2, rng) for _ in range(3)])
+        basis = sgb.basis
+        if not basis:
+            return
+    v = _test_vector(amb, basis, degree, rng)
+    if char is None:
+        v = v.scale(Fraction(rng.randint(1, 30), rng.randint(2, 30)))
+    want = list(reference_reduce_vector(v, basis).terms.items())
+    assert list(gb.reduce_vector(v, basis).terms.items()) == want
+    if reduced:
+        got = gb.reduce_vector(v, basis, sgb.leading_terms(), sgb.forms)
+        assert list(got.terms.items()) == want
+    if char is None:
+        assert all(type(c) is Fraction for _, c in want)
+        assert all(type(c) is Fraction
+                   for c in gb.reduce_vector(v, basis).terms.values())
+
+
+def test_integer_reduction_over_a_non_integral_basis():
+    ring = PolyRing(CoeffField(None), ["x", "y"])
+    x, y = ring.gens()
+    amb = FreeModule(ring, [0])
+    basis = gb.buchberger([amb.element([x.scale(2) + y.scale(3)])])
+    assert basis == [amb.element([x + y.scale(Fraction(3, 2))])]
+    form = gb.integer_form(basis[0], (0, (1, 0)))
+    assert form == (2, {(0, (0, 1)): 3})
+    nf = gb.reduce_vector(amb.element([x * x - y * y]), basis)
+    assert nf == amb.element([y * y]).scale(Fraction(5, 4))
+    assert all(type(c) is Fraction for c in nf.terms.values())
+
+
+@given(st.integers(min_value=0, max_value=2 ** 32))
+@settings(max_examples=40, deadline=None)
+def test_buchberger_matches_sympy_over_q(seed):
+    """The reduced grevlex basis over Q of 2-4 integer forms of degree at
+    most 3 in 2-3 variables is sympy's, as a set of monic polynomials."""
+    rng = random.Random(seed)
+    names = ["x", "y", "z"][:rng.randint(2, 3)]
+    texts = random_integer_forms(rng, names, rng.randint(2, 4), 3)
+    ring = PolyRing(CoeffField(None), names)
+    amb = FreeModule(ring, [0])
+    basis = gb.buchberger([amb.element([ring.poly(t)]) for t in texts])
+    got = {monic(b.coordinates()[0].terms) for b in basis}
+    assert got == sympy_groebner(texts, names)
+
+
 @given(st.sampled_from([32003, None]), st.integers(min_value=0, max_value=2 ** 32))
 @settings(max_examples=30, deadline=None)
 def test_buchberger_returns_the_reduced_basis_in_descending_order(char, seed):
@@ -364,7 +428,7 @@ def test_buchberger_returns_the_reduced_basis_in_descending_order(char, seed):
     for i in range(len(basis)):
         for j in range(i):
             if lts[i][0] == lts[j][0]:
-                s = gb._spair(basis[i], lts[i][1], basis[j], lts[j][1])
+                s = reference_spair(basis[i], lts[i][1], basis[j], lts[j][1])
                 assert gb.reduce_vector(s, basis).is_zero()
 
 

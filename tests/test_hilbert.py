@@ -19,10 +19,31 @@ from gradedca.poly import (CoeffField, Poly, PolyRing, monomials_of_degree,
                            parse_poly)
 from gradedca.sampler import random_parameter_ideal
 
-from reference import _RankTracker
+from reference import _RankTracker, random_integer_forms
 
 RING = PolyRing(CoeffField(32003), ["x", "y"])
 X, Y = RING.gens()
+
+
+@given(st.integers(min_value=0, max_value=2 ** 32))
+@settings(max_examples=40, deadline=None)
+def test_hilbert_function_mod_p_bounds_the_one_over_q(seed):
+    """For integer generators, H(S/I_p, t) ≥ H(S/I_Q, t) in every degree,
+    p = 3 and 32003: dim (I_p)_t is the rank mod p of the integer matrix
+    whose rank over Q is dim (I_Q)_t, and a rank can only drop mod p.
+    Equality holds only for generic p, so it is not asserted."""
+    rng = random.Random(seed)
+    names = ["x", "y", "z"][:rng.randint(2, 3)]
+    texts = random_integer_forms(rng, names, rng.randint(2, 4), 3)
+
+    def values(p):
+        ring = PolyRing(CoeffField(p), names)
+        quo = GradedModule.quotient_ring(ring, [ring.poly(t) for t in texts])
+        return [hb.hilbert_function(quo, t) for t in range(8)]
+
+    over_q = values(None)
+    for p in (3, 32003):
+        assert all(a >= b for a, b in zip(values(p), over_q))
 
 
 def test_dim_oracles(free_plane, mixed_line, two_plane):
@@ -235,14 +256,14 @@ def _reference_quotient_length(module, vectors):
     amb = module.ambient
     bases = []
     for v in vectors:
-        v = reduce_vector(v, gb.basis, lts)
+        v = reduce_vector(v, gb.basis, lts, gb.forms)
         if not v.is_zero():
             bases.append((v, v.degree()))
     total = 0
     t = min(amb.twists)
     while True:
         std = hb.hilbert_function(module, t)
-        rows = (reduce_vector(v.mul_term(m, one), gb.basis, lts).terms
+        rows = (reduce_vector(v.mul_term(m, one), gb.basis, lts, gb.forms).terms
                 for v, dv in bases
                 for m in monomials_of_degree(ring.num_vars, t - dv))
         left = std - _RankTracker(ring.field).rank(rows, std)
