@@ -15,13 +15,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import lcm
 
 from .gb import GBError
 from .hilbert import (_normal_forms, _Powers, _Space, _standard_terms,
                       dim_module, fit_binomial, module_length)
 from .homology import is_unmixed, local_cohomology_lengths
 from .modules import FreeModule, GradedModule
-from .poly import mon_mul, monomials_of_degree, require
+from .poly import lincomb, mon_mul, monomials_of_degree, require
 
 
 class BrimError(GBError):
@@ -92,16 +93,51 @@ def make_parameter_module(ring, ring_rels, columns) -> ParameterModule:
                            rank=rank, columns=tuple(cols))
 
 
+def _pack(fld, forms, slots, w):
+    """A table, one row per form {term: c}: over F_p one int with c in slot
+    slots[term] of w bits, over Q a {slot: c} dict of integers, the whole
+    table scaled by the lcm of its denominators, which scales every image
+    under it alike and so changes no span."""
+    if fld.p is None:
+        den = lcm(*(c.denominator for f in forms for c in f.values()))
+        return [{slots[u]: c.numerator * (den // c.denominator)
+                 for u, c in f.items()} for f in forms]
+    rows = []
+    for f in forms:
+        row = 0
+        for u, c in f.items():
+            row |= c << w * slots[u]
+        rows.append(row)
+    return rows
+
+
 def _brim_powers(pm: ParameterModule):
     """Eⁿ ⊆ Fⁿ as a hilbert._Powers filtration.  A_n = Fⁿ has the standard
     terms (a, m): a a T-monomial of degree n, m a standard monomial of R.
     g_j·(a, m) = Σ_i (a + e_i, NF_R(φ_ij·m)), and each NF_R(φ_ij·m) is
-    formed once per module, by the normal-form table of R over S.  The
-    closures hold the columns, not pm, so pm and its powers form no cycle."""
+    formed once per module from the normal-form table of R over S, so the
+    tables, packed by _pack, have entries below p.  The closures hold the
+    columns, not pm, so pm and its powers form no cycle."""
     base = GradedModule.quotient_ring(pm.ring, list(pm.ring_rels))
     nf = _normal_forms(base)
+    fld = pm.ring.field
     columns, rank = pm.columns, pm.rank
+    degrees = [next(e.total_degree() for e in col if not e.is_zero())
+               for col in columns]
     images = {}  # (i, j, m) -> NF_R(φ_ij·m)
+
+    def times(j, u):
+        a, m = u
+        out = {}
+        for i, e in enumerate(columns[j]):
+            form = images.get((i, j, m))
+            if form is None:
+                form = images[(i, j, m)] = lincomb(fld.reduce, [
+                    (c, None, nf((0, mon_mul(m, em))))
+                    for em, c in e.terms.items()], None)
+            b = a[:i] + (a[i] + 1,) + a[i + 1:]
+            out.update({(b, fm): c for (_, fm), c in form.items()})
+        return out
 
     def space(n):
         tmons = list(monomials_of_degree(rank, n))
@@ -110,21 +146,11 @@ def _brim_powers(pm: ParameterModule):
             return [(a, m) for a in tmons
                     for _, m in _standard_terms(base, t)]
 
-        def times(j, u):
-            a, m = u
-            out = {}
-            for i, e in enumerate(columns[j]):
-                form = images.get((i, j, m))
-                if form is None:
-                    form = images[(i, j, m)] = nf(
-                        {(0, mon_mul(m, em)): c for em, c in e.terms.items()})
-                b = a[:i] + (a[i] + 1,) + a[i + 1:]
-                out.update({(b, fm): c for (_, fm), c in form.items()})
-            return out
-        return _Space(terms, times)
-    degrees = [next(e.total_degree() for e in col if not e.is_zero())
-               for col in columns]
-    return _Powers(pm.ring.field, degrees, [0], space)
+        def table(j, s, w, dst):
+            return _pack(fld, [times(j, u) for u in terms(s)],
+                         dst.slots(s + degrees[j]), w)
+        return _Space(terms, table, fld.p or 0)
+    return _Powers(fld, degrees, [0], space)
 
 
 def br_value(pm: ParameterModule, n: int) -> int:

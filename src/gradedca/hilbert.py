@@ -22,20 +22,27 @@ degree by degree, in the linear-algebra view of Groebner bases (D. Lazard,
 EUROCAL 1983; J.-C. Faugère, J. Pure Appl. Algebra 139, 1999): level k+1
 in degree t is an echelon basis of the images of level k's bases in the
 degrees t − d_j, read off tables of NF(g_j·u) on the standard terms u, so
-no product of generators and no monomial multiple is formed.  Each NF
-comes from a normal-form table kept on the module, which reduces each
-monomial of the ambient once.  _echelon does the linear algebra: over F_p
-a packed echelon, each row one Python int with a slot per column and mod-p
-reduction delayed until a slot is read, so a row operation is one integer
-multiply-add; over Q, where each table is scaled to integers by the lcm
-of its denominators, a fraction-free elimination on primitive integer
-rows.  The Buchsbaum-Rim values λ(Fⁿ/Eⁿ) are levels of the same object.
-Coefficients are integer backward differences of a stabilized tail of
-the table, read off in the binomial basis; the Buchsbaum-Rim tables use
-the same fit.
+no product of generators is formed, and no row that provably reduces to
+zero is formed either (see _Powers).  The tables are summed from
+multiplication tables kept on the module and shared by every Q of it
+(FGLM's, for the variables): NF(τ) of an ambient term τ is reduced once
+per module and packed once per module and slot width as a row over the
+standard terms of its degree, X_{m,s} lists NF(x^m·u) by the slot of u,
+and the table of g = Σ c_m·x^m on degree s is Σ c_m·X_{m,s}, one integer
+multiply-add per term and row.  _echelon does the linear algebra: over
+F_p a packed echelon, each row one Python int with a slot per column and
+mod-p reduction delayed until a slot is read, so a row operation is one
+integer multiply-add and a table entry is never reduced before it; over
+Q, where each table's rows share one integer scale, a fraction-free
+elimination on primitive integer rows.  The Buchsbaum-Rim values
+λ(Fⁿ/Eⁿ) are levels of the same object, with tables packed from their
+normal forms.  Coefficients are integer backward differences of a
+stabilized tail of the table, read off in the binomial basis; the
+Buchsbaum-Rim tables use the same fit.
 
-The series, the normal-form table, the standard terms and the Hilbert
-coefficients of (M, Q) are kept on the module by modules.memoized.
+The series, the normal-form table, its packed rows, the multiplication
+tables, the standard terms and the Hilbert coefficients of (M, Q) are
+kept on the module by modules.memoized.
 The coefficients are keyed by qkey(Q): a reordered generating set hits
 the same entry, and since the table values depend only on the ideal, a hit
 returns what a recomputation would.
@@ -242,10 +249,12 @@ class HilbertSamuelTable:
 
 def _echelon(fld, rows, w, cap):
     """An echelon basis of the span of rows, read until cap rows of it are
-    found.
+    found.  rows yields (tag, row) pairs, and the basis comes back as
+    (tag, row) pairs in the order its rows joined, each with the tag of the
+    row it was reduced from.
 
-    Over Q the rows are {slot: c} dicts of integers, as _pack and _image
-    build them, and the elimination is fraction-free (E. H. Bareiss,
+    Over Q the rows are {slot: c} dicts of integers, as _form_table and
+    _image build them, and the elimination is fraction-free (E. H. Bareiss,
     Math. Comp. 22, 1968, with each row's content divided out in
     place of the previous pivot): a row's top slot is eliminated by the
     cross-multiple a·work − c·row of the basis row with that top slot, and
@@ -261,12 +270,15 @@ def _echelon(fld, rows, w, cap):
     the inverse of its pivot entry, so w must hold a row's largest entry
     plus fewer than cap eliminations of less than p² each.  A basis row is
     kept as its tail below the pivot, so eliminating a pivot only touches
-    lower slots, and comes back whole: pivot 1 | tail, reduced mod p.
+    lower slots, and comes back whole: pivot 1 | tail, reduced mod p.  Both
+    loops read a row's nonzero slots top down, by its bit length, so a
+    zero slot costs nothing.
     """
     p = fld.p
     if p is None:
         basis = {}   # pivot slot -> a primitive integer row with that top slot
-        for work in rows:
+        tags = {}    # pivot slot -> the tag of the row it came from
+        for tag, work in rows:
             if len(basis) == cap:
                 break
             while work:
@@ -276,15 +288,15 @@ def _echelon(fld, rows, w, cap):
                 top = max(work)
                 b = basis.get(top)
                 if b is None:
-                    basis[top] = work
+                    basis[top], tags[top] = work, tag
                     break
                 a, c = b[top], work[top]
                 work = {s: v for s in work.keys() | b.keys()
                         if (v := a * work.get(s, 0) - c * b.get(s, 0))}
-        return list(basis.values())
-    mask = (1 << w) - 1
+        return [(tags[top], b) for top, b in basis.items()]
     tails = {}   # bit offset of a pivot slot -> its basis row's tail
-    for work in rows:
+    tags = {}    # bit offset of a pivot slot -> the tag of the row it came from
+    for tag, work in rows:
         if len(tails) == cap:
             break
         while work:
@@ -300,40 +312,36 @@ def _echelon(fld, rows, w, cap):
                 continue
             inv = pow(a, p - 2, p)
             tail = 0
-            for at in range(0, shift, w):
-                c = (work >> at & mask) % p
-                if c:
+            while work:
+                at = (work.bit_length() - 1) // w * w
+                c = work >> at
+                work -= c << at
+                if c := c % p:
                     tail |= c * inv % p << at
-            tails[shift] = tail
+            tails[shift], tags[shift] = tail, tag
             break
-    return [1 << shift | tail for shift, tail in tails.items()]
+    return [(tags[shift], 1 << shift | tail) for shift, tail in tails.items()]
 
 
 @memoized()
 def _normal_forms(module: GradedModule):
-    """nf(terms): the normal form against M's basis of a field-linear
-    combination {term: coefficient} of terms of M's ambient, as such a dict.
-
-    The normal form against a Groebner basis is unique, hence linear, so it
-    is Σ c·NF(term).  Each NF(term) is one reduce_vector call on that
-    monomial, made once per module: nf and its table are memoized on it.
-    Against an empty basis each term is its own normal form.
-    """
+    """nf(term): the normal form against M's basis of a term of M's
+    ambient, as {term: coefficient}.  Each is one reduce_vector call on
+    that monomial, made once per module: nf and its table are memoized on
+    it.  Against an empty basis each term is its own normal form."""
     gb = module_gb(module)
+    one = module.ring.field.one()
     if not gb.basis:
-        return dict
-    fld = module.ring.field
-    one = fld.one()
+        return lambda t: {t: one}
     amb, lts = module.ambient, gb.leading_terms()
     table = {}
 
-    def nf(terms):
-        for t in terms:
-            if t not in table:
-                v = Vector(amb, {t: one})
-                table[t] = reduce_vector(v, gb.basis, lts, gb.forms).terms
-        return lincomb(fld.reduce,
-                       [(c, None, table[t]) for t, c in terms.items()], None)
+    def nf(t):
+        form = table.get(t)
+        if form is None:
+            v = Vector(amb, {t: one})
+            form = table[t] = reduce_vector(v, gb.basis, lts, gb.forms).terms
+        return form
     return nf
 
 
@@ -365,13 +373,15 @@ def _standard_terms(module: GradedModule, t):
 class _Space:
     """One A_k of a _Powers filtration.  terms(t) lists its standard terms
     of degree t, its columns of degree t, whose slots number them in that
-    order; times(j, u) is NF(g_j·u) in A_{k+1} as {term: coefficient}.
-    tables[(j, s)] holds those normal forms for the standard terms u of
-    degree s, as rows over A_{k+1}'s columns of degree s + d_j."""
+    order.  table(j, s, w, dst) is the table of g_j on degree s: one row per
+    standard term u of degree s, NF(g_j·u) in dst = A_{k+1} over dst's
+    columns of degree s + d_j, over F_p packed with slots of w bits and
+    every entry below bound.  tables[(j, s)] keeps each table built."""
 
-    def __init__(self, terms, times):
+    def __init__(self, terms, table, bound):
         self.terms = terms
-        self.times = times
+        self.table = table
+        self.bound = bound
         self.tables = {}
         self._slots = {}
 
@@ -383,21 +393,75 @@ class _Space:
         return slots
 
 
-def _pack(fld, forms, slots, w):
-    """A table, one row per form {term: c}: over F_p one int with c in slot
-    slots[term] of w bits, over Q a {slot: c} dict of integers, the whole
-    table scaled by the lcm of its denominators, which scales every image
-    under it alike and so changes no span."""
+def _pack_normal_form(fld, nf, term, slots, w):
+    """nf(term) over the columns slots of its degree: over F_p one int with
+    coefficient c in slot slots[u] of w bits, over Q (den, {slot: c}) with
+    integers c and nf(term) = Σ c/den·u.  A standard term is its own normal
+    form and is reduced by nothing."""
+    if term in slots:
+        form = {term: fld.one()}
+    else:
+        form = nf(term)
     if fld.p is None:
-        den = lcm(*(c.denominator for f in forms for c in f.values()))
-        return [{slots[u]: c.numerator * (den // c.denominator)
-                 for u, c in f.items()} for f in forms]
+        den = lcm(*(c.denominator for c in form.values()))
+        return den, {slots[u]: c.numerator * (den // c.denominator)
+                     for u, c in form.items()}
+    row = 0
+    for u, c in form.items():
+        row |= c << w * slots[u]
+    return row
+
+
+@memoized(lambda module, t, w: (t, w))
+def _packed_normal_forms(module: GradedModule, t, w):
+    """row(term): _pack_normal_form of a term of degree t of M's ambient
+    over the standard terms of degree t, packed once per module and
+    width, so every ideal Q of M reads the same row.  The closure holds
+    no reference to M, so M and its cache form no cycle."""
+    fld, nf = module.ring.field, _normal_forms(module)
+    slots = {u: i for i, u in enumerate(_standard_terms(module, t))}
+    rows = {}
+
+    def row(term):
+        packed = rows.get(term)
+        if packed is None:
+            packed = rows[term] = _pack_normal_form(fld, nf, term, slots, w)
+        return packed
+    return row
+
+
+@memoized(lambda module, m, s, w: (m, s, w))
+def _multiplication_table(module: GradedModule, m, s, w):
+    """X_{m,s}: the packed NF(x^m·u) for the standard terms u of degree s,
+    listed by u's slot.  For a variable x_i it is the multiplication
+    matrix of FGLM (J.-C. Faugère, P. Gianni, D. Lazard and T. Mora,
+    J. Symbolic Comput. 16, 1993) from degree s to s + 1; it is built once
+    per module, monomial, degree and width."""
+    row = _packed_normal_forms(module, s + mon_deg(m), w)
+    return [row((pos, mon_mul(u, m))) for pos, u in _standard_terms(module, s)]
+
+
+def _form_table(module: GradedModule, form, s, w):
+    """The table of NF(form·u) for the standard terms u of degree s: row k
+    is Σ_m c_m·X_{m,s}[k] over the terms c_m·x^m of form.  Over F_p that
+    is an integer multiply-add per term, with no reduction mod p, so an
+    entry stays below T·p² for T terms.  Over Q the rows share one scale,
+    the lcm of every c_m's and row's denominator, which scales every image
+    under the table alike and so changes no span."""
+    coeffs = list(form.terms.values())
+    tables = [_multiplication_table(module, m, s, w) for m in form.terms]
+    if module.ring.field.p is not None:
+        return [sum(map(operator.mul, coeffs, col)) for col in zip(*tables)]
+    scale = lcm(*(c.denominator * den
+                  for c, table in zip(coeffs, tables) for den, _ in table))
     rows = []
-    for f in forms:
-        row = 0
-        for u, c in f.items():
-            row |= c << w * slots[u]
-        rows.append(row)
+    for col in zip(*tables):
+        row = {}
+        for c, (den, part) in zip(coeffs, col):
+            k = c.numerator * (scale // (c.denominator * den))
+            for slot, v in part.items():
+                row[slot] = row.get(slot, 0) + k * v
+        rows.append({slot: v for slot, v in row.items() if v})
     return rows
 
 
@@ -418,6 +482,12 @@ def _image(fld, row, w, table):
     return out
 
 
+def _slot_width(p, below, bound, cols):
+    """The slot width over F_p of a degree with cols columns, whose images
+    sum at most below table entries, each less than bound: see _Powers."""
+    return (below * bound * p + (cols + 1) * p * p).bit_length()
+
+
 class _Powers:
     """λ(A_k/L_k) for the filtration L_0 = A_0, L_{k+1} = Σ_j g_j·L_k of
     graded modules A_k with finite-dimensional pieces, one level at a time.
@@ -426,15 +496,31 @@ class _Powers:
     (L_{k+1})_t = Σ_j g_j·(L_k)_{t−d_j}, so level k+1 in degree t is the
     echelon basis of the images, under the tables of A_k, of level k's
     basis in each degree t − d_j; where L_k is all of A_k the images are
-    the table rows themselves.  Over F_p a slot of degree t is w =
-    bit_length((max_j H(A_k, t − d_j) + H(A_{k+1}, t) + 1)·p²) bits wide: an
-    image is a sum of at most H(A_k, t − d_j) products c·NF of entries
-    below p, and each of the fewer than H(A_{k+1}, t) eliminations of the
-    echelon adds less than p².  Degrees
-    run from the least twist to the first degree at or past the largest
-    twist whose quotient is 0: A_k/L_k is generated in degrees ≤ the
-    largest twist, so past it L_k is all of A_k.  Only the top level's
-    bases are kept, and value(k) steps up to level k once.
+    the table rows themselves.  The rows are read generator by generator,
+    and a basis row keeps the index i of the generator whose row it joined
+    from, so it lies in Σ_{i' ≤ i} g_i'·L_{k−1}.  Since the g_j commute,
+    g_j·b then lies in Σ_{i' ≤ i} g_i'·L_k, which the rows of g_0..g_i
+    span, so for j > i its image would reduce to zero and is not formed
+    (the Koszul-syzygy criterion of F5: J.-C. Faugère, ISSAC 2002).
+
+    Over F_p a slot of degree t is w = bit_length(below·E·p + (cols + 1)·p²)
+    bits wide, with below = max_j H(A_k, t − d_j), cols = H(A_{k+1}, t) and
+    E the space's bound on table entries.  A basis row has entries below p,
+    so an image is a sum of at most below products c·entry, less than
+    below·E·p, and each of the fewer than cols + 1 eliminations of the
+    echelon adds less than p².  A module's tables are sums of T products
+    of residues, T the most terms of any g_j, so E = T·p² and
+    w = bit_length((below·T·p + cols + 1)·p²); the Buchsbaum-Rim tables
+    are reduced, so E = p.  The width is proven, not a cap.
+
+    Degrees run from the least twist to the first degree at or past the
+    largest twist whose quotient is 0: A_k/L_k is generated in degrees ≤
+    the largest twist, so past it L_k is all of A_k.  Only the top level's
+    bases are kept, and value(k) steps up to level k once.  Where every
+    level is one space A, as for Q^k·M, level 1 ends at a degree T_1 from
+    which L_1 = Σ_j g_j·A is all of A.  So at a later level a degree
+    t ≥ T_1 where L_k is all of A in every t − d_j has (L_{k+1})_t =
+    (L_1)_t = A_t, and no row of it is read.
     """
 
     def __init__(self, fld, degrees, twists, space):
@@ -446,6 +532,7 @@ class _Powers:
         self.top = space(0)
         # degree -> (w, basis), where the top level is not all of its A_k
         self.bases = {}
+        self.full_from = float("inf")  # where level 1 ends, once stepped
 
     def value(self, k):
         while len(self.values) <= k:
@@ -458,46 +545,52 @@ class _Powers:
         total, bases, t = 0, {}, self.tmin
         while True:
             cols = len(dst.slots(t))
-            below = max((len(src.slots(t - d)) for d in self.degrees), default=0)
-            w = ((below + cols + 1) * p * p).bit_length()
-            rows = (row for j, d in enumerate(self.degrees)
-                    for row in self._rows(j, t - d, dst, w))
-            basis = _echelon(self.fld, rows, w, cols)
-            left = cols - len(basis)
+            if src is dst and t >= self.full_from and not any(
+                    t - d in self.bases for d in self.degrees):
+                left = 0
+            else:
+                below = max((len(src.slots(t - d)) for d in self.degrees),
+                            default=0)
+                w = _slot_width(p, below, src.bound, cols)
+                rows = ((j, row) for j, d in enumerate(self.degrees)
+                        for row in self._rows(j, t - d, dst, w))
+                basis = _echelon(self.fld, rows, w, cols)
+                left = cols - len(basis)
             total += left
             if left:
                 bases[t] = (w, basis)
             elif t >= self.tmax:
                 break
             t += 1
+        if len(self.values) == 1:
+            self.full_from = t
         self.top, self.bases = dst, bases
         self.values.append(total)
 
     def _rows(self, j, s, dst, w):
-        """The rows g_j·(L_k)_s over dst's columns of degree s + d_j."""
+        """Rows that with those of g_i, i < j, span g_j·(L_k)_s over
+        dst's columns of degree s + d_j."""
         src = self.top
         table = src.tables.get((j, s))
         if table is None:
-            slots = dst.slots(s + self.degrees[j])
-            table = src.tables[(j, s)] = _pack(
-                self.fld, [src.times(j, u) for u in src.slots(s)], slots, w)
+            table = src.tables[(j, s)] = src.table(j, s, w, dst)
         held = self.bases.get(s)
         if held is None:
             return table
         ws, basis = held
-        return (_image(self.fld, b, ws, table) for b in basis)
+        return (_image(self.fld, b, ws, table) for i, b in basis if i >= j)
 
 
 def _module_powers(module: GradedModule, gens):
     """The filtration Q^k·M of M by Q = (gens).  A_k = M at every level, so
-    its tables serve every level; NF(g_j·u) comes from _normal_forms."""
+    its tables serve every level; each is _form_table's, read off the
+    multiplication tables that every Q of M shares."""
     gens = [g for g in gens if not g.is_zero()]
-    nf = _normal_forms(module)
-
-    def times(j, u):
-        pos, mon = u
-        return nf({(pos, mon_mul(mon, m)): c for m, c in gens[j].terms.items()})
-    space = _Space(lambda t: _standard_terms(module, t), times)
+    p = module.ring.field.p or 0
+    terms = max((len(g.terms) for g in gens), default=1)
+    space = _Space(lambda t: _standard_terms(module, t),
+                   lambda j, s, w, dst: _form_table(module, gens[j], s, w),
+                   terms * p * p)
     return _Powers(module.ring.field, [g.total_degree() for g in gens],
                    module.ambient.twists, lambda k: space)
 

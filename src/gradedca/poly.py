@@ -349,26 +349,32 @@ class Poly(SparseTerms):
         return len(degs) <= 1
 
     def __repr__(self):
+        """The terms in grevlex order, a negative coefficient written after
+        a minus sign, so parse_poly reads back any integer coefficients."""
         if not self.terms:
             return "0"
-        parts = []
+        out = ""
         for mon in sorted(self.terms, key=grevlex_key):
-            c = self.terms[mon]
+            cs = str(self.terms[mon])
+            sign = "-" if cs[0] == "-" else "+"  # F_p residues are never negative
+            cs = cs.lstrip("-")
             factors = []
             for name, e in zip(self.ring.var_names, mon):
                 if e == 1:
                     factors.append(name)
                 elif e > 1:
                     factors.append(f"{name}^{e}")
-            cs = str(c)
-            if factors and c == self.ring.field.one():
+            if factors and cs == "1":
                 body = "*".join(factors)
             elif factors:
                 body = f"{cs}*" + "*".join(factors)
             else:
                 body = cs
-            parts.append(body)
-        return " + ".join(parts)
+            if out:
+                out += f" {sign} {body}"
+            else:
+                out = body if sign == "+" else f"-{body}"
+        return out
 
 
 # -- parsing ---------------------------------------------------------------

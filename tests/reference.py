@@ -19,6 +19,11 @@ over Q, as a set of monic polynomials (sympy is imported only when it
 is called).  reference_unmixed_series is HS(U) by biduality over a
 random complete intersection inside Ann(M), apart from the Ext duals
 that homology.unmixed_component reads U off.
+reference_module_powers is the Hilbert-Samuel filtration Q^k·M with its
+tables built as they were before the packed multiplication tables: a
+dict NF(g_j·u) per product, reduced by one reduce_vector call, and packed
+by reference_pack.  quotient_length counts λ(F/K) from per-degree
+Macaulay matrices over F_p, with no Groebner basis.
 random_nonzero draws the nonzero coefficients of the random test inputs,
 and random_integer_forms the text of random forms with small integer
 coefficients, read alike over Q and over F_p.
@@ -27,15 +32,18 @@ coefficients, read alike over Q and over F_p.
 import random
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import combinations_with_replacement
+from math import comb, lcm
 
 from gradedca.gb import (GBError, annihilator, is_zero_module, kernel_of_map,
-                         minimal_generators, minimal_presentation,
-                         quotient_module)
-from gradedca.hilbert import dim_module, hilbert_series, shifted_sum
+                         minimal_generators, minimal_presentation, module_gb,
+                         quotient_module, reduce_vector)
+from gradedca.hilbert import (_Powers, _Space, _standard_terms, dim_module,
+                              hilbert_series, shifted_sum)
 from gradedca.modules import (FreeModule, GradedModule, ModuleMap, Vector,
                               term_key, term_mul)
 from gradedca.poly import (Poly, lincomb, mon_deg, mon_div, mon_lcm,
-                           monomials_of_degree)
+                           mon_mul, monomials_of_degree)
 
 REGULAR_SEQUENCE_TRIES = 50  # random draws per form of a regular sequence
 
@@ -362,3 +370,121 @@ def reference_unmixed_series(module):
     u_gens = kernel_of_map(psi, target_relations=psi.target.ideal_multiples(ci))
     return shifted_sum([(1, 0, hilbert_series(module)),
                         (-1, 0, hilbert_series(quotient_module(pres, u_gens)))])
+
+
+def reference_pack(fld, forms, slots, w):
+    """A table, one row per form {term: c}: over F_p one int with c in slot
+    slots[term] of w bits, over Q a {slot: c} dict of integers, the whole
+    table scaled by the lcm of its denominators."""
+    if fld.p is None:
+        den = lcm(*(c.denominator for f in forms for c in f.values()))
+        return [{slots[u]: c.numerator * (den // c.denominator)
+                 for u, c in f.items()} for f in forms]
+    rows = []
+    for f in forms:
+        row = 0
+        for u, c in f.items():
+            row |= c << w * slots[u]
+        rows.append(row)
+    return rows
+
+
+def reference_module_powers(module, gens):
+    """The filtration Q^k·M by Q = (gens) as a _Powers whose table of g_j
+    on degree s packs NF(g_j·u), one reduce_vector call on the product
+    vector g_j·u for each standard term u of degree s.  Its entries are
+    reduced, so they are below p."""
+    gens = [g for g in gens if not g.is_zero()]
+    fld = module.ring.field
+    gb = module_gb(module)
+    lts = gb.leading_terms()
+    amb = module.ambient
+
+    def times(j, u):
+        pos, mon = u
+        v = Vector(amb, {(pos, mon_mul(mon, m)): c
+                         for m, c in gens[j].terms.items()})
+        return reduce_vector(v, gb.basis, lts, gb.forms).terms
+
+    def terms(t):
+        return _standard_terms(module, t)
+
+    def table(j, s, w, dst):
+        return reference_pack(fld, [times(j, u) for u in terms(s)],
+                              dst.slots(s + degrees[j]), w)
+    degrees = [g.total_degree() for g in gens]
+    space = _Space(terms, table, fld.p or 0)
+    return _Powers(fld, degrees, amb.twists, lambda k: space)
+
+
+class _Echelon:
+    """Row echelon form over F_p, one row at a time."""
+
+    def __init__(self, p):
+        self.p = p
+        self.pivots = {}
+
+    def add(self, row):
+        p = self.p
+        row = {k: v % p for k, v in row.items() if v % p}
+        while row:
+            col = max(row)
+            piv = self.pivots.get(col)
+            if piv is None:
+                inv = pow(row[col], -1, p)
+                self.pivots[col] = {k: v * inv % p for k, v in row.items()}
+                return True
+            c = row[col]
+            for k, v in piv.items():
+                s = (row.get(k, 0) - c * v) % p
+                if s:
+                    row[k] = s
+                else:
+                    row.pop(k, None)
+        return False
+
+
+def _monomials(nvars, deg):
+    out = []
+    for combo in combinations_with_replacement(range(nvars), deg):
+        e = [0] * nvars
+        for i in combo:
+            e[i] += 1
+        out.append(tuple(e))
+    return out
+
+
+def quotient_length(p, nvars, twists, vectors, max_degree=60):
+    """λ(F/K) for F = ⊕ S(−twists[i]) and K spanned by homogeneous vectors
+    {(pos, exponents): integer or Fraction}, read modulo p.
+
+    In each degree the rank of the Macaulay matrix of K's monomial
+    multiples is subtracted from dim F_t.  F/K is generated in degrees at
+    most max(twists), so its first zero component at or above that degree
+    is its end.  Returns None when no such degree is found by max_degree.
+    """
+    gens = []
+    for v in vectors:
+        deg = {twists[pos] + sum(mon) for pos, mon in v}
+        if len(deg) != 1:
+            raise ValueError("inhomogeneous vector")
+        gens.append((deg.pop(), {k: Fraction(c).numerator
+                                 * pow(Fraction(c).denominator, -1, p) % p
+                                 for k, c in v.items()}))
+    top = max(twists)
+    total = 0
+    for t in range(min(twists), max_degree + 1):
+        free = sum(comb(t - tw + nvars - 1, nvars - 1)
+                   for tw in twists if t >= tw)
+        ech = _Echelon(p)
+        for d, v in gens:
+            if d > t:
+                continue
+            for mon in _monomials(nvars, t - d):
+                ech.add({(pos, tuple(a + b for a, b in zip(m, mon))): c
+                         for (pos, m), c in v.items()})
+        rank = len(ech.pivots)
+        total += free - rank
+        if free == rank and t >= top:
+            return total
+    return None

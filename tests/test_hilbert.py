@@ -19,7 +19,8 @@ from gradedca.poly import (CoeffField, Poly, PolyRing, monomials_of_degree,
                            parse_poly)
 from gradedca.sampler import random_parameter_ideal
 
-from reference import _RankTracker, random_integer_forms
+from reference import (_RankTracker, quotient_length, random_integer_forms,
+                       reference_module_powers)
 
 RING = PolyRing(CoeffField(32003), ["x", "y"])
 X, Y = RING.gens()
@@ -171,9 +172,7 @@ def test_hilbert_function_values(two_plane):
                                   "plane-plus-line", "two-plane"])
 def test_hs_value_is_the_length_of_the_quotient(name):
     # the rank-count kernel against a Groebner basis of M/Q^{n+1}M
-    path = os.path.join(os.path.dirname(__file__), "..", "corpus", name + ".json")
-    with open(path) as fh:
-        module = build_job(json.load(fh)).module
+    module = _corpus_module(name)
     q = random_parameter_ideal(module, [1] * hb.dim_module(module),
                                random.Random(name)).gens
     powers = hb._module_powers(module, q)
@@ -311,13 +310,8 @@ def _triangular_ideal(ring, rng):
     return q
 
 
-@given(st.sampled_from(PRIMES + [None]),
-       st.integers(min_value=0, max_value=2 ** 32))
-@settings(max_examples=40, deadline=None)
-def test_hs_value_matches_reference_quotient_length(char, seed):
-    # a random graded module with unequal twists, and the quotient by
-    # Q^{n+1}·e_i for the products of n + 1 generators of Q, n ≤ 3
-    rng = random.Random(seed)
+def _random_module(char, rng):
+    """A random graded module in 2 or 3 variables with unequal twists."""
     ring = PolyRing(CoeffField(char), ["x", "y", "z"][:rng.randint(2, 3)])
     twists = [rng.randint(-1, 1) for _ in range(rng.randint(1, 3))]
     if len(twists) > 1 and len(set(twists)) == 1:
@@ -325,13 +319,96 @@ def test_hs_value_matches_reference_quotient_length(char, seed):
     amb = FreeModule(ring, twists)
     rels = [_random_vector(amb, max(twists) + rng.randint(1, 2), rng)
             for _ in range(rng.randint(0, 3))]
-    module = GradedModule.from_relations(amb, rels)
+    return GradedModule.from_relations(amb, rels)
+
+
+@given(st.sampled_from(PRIMES + [None]),
+       st.integers(min_value=0, max_value=2 ** 32))
+@settings(max_examples=40, deadline=None)
+def test_hs_value_matches_reference_quotient_length(char, seed):
+    # a random graded module with unequal twists, and the quotient by
+    # Q^{n+1}·e_i for the products of n + 1 generators of Q, n ≤ 3
+    rng = random.Random(seed)
+    module = _random_module(char, rng)
+    ring, amb = module.ring, module.ambient
     q = _triangular_ideal(ring, rng)
     powers = hb._module_powers(module, q)
     for n in range(4):
         vectors = amb.ideal_multiples(_reference_power_products(q, n + 1))
         assert hb._hs_value(module, powers, n) == \
             _reference_quotient_length(module, vectors)
+
+
+@given(st.sampled_from([3, 32003, None]),
+       st.integers(min_value=0, max_value=2 ** 32))
+@settings(max_examples=40, deadline=None)
+def test_module_powers_match_the_tables_of_products(char, seed):
+    # the tables summed from the packed multiplication tables against the
+    # tables of NF(g_j·u) reduced product by product, level by level: random
+    # modules with unequal twists, and ideals with forms of degree 1 and 2
+    # of up to six terms, over Q some with rational coefficients
+    rng = random.Random(seed)
+    module = _random_module(char, rng)
+    ring = module.ring
+    q = _triangular_ideal(ring, rng) + [
+        ring.random_form(rng.randint(1, 2), rng) for _ in range(rng.randint(0, 2))]
+    if char is None:
+        q = [g.scale(Fraction(1, rng.randint(1, 4))) for g in q]
+    rng.shuffle(q)
+    powers = hb._module_powers(module, q)
+    ref = reference_module_powers(module, q)
+    assert [powers.value(n) for n in range(1, 5)] == \
+        [ref.value(n) for n in range(1, 5)]
+    assert powers.top.tables.keys() == ref.top.tables.keys()
+    for j, s in powers.top.tables:
+        assert _table_rows(powers, j, s) == _table_rows(ref, j, s)
+
+
+def _table_rows(powers, j, s):
+    """The table of g_j on degree s as rows {slot: c} over the field: over
+    F_p unpacked at the width _Powers gave it and reduced mod p, over Q
+    divided by the entry at the least slot of its first nonzero row."""
+    space, fld = powers.top, powers.fld
+    table = space.tables[(j, s)]
+    if fld.p is None:
+        lead = next((Fraction(r[min(r)]) for r in table if r), 1)
+        return [{k: c / lead for k, c in r.items()} for r in table]
+    t = s + powers.degrees[j]
+    cols = len(space.slots(t))
+    below = max(len(space.slots(t - d)) for d in powers.degrees)
+    w = hb._slot_width(fld.p, below, space.bound, cols)
+    return [{k: c for k in range(cols) if (c := (r >> w * k & (1 << w) - 1) % fld.p)}
+            for r in table]
+
+
+def _corpus_module(name):
+    path = os.path.join(os.path.dirname(__file__), "..", "corpus", name + ".json")
+    with open(path) as fh:
+        return build_job(json.load(fh)).module
+
+
+@pytest.mark.parametrize("name", ["ci-points", "free-plane", "hypersurface",
+                                  "mixed-line", "mixed-sum", "plane-plus-line"])
+def test_lengths_match_macaulay_matrix_counts(name):
+    # module_length and _hs_value over F_32003 against ranks of Macaulay
+    # matrices, which need no Groebner basis: M/QM and M/Q^{n+1}M as
+    # F/(relations + Q^{n+1}F), n ≤ 2
+    module = _corpus_module(name)
+    p, amb = module.ring.field.p, module.ambient
+    rels = [r.terms for r in module.relations()]
+
+    def oracle(gens):
+        vectors = rels + [v.terms for v in amb.ideal_multiples(gens)]
+        return quotient_length(p, module.ring.num_vars, amb.twists, vectors)
+    q = random_parameter_ideal(module, [1] * hb.dim_module(module),
+                               random.Random(name)).gens
+    if not q:
+        assert hb.module_length(module) == oracle([])
+    assert hb.module_length(quotient_by_ideal(module, q)) == oracle(q)
+    powers = hb._module_powers(module, q)
+    for n in range(3):
+        assert hb._hs_value(module, powers, n) == \
+            oracle(_reference_power_products(q, n + 1))
 
 
 @pytest.mark.parametrize("gens", ["", "x", "x+y,z", "x,y,z", "x^2,y+z,x", "x*z,y^2"])
@@ -362,22 +439,48 @@ def _count_reductions(monkeypatch):
     return calls
 
 
+def _count_packings(monkeypatch):
+    packed = []
+    original = hb._pack_normal_form
+
+    def counted(fld, nf, term, slots, w):
+        packed.append((term, w))
+        return original(fld, nf, term, slots, w)
+    monkeypatch.setattr(hb, "_pack_normal_form", counted)
+    return packed
+
+
 def test_normal_form_table_is_reused_across_parameter_ideals(monkeypatch, ring3):
+    # each NF(term) is reduced once per module and packed once per module
+    # and width: a second Q packs no row an earlier Q packed, and a Q in
+    # the same variables, with as many terms and the same degrees as an
+    # earlier one, packs and reduces nothing
     x, y, z = ring3.gens()
     module = GradedModule.quotient_ring(ring3, [x * y - z ** 2])
-    hb.hilbert_coefficients(module, [x + y, z])
+    packed = _count_packings(monkeypatch)
+    first = hb.hilbert_coefficients(module, [x + y, z])
+    first_packed = list(packed)
     calls = _count_reductions(monkeypatch)
+    del packed[:]
     again = hb.hilbert_coefficients(module, [x ** 2, y - z])
-    reused = len(calls)
-    del calls[:]
+    second_packed, reused = list(packed), len(calls)
+    del packed[:], calls[:]
+    same = hb.hilbert_coefficients(module, [y + z, x])
+    assert packed == [] and calls == []
     fresh = hb.hilbert_coefficients(GradedModule(module.presentation),
                                      [x ** 2, y - z])
     assert 0 < reused < len(calls)
     # every call reduces one monomial
     assert all(len(v.terms) == 1 for v in calls)
+    assert first_packed and second_packed
+    assert len(set(first_packed + second_packed)) == \
+        len(first_packed) + len(second_packed)
+    assert len(second_packed) < len(packed)
     assert again.e == fresh.e == [4, 0, 0]
     assert again.stabilized_at == fresh.stabilized_at
     assert again.table.values == fresh.table.values
+    assert same.e == first.e == [2, 0, 0]
+    assert same.table.values == first.table.values
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +508,9 @@ def test_rank_count_matches_rank_tracker(p, seed):
     # caps below, at and above their rank: _echelon finds min(cap, rank)
     # rows with distinct pivots, over F_p pivot 1 and tail reduced, over Q
     # primitive integer rows, and at a cap of at least the rank every row
-    # reduces to zero against them
+    # reduces to zero against them.  Tagged by its index, a basis row comes
+    # back, in join order, with the index of a row outside the span of
+    # the rows before it
     rng = random.Random(seed)
     fld = CoeffField(p)
     ncols = rng.randint(1, 10)
@@ -425,23 +530,64 @@ def test_rank_count_matches_rank_tracker(p, seed):
         assert all(c.denominator == 1 for r in rows for c in r.values())
         rows = [{s: int(c) for s, c in r.items()} for r in rows]
     rank = _RankTracker(fld).rank(rows, ncols)
+    tracker = _RankTracker(fld)
+    joined = [i for i, r in enumerate(rows) if r and tracker.add(r)]
     for cap in {0, max(rank - 1, 0), rank, rng.randint(0, ncols), ncols + 1}:
         if p is None:
-            basis = hb._echelon(fld, iter(rows), None, cap)
+            tagged = hb._echelon(fld, enumerate(rows), None, cap)
+            basis = [b for _, b in tagged]
             assert all(type(c) is int for b in basis for c in b.values())
             assert all(gcd(*b.values()) == 1 for b in basis)
         else:
             w = ((cap + 1) * p * p).bit_length()
-            packed = (sum(c << w * s for s, c in r.items()) for r in rows)
+            packed = ((i, sum(c << w * s for s, c in r.items()))
+                      for i, r in enumerate(rows))
+            tagged = hb._echelon(fld, packed, w, cap)
             basis = [{s: b >> w * s & (1 << w) - 1 for s in range(ncols)}
-                     for b in hb._echelon(fld, packed, w, cap)]
+                     for _, b in tagged]
             basis = [{s: c for s, c in b.items() if c} for b in basis]
             assert all(c < p for b in basis for c in b.values())
             assert all(b[max(b)] == 1 for b in basis)
         assert len({max(b) for b in basis}) == len(basis)
         assert len(basis) == min(cap, rank)
+        assert [i for i, _ in tagged] == joined[:cap]
         if cap >= rank:
             assert all(not _reduce(fld, r, basis) for r in rows)
+
+
+@pytest.mark.parametrize("p", [3, 32003])
+@given(st.integers(min_value=0, max_value=2 ** 32))
+@settings(max_examples=40, deadline=None)
+def test_echelon_holds_the_widest_table_entries(p, seed):
+    # a module's table at its worst case: T·(p−1)² in every entry, less an
+    # offset below p in some so that the rank varies, and level-k basis
+    # rows with p − 1 in most slots.  At _slot_width's width the table rows
+    # and their images echelon as the same rows do over the field
+    rng = random.Random(seed)
+    fld = CoeffField(p)
+    terms, below, cols = rng.randint(1, 4), rng.randint(1, 8), rng.randint(1, 10)
+    top = terms * (p - 1) ** 2
+    table = [[top - (rng.randrange(p) if rng.random() < 0.3 else 0)
+              for _ in range(cols)] for _ in range(below)]
+    w = hb._slot_width(p, below, terms * p * p, cols)
+    packed = [sum(e << w * c for c, e in enumerate(r)) for r in table]
+    ws = hb._slot_width(p, rng.randint(1, 8), terms * p * p, below)
+    held = [[p - 1 if rng.random() < 0.8 else rng.randrange(p)
+             for _ in range(below)] for _ in range(rng.randint(1, below + 1))]
+    images = [hb._image(fld, sum(c << ws * k for k, c in enumerate(b)), ws, packed)
+              for b in held]
+    over_field = [[sum(c * r[col] for c, r in zip(b, table)) % p
+                   for col in range(cols)] for b in held]
+    for rows, expected in ((packed, table), (images, over_field)):
+        expected = [{s: c % p for s, c in enumerate(r) if c % p} for r in expected]
+        rank = _RankTracker(fld).rank(expected, cols)
+        basis = [{s: b >> w * s & (1 << w) - 1 for s in range(cols)}
+                 for _, b in hb._echelon(fld, enumerate(rows), w, cols)]
+        basis = [{s: c for s, c in b.items() if c} for b in basis]
+        assert all(c < p for b in basis for c in b.values())
+        assert all(b[max(b)] == 1 for b in basis)
+        assert len({max(b) for b in basis}) == len(basis) == rank
+        assert all(not _reduce(fld, r, basis) for r in expected)
 
 
 @pytest.mark.parametrize("char", [32003, None])

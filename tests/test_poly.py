@@ -138,6 +138,25 @@ def test_parser_roundtrip():
     assert RING.poly("y^3*z") == y * y * y * z
 
 
+@pytest.mark.parametrize("p", [3, 32003, None])
+@given(st.integers(min_value=0, max_value=2 ** 40))
+@settings(max_examples=40)
+def test_repr_reads_back(p, seed):
+    # integer coefficients over Q, residues over F_p, constants included
+    ring = PolyRing(CoeffField(p), ["x", "y", "z"])
+    poly = rand_poly(random.Random(seed), ring)
+    assert ring.poly(repr(poly)) == poly
+
+
+def test_repr_writes_a_negative_coefficient_after_a_minus_sign():
+    ring = PolyRing(CoeffField(None), ["x", "y"])
+    assert repr(ring.poly("x - y")) == "x - y"
+    assert repr(ring.poly("-3*x^2 - 2*y^2 + x*y")) == "-3*x^2 + x*y - 2*y^2"
+    assert repr(ring.poly("-x + 1")) == "-x + 1"
+    assert repr(ring.poly("y - 4")) == "y - 4"
+    assert repr(PolyRing(CoeffField(7), ["x", "y"]).poly("x - y")) == "x + 6*y"
+
+
 def test_parser_position_diagnostics():
     with pytest.raises(PolyParseError) as err:
         RING.poly("x + @y")
