@@ -4,9 +4,9 @@ For a module E ⊆ F = R^r given by a matrix of forms, Fⁿ is the free
 R-module on the degree-n monomials in T₁..T_r, and Eⁿ is spanned by the
 degree-n products of the g_j = Σ_i φ_ij T_i.  So E⁰ = F⁰ = R and
 Eⁿ⁺¹ = Σ_j g_j·Eⁿ, the filtration that hilbert._Powers steps for the
-Hilbert-Samuel values too: level n in degree t is an echelon basis, a
-packed-integer one over F_p and one of primitive integer rows over Q, of
-the images g_j·(a, m) = Σ_i (a + e_i, NF_R(φ_ij·m)) of level n − 1's bases.
+Hilbert-Samuel values too, with tables that hilbert sums from R's
+multiplication tables: level n in degree t is an echelon basis of the
+images g_j·(a, m) = Σ_i (a + e_i, NF_R(φ_ij·m)) of level n − 1's bases.
 The filtration lives on the ParameterModule, so every fit over
 n = 1, 2, … steps each level once.
 """
@@ -15,14 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import lcm
+from itertools import count
 
 from .gb import GBError
-from .hilbert import (_normal_forms, _Powers, _Space, _standard_terms,
-                      dim_module, fit_binomial, module_length)
+from .hilbert import _Powers, _Space, dim_module, fit_binomial, module_length
 from .homology import is_unmixed, local_cohomology_lengths
 from .modules import FreeModule, GradedModule
-from .poly import lincomb, mon_mul, monomials_of_degree, require
+from .poly import monomials_of_degree, require
 
 
 class BrimError(GBError):
@@ -93,64 +92,19 @@ def make_parameter_module(ring, ring_rels, columns) -> ParameterModule:
                            rank=rank, columns=tuple(cols))
 
 
-def _pack(fld, forms, slots, w):
-    """A table, one row per form {term: c}: over F_p one int with c in slot
-    slots[term] of w bits, over Q a {slot: c} dict of integers, the whole
-    table scaled by the lcm of its denominators, which scales every image
-    under it alike and so changes no span."""
-    if fld.p is None:
-        den = lcm(*(c.denominator for f in forms for c in f.values()))
-        return [{slots[u]: c.numerator * (den // c.denominator)
-                 for u, c in f.items()} for f in forms]
-    rows = []
-    for f in forms:
-        row = 0
-        for u, c in f.items():
-            row |= c << w * slots[u]
-        rows.append(row)
-    return rows
-
-
 def _brim_powers(pm: ParameterModule):
-    """Eⁿ ⊆ Fⁿ as a hilbert._Powers filtration.  A_n = Fⁿ has the standard
-    terms (a, m): a a T-monomial of degree n, m a standard monomial of R.
-    g_j·(a, m) = Σ_i (a + e_i, NF_R(φ_ij·m)), and each NF_R(φ_ij·m) is
-    formed once per module from the normal-form table of R over S, so the
-    tables, packed by _pack, have entries below p.  The closures hold the
-    columns, not pm, so pm and its powers form no cycle."""
+    """Eⁿ ⊆ Fⁿ as a hilbert._Powers filtration over R = S/(ring_rels):
+    A_n = Fⁿ is R on the blocks a, the T-monomials of degree n, and g_j
+    has the part (T_i, φ_ij) for each φ_ij ≠ 0, so
+    g_j·(a, m) = Σ_i (a·T_i, NF_R(φ_ij·m)).  The spaces hold R and the
+    columns' entries, not pm, so pm and its powers form no cycle."""
     base = GradedModule.quotient_ring(pm.ring, list(pm.ring_rels))
-    nf = _normal_forms(base)
-    fld = pm.ring.field
-    columns, rank = pm.columns, pm.rank
-    degrees = [next(e.total_degree() for e in col if not e.is_zero())
-               for col in columns]
-    images = {}  # (i, j, m) -> NF_R(φ_ij·m)
-
-    def times(j, u):
-        a, m = u
-        out = {}
-        for i, e in enumerate(columns[j]):
-            form = images.get((i, j, m))
-            if form is None:
-                form = images[(i, j, m)] = lincomb(fld.reduce, [
-                    (c, None, nf((0, mon_mul(m, em))))
-                    for em, c in e.terms.items()], None)
-            b = a[:i] + (a[i] + 1,) + a[i + 1:]
-            out.update({(b, fm): c for (_, fm), c in form.items()})
-        return out
-
-    def space(n):
-        tmons = list(monomials_of_degree(rank, n))
-
-        def terms(t):
-            return [(a, m) for a in tmons
-                    for _, m in _standard_terms(base, t)]
-
-        def table(j, s, w, dst):
-            return _pack(fld, [times(j, u) for u in terms(s)],
-                         dst.slots(s + degrees[j]), w)
-        return _Space(terms, table, fld.p or 0)
-    return _Powers(fld, degrees, [0], space)
+    rank = pm.rank
+    units = [tuple(int(k == i) for k in range(rank)) for i in range(rank)]
+    parts = [[(units[i], e) for i, e in enumerate(col) if not e.is_zero()]
+             for col in pm.columns]
+    return _Powers(_Space(base, list(monomials_of_degree(rank, n)), parts)
+                   for n in count())
 
 
 def br_value(pm: ParameterModule, n: int) -> int:

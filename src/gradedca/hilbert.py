@@ -35,10 +35,11 @@ mod-p reduction delayed until a slot is read, so a row operation is one
 integer multiply-add and a table entry is never reduced before it; over
 Q, where each table's rows share one integer scale, a fraction-free
 elimination on primitive integer rows.  The Buchsbaum-Rim values
-λ(Fⁿ/Eⁿ) are levels of the same object, with tables packed from their
-normal forms.  Coefficients are integer backward differences of a
-stabilized tail of the table, read off in the binomial basis; the
-Buchsbaum-Rim tables use the same fit.
+λ(Fⁿ/Eⁿ), E ⊆ Rʳ, are levels of the same object, free over R on blocks of
+columns, its tables built by _Space.table from R's multiplication tables.
+Coefficients are integer backward differences of a stabilized tail of the
+table, read off in the binomial basis; the Buchsbaum-Rim tables use the
+same fit.
 
 The series, the normal-form table, its packed rows, the multiplication
 tables, the standard terms and the Hilbert coefficients of (M, Q) are
@@ -52,6 +53,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
+from itertools import repeat
 from math import comb, gcd, lcm
 
 from .gb import GBError, module_gb, quotient_by_ideal, reduce_vector
@@ -370,29 +372,6 @@ def _standard_terms(module: GradedModule, t):
     return terms
 
 
-class _Space:
-    """One A_k of a _Powers filtration.  terms(t) lists its standard terms
-    of degree t, its columns of degree t, whose slots number them in that
-    order.  table(j, s, w, dst) is the table of g_j on degree s: one row per
-    standard term u of degree s, NF(g_j·u) in dst = A_{k+1} over dst's
-    columns of degree s + d_j, over F_p packed with slots of w bits and
-    every entry below bound.  tables[(j, s)] keeps each table built."""
-
-    def __init__(self, terms, table, bound):
-        self.terms = terms
-        self.table = table
-        self.bound = bound
-        self.tables = {}
-        self._slots = {}
-
-    def slots(self, t):
-        """{term: slot} for the standard terms of degree t."""
-        slots = self._slots.get(t)
-        if slots is None:
-            slots = self._slots[t] = {u: i for i, u in enumerate(self.terms(t))}
-        return slots
-
-
 def _pack_normal_form(fld, nf, term, slots, w):
     """nf(term) over the columns slots of its degree: over F_p one int with
     coefficient c in slot slots[u] of w bits, over Q (den, {slot: c}) with
@@ -445,9 +424,9 @@ def _form_table(module: GradedModule, form, s, w):
     """The table of NF(form·u) for the standard terms u of degree s: row k
     is Σ_m c_m·X_{m,s}[k] over the terms c_m·x^m of form.  Over F_p that
     is an integer multiply-add per term, with no reduction mod p, so an
-    entry stays below T·p² for T terms.  Over Q the rows share one scale,
-    the lcm of every c_m's and row's denominator, which scales every image
-    under the table alike and so changes no span."""
+    entry stays below T·p² for T terms.  Over Q it is (scale, rows): the
+    rows times scale, the lcm of every c_m's and row's denominator, are
+    integer rows."""
     coeffs = list(form.terms.values())
     tables = [_multiplication_table(module, m, s, w) for m in form.terms]
     if module.ring.field.p is not None:
@@ -462,7 +441,59 @@ def _form_table(module: GradedModule, form, s, w):
             for slot, v in part.items():
                 row[slot] = row.get(slot, 0) + k * v
         rows.append({slot: v for slot, v in row.items() if v})
-    return rows
+    return scale, rows
+
+
+class _Space:
+    """One A_k of a _Powers filtration: the free base-module on blocks,
+    ⊕_a base·a, for a base module and blocks that are monomials.  Its
+    columns of degree t are the (a, u), u a standard term of base of degree
+    t, block by block and within a block in _standard_terms' order.  g_j
+    has the parts parts[j], pairs (shift, form) whose forms share g_j's
+    degree degrees[j], and g_j·(a, u) = Σ (a·shift, NF(form·u)) over them
+    in the next level.  tables[(j, s)] keeps each table built."""
+
+    def __init__(self, base, blocks, parts):
+        self.base = base
+        self.blocks = blocks
+        self.index = {a: i for i, a in enumerate(blocks)}
+        self.parts = parts
+        self.degrees = [gen[0][1].total_degree() for gen in parts]
+        self.tables = {}
+        self.counts = {}  # degree t -> cols(t)
+
+    def cols(self, t):
+        """The number of columns of degree t, |blocks|·H(base, t)."""
+        if t not in self.counts:
+            self.counts[t] = len(self.blocks) * len(_standard_terms(self.base, t))
+        return self.counts[t]
+
+    def table(self, j, s, w, dst):
+        """The table of g_j on degree s: the row of column (a, u) sums
+        _form_table's rows for u of g_j's parts, each placed at the first
+        slot of dst's block a·shift; over Q every part is brought to the
+        lcm of the parts' scales, which changes no span of images.  The
+        parts land in distinct blocks, so an entry is below T·p²."""
+        base, parts = self.base, self.parts[j]
+        h = dst.cols(s + self.degrees[j]) // len(dst.blocks)
+        tables = [_form_table(base, form, s, w) for _, form in parts]
+        rows = []
+        if base.ring.field.p is not None:
+            for a in self.blocks:
+                offs = [w * h * dst.index[mon_mul(a, shift)] for shift, _ in parts]
+                rows += tables[0] if offs == [0] else map(sum, zip(*(
+                    map(operator.lshift, table, repeat(off))
+                    for off, table in zip(offs, tables))))
+            return rows
+        ks = [lcm(*(c for c, _ in tables)) // c for c, _ in tables]
+        for a in self.blocks:
+            offs = [h * dst.index[mon_mul(a, shift)] for shift, _ in parts]
+            for col in zip(*(table for _, table in tables)):
+                row = {}
+                for off, k, part in zip(offs, ks, col):
+                    row.update((slot + off, k * v) for slot, v in part.items())
+                rows.append(row)
+        return rows
 
 
 def _image(fld, row, w, table):
@@ -482,17 +513,17 @@ def _image(fld, row, w, table):
     return out
 
 
-def _slot_width(p, below, bound, cols):
-    """The slot width over F_p of a degree with cols columns, whose images
-    sum at most below table entries, each less than bound: see _Powers."""
-    return (below * bound * p + (cols + 1) * p * p).bit_length()
+def _slot_width(p, below, terms, cols):
+    """The slot width over F_p of a degree with cols columns and images of
+    below rows of tables of forms of ≤ terms terms; see _Powers."""
+    return ((below * terms * p + cols + 1) * p * p).bit_length()
 
 
 class _Powers:
     """λ(A_k/L_k) for the filtration L_0 = A_0, L_{k+1} = Σ_j g_j·L_k of
     graded modules A_k with finite-dimensional pieces, one level at a time.
 
-    space(k) is A_k as a _Space, and d_j = degrees[j].  In every degree
+    spaces yields the A_k as _Spaces, d_j = degrees[j].  In every degree
     (L_{k+1})_t = Σ_j g_j·(L_k)_{t−d_j}, so level k+1 in degree t is the
     echelon basis of the images, under the tables of A_k, of level k's
     basis in each degree t − d_j; where L_k is all of A_k the images are
@@ -503,15 +534,14 @@ class _Powers:
     span, so for j > i its image would reduce to zero and is not formed
     (the Koszul-syzygy criterion of F5: J.-C. Faugère, ISSAC 2002).
 
-    Over F_p a slot of degree t is w = bit_length(below·E·p + (cols + 1)·p²)
+    Over F_p a slot of degree t is w = bit_length((below·T·p + cols + 1)·p²)
     bits wide, with below = max_j H(A_k, t − d_j), cols = H(A_{k+1}, t) and
-    E the space's bound on table entries.  A basis row has entries below p,
-    so an image is a sum of at most below products c·entry, less than
-    below·E·p, and each of the fewer than cols + 1 eliminations of the
-    echelon adds less than p².  A module's tables are sums of T products
-    of residues, T the most terms of any g_j, so E = T·p² and
-    w = bit_length((below·T·p + cols + 1)·p²); the Buchsbaum-Rim tables
-    are reduced, so E = p.  The width is proven, not a cap.
+    T the most terms of any part's form.  A table entry is a sum of at
+    most T products of residues, less than T·p², and a basis row has
+    entries below p, so an image is a sum of at most below products
+    c·entry, less than below·T·p³, and each of the fewer than cols + 1
+    eliminations of the echelon adds less than p².  The width is proven,
+    not a cap.
 
     Degrees run from the least twist to the first degree at or past the
     largest twist whose quotient is 0: A_k/L_k is generated in degrees ≤
@@ -523,13 +553,16 @@ class _Powers:
     (L_1)_t = A_t, and no row of it is read.
     """
 
-    def __init__(self, fld, degrees, twists, space):
-        self.fld = fld
-        self.degrees = degrees
-        self.tmin, self.tmax = min(twists), max(twists)
-        self.space = space
+    def __init__(self, spaces):
+        self.spaces = spaces
+        self.top = next(spaces)
+        base, parts = self.top.base, self.top.parts
+        self.fld = base.ring.field
+        self.degrees = self.top.degrees
+        self.terms = max((len(form.terms) for gen in parts for _, form in gen),
+                         default=1)
+        self.tmin, self.tmax = min(base.ambient.twists), max(base.ambient.twists)
         self.values = [0]
-        self.top = space(0)
         # degree -> (w, basis), where the top level is not all of its A_k
         self.bases = {}
         self.full_from = float("inf")  # where level 1 ends, once stepped
@@ -540,18 +573,17 @@ class _Powers:
         return self.values[k]
 
     def _step(self):
-        src, dst = self.top, self.space(len(self.values))
+        src, dst = self.top, next(self.spaces)
         p = self.fld.p or 0  # over Q no slot width is read
         total, bases, t = 0, {}, self.tmin
         while True:
-            cols = len(dst.slots(t))
+            cols = dst.cols(t)
             if src is dst and t >= self.full_from and not any(
                     t - d in self.bases for d in self.degrees):
                 left = 0
             else:
-                below = max((len(src.slots(t - d)) for d in self.degrees),
-                            default=0)
-                w = _slot_width(p, below, src.bound, cols)
+                below = max((src.cols(t - d) for d in self.degrees), default=0)
+                w = _slot_width(p, below, self.terms, cols)
                 rows = ((j, row) for j, d in enumerate(self.degrees)
                         for row in self._rows(j, t - d, dst, w))
                 basis = _echelon(self.fld, rows, w, cols)
@@ -582,17 +614,10 @@ class _Powers:
 
 
 def _module_powers(module: GradedModule, gens):
-    """The filtration Q^k·M of M by Q = (gens).  A_k = M at every level, so
-    its tables serve every level; each is _form_table's, read off the
-    multiplication tables that every Q of M shares."""
-    gens = [g for g in gens if not g.is_zero()]
-    p = module.ring.field.p or 0
-    terms = max((len(g.terms) for g in gens), default=1)
-    space = _Space(lambda t: _standard_terms(module, t),
-                   lambda j, s, w, dst: _form_table(module, gens[j], s, w),
-                   terms * p * p)
-    return _Powers(module.ring.field, [g.total_degree() for g in gens],
-                   module.ambient.twists, lambda k: space)
+    """Q^k·M by Q = (gens): at every level one space, M as one block with
+    the part ((), g) for each generator g, so its tables serve every level."""
+    parts = [[((), g)] for g in gens if not g.is_zero()]
+    return _Powers(repeat(_Space(module, [()], parts)))
 
 
 def _hs_value(module: GradedModule, powers, n):

@@ -75,8 +75,13 @@ class CoeffField:
         self.p = p
 
     def coerce(self, c):
+        """c in this field; over F_p a Fraction a/b is a·b⁻¹ mod p."""
         if self.p is None:
             return Fraction(c)
+        if isinstance(c, Fraction):
+            if c.denominator % self.p == 0:
+                raise PolyError(f"{c} has a denominator divisible by {self.p}")
+            return c.numerator * pow(c.denominator, -1, self.p) % self.p
         return int(c) % self.p
 
     def reduce(self, c):
@@ -350,7 +355,7 @@ class Poly(SparseTerms):
 
     def __repr__(self):
         """The terms in grevlex order, a negative coefficient written after
-        a minus sign, so parse_poly reads back any integer coefficients."""
+        a minus sign, so parse_poly reads back any coefficients."""
         if not self.terms:
             return "0"
         out = ""
@@ -380,7 +385,8 @@ class Poly(SparseTerms):
 # -- parsing ---------------------------------------------------------------
 
 def parse_poly(ring: PolyRing, text: str) -> Poly:
-    """Parse `3*x^2*y - y^3` style syntax into a Poly."""
+    """Parse `3*x^2*y - y^3` style syntax into a Poly.  A coefficient may
+    be a fraction a/b of integers, as in `1/2*x`; over F_p it is a·b⁻¹."""
     pos = 0
     n = len(text)
 
@@ -412,7 +418,17 @@ def parse_poly(ring: PolyRing, text: str) -> Poly:
             raise PolyParseError("unexpected end of input", pos)
         ch = text[pos]
         if ch.isdigit():
-            return ring.const(parse_int())
+            c = parse_int()
+            skip_ws()
+            if pos < n and text[pos] == "/":
+                advance()
+                skip_ws()
+                start, den = pos, parse_int()
+                if den == 0 or ring.field.p and den % ring.field.p == 0:
+                    raise PolyParseError(
+                        f"denominator {den} is zero in {ring.field}", start)
+                c = Fraction(c, den)
+            return ring.const(c)
         if ch.isalpha() or ch == "_":
             name = parse_name()
             if name not in ring._var_index:

@@ -19,11 +19,15 @@ over Q, as a set of monic polynomials (sympy is imported only when it
 is called).  reference_unmixed_series is HS(U) by biduality over a
 random complete intersection inside Ann(M), apart from the Ext duals
 that homology.unmixed_component reads U off.
-reference_module_powers is the Hilbert-Samuel filtration Q^k·M with its
-tables built as they were before the packed multiplication tables: a
-dict NF(g_j·u) per product, reduced by one reduce_vector call, and packed
-by reference_pack.  quotient_length counts λ(F/K) from per-degree
-Macaulay matrices over F_p, with no Groebner basis.
+reference_module_powers is the Hilbert-Samuel filtration Q^k·M on a
+_Space whose table method is not the one builder hilbert uses for both
+filtrations: a dict NF(g_j·u) per product, reduced by one reduce_vector
+call and packed by reference_pack, with entries below p, where the
+builder sums the module's multiplication tables into entries below
+T·p².  quotient_length counts λ(F/K) from per-degree Macaulay matrices
+over F_p, with no Groebner basis.  reference_tor_lengths reads
+Tor_i(M, S/(x)) off M's minimal free resolution modulo (x), the Koszul
+homology lengths when x is S-regular, with no Koszul complex.
 random_nonzero draws the nonzero coefficients of the random test inputs,
 and random_integer_forms the text of random forms with small integer
 coefficients, read alike over Q and over F_p.
@@ -32,14 +36,15 @@ coefficients, read alike over Q and over F_p.
 import random
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, repeat
 from math import comb, lcm
 
 from gradedca.gb import (GBError, annihilator, is_zero_module, kernel_of_map,
-                         minimal_generators, minimal_presentation, module_gb,
-                         quotient_module, reduce_vector)
+                         minimal_free_resolution, minimal_generators,
+                         minimal_presentation, module_gb, quotient_module,
+                         reduce_vector)
 from gradedca.hilbert import (_Powers, _Space, _standard_terms, dim_module,
-                              hilbert_series, shifted_sum)
+                              hilbert_series, series_length, shifted_sum)
 from gradedca.modules import (FreeModule, GradedModule, ModuleMap, Vector,
                               term_key, term_mul)
 from gradedca.poly import (Poly, lincomb, mon_deg, mon_div, mon_lcm,
@@ -389,32 +394,64 @@ def reference_pack(fld, forms, slots, w):
     return rows
 
 
+class _ReferenceSpace(_Space):
+    """M as the one block of every level of Q^k·M, whose table of g_j on
+    degree s packs NF(g_j·u), one reduce_vector call on the product vector
+    g_j·u for each standard term u of degree s.  Its entries are reduced,
+    so they are below p."""
+
+    def table(self, j, s, w, dst):
+        module, g = self.base, self.parts[j][0][1]
+        gb = module_gb(module)
+        lts = gb.leading_terms()
+        amb = module.ambient
+
+        def times(u):
+            pos, mon = u
+            v = Vector(amb, {(pos, mon_mul(mon, m)): c for m, c in g.terms.items()})
+            return reduce_vector(v, gb.basis, lts, gb.forms).terms
+        slots = {u: i for i, u in
+                 enumerate(_standard_terms(module, s + g.total_degree()))}
+        return reference_pack(module.ring.field,
+                              [times(u) for u in _standard_terms(module, s)],
+                              slots, w)
+
+
 def reference_module_powers(module, gens):
-    """The filtration Q^k·M by Q = (gens) as a _Powers whose table of g_j
-    on degree s packs NF(g_j·u), one reduce_vector call on the product
-    vector g_j·u for each standard term u of degree s.  Its entries are
-    reduced, so they are below p."""
-    gens = [g for g in gens if not g.is_zero()]
-    fld = module.ring.field
-    gb = module_gb(module)
-    lts = gb.leading_terms()
-    amb = module.ambient
+    """The filtration Q^k·M by Q = (gens) as a _Powers on _ReferenceSpace's
+    tables."""
+    parts = [[((), g)] for g in gens if not g.is_zero()]
+    return _Powers(repeat(_ReferenceSpace(module, [()], parts)))
 
-    def times(j, u):
-        pos, mon = u
-        v = Vector(amb, {(pos, mon_mul(mon, m)): c
-                         for m, c in gens[j].terms.items()})
-        return reduce_vector(v, gb.basis, lts, gb.forms).terms
 
-    def terms(t):
-        return _standard_terms(module, t)
-
-    def table(j, s, w, dst):
-        return reference_pack(fld, [times(j, u) for u in terms(s)],
-                              dst.slots(s + degrees[j]), w)
-    degrees = [g.total_degree() for g in gens]
-    space = _Space(terms, table, fld.p or 0)
-    return _Powers(fld, degrees, amb.twists, lambda k: space)
+def reference_tor_lengths(module, forms):
+    """λ(Tor_i^S(M, S/(forms))) for i = 0..len(forms), the homology of M's
+    minimal free resolution F modulo (forms): H_i = Z_i/B_i, with
+    Z_i = {v ∈ F_i : d_i·v ∈ (forms)F_{i−1}} and B_i = im d_{i+1} +
+    (forms)F_i, measured as HS(F_i/B_i) − HS(F_i/Z_i).  When the forms are
+    an S-regular sequence these are the lengths of H_i(forms; M)."""
+    n = module.ring.num_vars
+    maps = minimal_free_resolution(module)
+    frees = [minimal_presentation(module).ambient] + [d.source for d in maps]
+    lengths = []
+    for i in range(len(forms) + 1):
+        if i >= len(frees):
+            lengths.append(0)
+            continue
+        free = frees[i]
+        bounds = free.ideal_multiples(forms)
+        if i < len(maps):
+            bounds += maps[i].columns()
+        if i == 0:
+            cycles = [free.basis(k) for k in range(free.rank)]
+        else:
+            cycles = kernel_of_map(
+                maps[i - 1], target_relations=frees[i - 1].ideal_multiples(forms))
+        num = shifted_sum([
+            (1, 0, hilbert_series(GradedModule.from_relations(free, bounds))),
+            (-1, 0, hilbert_series(GradedModule.from_relations(free, cycles)))])
+        lengths.append(series_length(num, n))
+    return lengths
 
 
 class _Echelon:

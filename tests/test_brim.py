@@ -215,7 +215,7 @@ BASES = {
 }
 
 
-@pytest.mark.parametrize("char", [32003, None])
+@pytest.mark.parametrize("char", [3, 32003, None])
 @pytest.mark.parametrize("base", sorted(BASES))
 @pytest.mark.parametrize("rank", [1, 2, 3])
 def test_br_value_matches_reference_path(char, base, rank):
@@ -225,6 +225,22 @@ def test_br_value_matches_reference_path(char, base, rank):
     pm = random_parameter_module(ring, [ring.poly(p) for p in rels], rank, rng)
     assert [brim.br_value(pm, n) for n in range(4)] == \
         [_reference_br_value(pm, n) for n in range(4)]
+
+
+def test_parts_with_different_denominators_share_one_scale():
+    # over Q the column (x/2, y/3) has parts of scales 2 and 3, and a row
+    # of its table is brought to their lcm, 6: it is (3x, 2y), so E = m·F
+    # and λ(F/E) = 2.  With a scale per part the row would be (x, y), a
+    # copy of the next column, and λ(F/E) = 3
+    ring = PolyRing(CoeffField(None), ["x", "y"])
+    x, y = ring.gens()
+    zero = ring.zero()
+    pm = brim.make_parameter_module(
+        ring, [], [[x.scale(Fraction(1, 2)), y.scale(Fraction(1, 3))],
+                   [x, y], [y, zero], [zero, x]])
+    values = [brim.br_value(pm, n) for n in range(4)]
+    assert values == [_reference_br_value(pm, n) for n in range(4)]
+    assert values == [0, 2, 9, 24]
 
 
 def test_t_named_ring_variables_do_not_collide():

@@ -47,6 +47,16 @@ def test_compute_report(tmp_path, capsys):
     assert report["versions"]["gradedca"]
 
 
+def test_compute_reads_rational_coefficients_over_q(tmp_path, capsys):
+    job = copy.deepcopy(BASIC_JOB)
+    job["ring"]["characteristic"] = None
+    job["ideals"] = {"Q": ["1/2*x", "y - 2/3*x"]}
+    path = write_job(tmp_path, job)
+    code, out, _ = run_main(["compute", path, "--no-timings"], capsys)
+    assert code == 0
+    assert json.loads(out)["results"][0]["result"]["e"] == [1, 0, 0]
+
+
 def test_compute_is_reproducible(tmp_path, capsys):
     job = copy.deepcopy(BASIC_JOB)
     job["ops"] = [{"op": "estimate-lambda"}]

@@ -374,9 +374,9 @@ def _table_rows(powers, j, s):
         lead = next((Fraction(r[min(r)]) for r in table if r), 1)
         return [{k: c / lead for k, c in r.items()} for r in table]
     t = s + powers.degrees[j]
-    cols = len(space.slots(t))
-    below = max(len(space.slots(t - d)) for d in powers.degrees)
-    w = hb._slot_width(fld.p, below, space.bound, cols)
+    cols = space.cols(t)
+    below = max(space.cols(t - d) for d in powers.degrees)
+    w = hb._slot_width(fld.p, below, powers.terms, cols)
     return [{k: c for k in range(cols) if (c := (r >> w * k & (1 << w) - 1) % fld.p)}
             for r in table]
 
@@ -569,9 +569,9 @@ def test_echelon_holds_the_widest_table_entries(p, seed):
     top = terms * (p - 1) ** 2
     table = [[top - (rng.randrange(p) if rng.random() < 0.3 else 0)
               for _ in range(cols)] for _ in range(below)]
-    w = hb._slot_width(p, below, terms * p * p, cols)
+    w = hb._slot_width(p, below, terms, cols)
     packed = [sum(e << w * c for c, e in enumerate(r)) for r in table]
-    ws = hb._slot_width(p, rng.randint(1, 8), terms * p * p, below)
+    ws = hb._slot_width(p, rng.randint(1, 8), terms, below)
     held = [[p - 1 if rng.random() < 0.8 else rng.randrange(p)
              for _ in range(below)] for _ in range(rng.randint(1, below + 1))]
     images = [hb._image(fld, sum(c << ws * k for k, c in enumerate(b)), ws, packed)

@@ -15,7 +15,7 @@ from gradedca.poly import CoeffField, PolyRing
 from gradedca.sampler import (SampleConfig, random_parameter_ideal,
                               sample_parameter_ideals)
 
-from reference import colon_submodule
+from reference import colon_submodule, reference_tor_lengths
 
 RING = PolyRing(CoeffField(32003), ["x", "y"])
 X, Y = RING.gens()
@@ -178,6 +178,24 @@ def test_homology_lengths_match_cycle_path(case, char):
         assert rep.lengths == ref
         assert rep.chi == _euler(ref)
         assert rep.chi1 == _euler(ref[1:])
+
+
+@pytest.mark.parametrize("char", [32003, None])
+@pytest.mark.parametrize("case", sorted(CASES) + ["depth-zero"])
+def test_homology_lengths_match_tor_of_the_minimal_resolution(case, char):
+    # an sop x of M that is a regular sequence on S (codim S/(x) = |x|,
+    # S being Cohen-Macaulay) has H_i(x; M) = Tor_i^S(S/(x), M), the
+    # homology of M's minimal resolution modulo (x); a linear sop always is
+    module = _depth_zero(char) if case == "depth-zero" \
+        else _case_module(case, char)
+    ring = module.ring
+    regular = [forms for forms in _sops(module, case)
+               if dim_module(GradedModule.quotient_ring(ring, list(forms)))
+               == ring.num_vars - len(forms)]
+    assert regular
+    for forms in regular:
+        assert kz.koszul_homology(module, forms).lengths == \
+            reference_tor_lengths(module, forms)
 
 
 def test_koszul_homology_once_per_module_and_forms():

@@ -142,10 +142,47 @@ def test_parser_roundtrip():
 @given(st.integers(min_value=0, max_value=2 ** 40))
 @settings(max_examples=40)
 def test_repr_reads_back(p, seed):
-    # integer coefficients over Q, residues over F_p, constants included
+    # rational coefficients over Q, residues over F_p, constants included
     ring = PolyRing(CoeffField(p), ["x", "y", "z"])
-    poly = rand_poly(random.Random(seed), ring)
+    rng = random.Random(seed)
+    if p is None:
+        poly = ring.zero()
+        for _ in range(4):
+            mon = tuple(rng.randrange(4) for _ in range(3))
+            c = Fraction(rng.randrange(-20, 21), rng.randint(1, 12))
+            poly = poly + ring.monomial(mon, c)
+    else:
+        poly = rand_poly(rng, ring)
     assert ring.poly(repr(poly)) == poly
+
+
+def test_coerce_maps_a_fraction_to_a_residue():
+    ring = PolyRing(CoeffField(7), ["x"])
+    assert ring.monomial((1,), Fraction(1, 2)) == ring.monomial((1,), 4)
+    assert ring.const(Fraction(-3, 5)) == ring.const(5)
+    assert CoeffField(7).coerce(Fraction(14, 3)) == 0
+    with pytest.raises(PolyError):
+        ring.monomial((1,), Fraction(1, 7))
+    with pytest.raises(PolyError):
+        ring.const(Fraction(3, 14))
+
+
+@pytest.mark.parametrize("p", [7, None])
+def test_parser_reads_rational_coefficients(p):
+    ring = PolyRing(CoeffField(p), ["x", "y"])
+    x, y = ring.gens()
+    half = ring.field.coerce(Fraction(1, 2))
+    assert ring.poly("1/2*x - 3 / 4*y^2") == \
+        x.scale(half) - (y * y).scale(ring.field.coerce(Fraction(3, 4)))
+    assert ring.poly("-2/4") == ring.const(Fraction(-1, 2))
+    for text, at in (("1/0*x", 2), ("x + y/2", 5), ("1/*x", 2)):
+        with pytest.raises(PolyParseError) as err:
+            ring.poly(text)
+        assert err.value.position == at
+    if p is not None:
+        with pytest.raises(PolyParseError) as err:
+            ring.poly("x + 1/14*y")
+        assert err.value.position == 6
 
 
 def test_repr_writes_a_negative_coefficient_after_a_minus_sign():
