@@ -6,11 +6,13 @@ and L. Robbiano, Computational Commutative Algebra 2, Springer 2005).
 The basis stays reduced as it grows: a new element's lead term can occur
 in an older, homogeneous element of no larger degree only as that very
 term, so one reduction by the new element alone clears it.
-Reduction and S-pairs run on integers, fraction-free: each basis element
-is also kept as its integer form, over Q its primitive integer multiple
-(as hilbert._echelon's rows are), so no Fraction operation is left in
-their inner loops; a remainder is made monic, with Fraction
-coefficients over Q, only when it joins the basis.
+The run works on integers, fraction-free, from the first S-pair to the
+end: each basis element is kept as its integer form, over Q its
+primitive integer multiple (as hilbert._echelon's rows are), and every
+remainder comes out of one integer reduction loop and becomes its
+integer form by one content division.  No Fraction is built inside the
+run; the monic vectors, with Fraction coefficients over Q, are built
+once, when it ends.
 Kernels and the annihilator, the colon (W :_S F), go through one
 elimination primitive, kernel_of_map: a Groebner basis in target ⊕ source
 where the target block dominates.
@@ -19,9 +21,9 @@ where the target block dominates.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
+from operator import sub
 
 from .modules import (FreeModule, GradedModule, ModuleMap, Vector, memoized,
                       term_key, term_mul)
@@ -39,21 +41,26 @@ def _cleared(terms):
     return den, {t: c.numerator * (den // c.denominator) for t, c in terms.items()}
 
 
+def _primitive(ints, lt, fld):
+    """(L, tail), the integer form of the nonzero vector whose terms are
+    ints, lt among them: over Q, integers divided by their content, signed
+    so that L is positive; over F_p, residues made monic, with L = 1."""
+    if fld.p is not None:
+        inv = fld.inv(ints[lt])
+        return 1, {t: c * inv % fld.p for t, c in ints.items() if t != lt}
+    content = gcd(*ints.values())
+    if ints[lt] < 0:
+        content = -content
+    return ints[lt] // content, {t: c // content for t, c in ints.items() if t != lt}
+
+
 def integer_form(b, lt):
     """(L, tail), the reducer that reduce_vector uses for b, tail holding
     the terms of b other than its lead term lt: over Q, b's primitive
     integer multiple, whose lead coefficient L is positive; over F_p, b
     made monic, with L = 1."""
     fld = b.field
-    if fld.p is not None:
-        inv = fld.inv(b.terms[lt])
-        return 1, {t: c * inv % fld.p for t, c in b.terms.items() if t != lt}
-    ints = _cleared(b.terms)[1]
-    content = gcd(*ints.values())
-    lead = ints.pop(lt)
-    if lead < 0:
-        content = -content
-    return lead // content, {t: c // content for t, c in ints.items()}
+    return _primitive(b.terms if fld.p is not None else _cleared(b.terms)[1], lt, fld)
 
 
 def _monic(module, lt, form):
@@ -64,41 +71,27 @@ def _monic(module, lt, form):
     return Vector(module, {lt: module.ring.field.one(), **tail})
 
 
-def reduce_vector(v: Vector, basis, lts=None, forms=None):
-    """Full normal form of v against a list of nonzero vectors, each used
-    through its integer form, so any nonzero multiple of it will do.
+def _reduce(work, lts, forms, reduce):
+    """The normal form of the integer vector work, a dict it uses up,
+    against the reducers with lead terms lts and integer forms forms, as
+    (num, den, out): the normal form is (num/den)·out, out an integer
+    dict in descending term order.  reduce is the field's, so over F_p
+    every coefficient is a residue.
 
-    The work runs on integers.  Over Q, v's coefficients may be ints or
-    Fractions, and the terms still to be reduced are integers w standing
-    for w·num/den.  Each reducer is an integer_form (L, tail), from forms
-    or built from basis.  A term c·x^q·lt is cleared in three parts: g =
-    gcd(L, c); the pending work is scaled by L/g, and den with it; then
+    A term c·x^q·lt is cleared in three parts: g = gcd(L, c); the pending
+    and the emitted terms are scaled by L/g, and den with it; then
     (c/g)·x^q·tail is subtracted.  After a scaling step the content of
-    the work moves into num.  Over F_p, L = 1: no gcd and no scaling.
-    Each irreducible term is emitted once, as Fraction(c·num, den) over Q
-    or as the residue over F_p, so the normal form and its coefficient
-    types are those of exact field arithmetic.
+    pending and emitted terms together moves into num, so coefficients do
+    not grow.  Over F_p, L = 1: no gcd and no scaling, and num = den = 1.
 
-    The terms still to be reduced sit in the dict work; a min-heap of
-    term_key(t) + (t,) holds one entry for each time a term t enters work,
-    so its top is the leading term of work.  A popped entry whose term has
-    since cancelled out of work is skipped.  A processed term never comes
-    back, since every other term of its reducer is smaller, so terms are
-    processed in descending order.  Against an empty basis v is its own
-    normal form, and a copy of it comes back at once.
+    The pending terms sit in work; a min-heap of term_key(t) + (t,) holds
+    one entry for each time a term t enters work, so its top is the
+    leading term of work.  A popped entry whose term has since cancelled
+    out of work is skipped.  A processed term never comes back, since
+    every other term of its reducer is smaller, so terms are processed,
+    and emitted, in descending order.
     """
-    if not basis:
-        return Vector(v.module, dict(v.terms))
-    if lts is None:
-        lts = [b.leading_term()[0] for b in basis]
-    if forms is None:
-        forms = [integer_form(b, lt) for b, lt in zip(basis, lts)]
-    fld = v.module.ring.field
-    reduce, rational = fld.reduce, fld.p is None
-    if rational:
-        num, (den, work) = 1, _cleared(v.terms)
-    else:
-        work = dict(v.terms)
+    num = den = 1
     out = {}
     heap = [term_key(t) + (t,) for t in work]
     heapify(heap)
@@ -110,11 +103,12 @@ def reduce_vector(v: Vector, basis, lts=None, forms=None):
         pos, mon = term
         for form, (bpos, bmon) in zip(forms, lts):
             if bpos == pos:
-                q = mon_div(mon, bmon)
-                if q is not None:
+                # a ring has at least one variable, so q is never empty
+                q = tuple(map(sub, mon, bmon))
+                if min(q) >= 0:
                     break
         else:
-            out[term] = Fraction(coeff * num, den) if rational else coeff
+            out[term] = coeff
             continue
         lead, tail = form
         scaled = False
@@ -125,6 +119,8 @@ def reduce_vector(v: Vector, basis, lts=None, forms=None):
                 m = lead // g
                 for t in work:
                     work[t] *= m
+                for t in out:
+                    out[t] *= m
                 den *= m
                 scaled = True
         for bt, bc in tail.items():
@@ -138,20 +134,51 @@ def reduce_vector(v: Vector, basis, lts=None, forms=None):
                 work[t] = s
             else:
                 del work[t]
-        if scaled and work:
-            content = gcd(*work.values())
-            if content != 1:
+        if scaled:
+            content = gcd(*work.values(), *out.values())
+            if content > 1:
                 for t in work:
                     work[t] //= content
+                for t in out:
+                    out[t] //= content
                 num *= content
             g = gcd(num, den)
             num //= g
             den //= g
-    return Vector(v.module, out)
+    return num, den, out
+
+
+def reduce_vector(v: Vector, basis, lts=None, forms=None):
+    """Full normal form of v against a list of nonzero vectors, each used
+    through its integer form, so any nonzero multiple of it will do.
+
+    The work is _reduce's, on integers: over Q, v's coefficients, ints or
+    Fractions, are cleared of their denominators first, and each reducer
+    is an integer_form (L, tail), from forms or built from basis.  The
+    vector is built once, from the loop's integer remainder: with
+    Fraction coefficients over Q and residues over F_p, so the normal
+    form and its coefficient types are those of exact field arithmetic.
+    Against an empty basis v is its own normal form, and a copy of it
+    comes back at once.
+    """
+    if not basis:
+        return Vector(v.module, dict(v.terms))
+    if lts is None:
+        lts = [b.leading_term()[0] for b in basis]
+    if forms is None:
+        forms = [integer_form(b, lt) for b, lt in zip(basis, lts)]
+    fld = v.module.ring.field
+    if fld.p is not None:
+        return Vector(v.module, _reduce(dict(v.terms), lts, forms, fld.reduce)[2])
+    scale, work = _cleared(v.terms)
+    num, den, out = _reduce(work, lts, forms, fld.reduce)
+    den *= scale
+    return Vector(v.module, {t: Fraction(c * num, den) for t, c in out.items()})
 
 
 def _groebner(base, gens):
-    """The reduced Groebner basis of ⟨base⟩ + ⟨gens⟩, and the gens that
+    """The reduced Groebner basis of ⟨base⟩ + ⟨gens⟩, as its module, lead
+    terms and integer forms sorted by lead term, and the gens that
     minimally generate it modulo ⟨base⟩, from one homogeneous run.
 
     One heap holds the S-pairs and the input vectors, keyed by degree, a
@@ -159,38 +186,45 @@ def _groebner(base, gens):
     those at later positions (smaller lcm in position-over-term order,
     which over Q keeps the coefficients of eliminations smaller) before
     the others; then base's vectors, then gens' in input order.  So the
-    basis is a Groebner basis up to degree t when a vector of degree t is
-    reduced, and a gen is kept exactly when it reduces to something
-    nonzero (graded Nakayama).  A remainder r joins the basis monic, in a
-    degree no smaller than any basis vector's and reduced against them
-    all, so no lead term divides another and the basis stays minimal.
-    Each older b holding r's lead term lt is reduced by r alone: a term of
-    b at lt's position that lt divides has degree ≥ deg r ≥ deg b, so it
-    is lt itself.  So every tail stays reduced, with no final pass.
-    forms, beside lts, holds each element's integer form, refreshed when
-    its tail is reduced.  An S-pair is formed from them as
+    basis is a Groebner basis up to degree t when a vector is reduced,
+    and a gen is kept exactly when it reduces to something nonzero
+    (graded Nakayama).  A remainder joins the basis in a degree no
+    smaller than any basis element's and reduced against them all, so no
+    lead term divides another and the basis stays minimal.  Each older
+    element holding the new lead term lt is reduced by the new one alone:
+    a term at lt's position that lt divides has degree ≥ the new
+    element's ≥ the older one's, so it is lt itself.  So every tail stays
+    reduced, with no final pass.
+
+    The run is on integer forms throughout.  An input vector is cleared
+    of its denominators; an S-pair is formed from the forms as
     (L_j/g)·m_i·tail_i − (L_i/g)·m_j·tail_j, g = gcd(L_i, L_j), a positive
-    multiple of the monic S-pair whose lead terms cancel, so only the
-    remainder that joins the basis is made monic.  A pair is dropped by
-    the product criterion, in the ideal case only, or by the chain
-    criterion: some k whose lead divides the lcm, with both sub-pairs no
-    longer pending.  Inputs must be homogeneous.
+    multiple of the monic S-pair whose lead terms cancel, and already
+    integer.  Each comes out of _reduce as an integer remainder, whose
+    integer form is one content division and a sign fix away; an older
+    element's form is reduced in place of it.  A pair is dropped by the
+    product criterion, in the ideal case only, or by the chain criterion:
+    some k whose lead divides the lcm, with both sub-pairs no longer
+    pending.  Inputs must be homogeneous.
     """
     # S-pair (i, j): (degree, 0, -position, i, j); vector v, i-th of base
     # (kind 1) or gens (kind 2): (degree, kind, 0, i, v), v never compared
     heap = [(v.degree(), kind, 0, i, v) for kind, vs in ((1, base), (2, gens))
             for i, v in enumerate(vs) if v]
     if not heap:
-        return [], []
+        return None, [], [], []
     heapify(heap)
     module = heap[0][-1].module
     fld = module.ring.field
+    reduce, rational = fld.reduce, fld.p is None
     rank1 = module.rank == 1
     pending = set()
-    basis, lts, forms, kept = [], [], [], []
+    lts, forms, kept = [], [], []
     while heap:
         _, kind, _, i, v = heappop(heap)
-        if not kind:
+        if kind:
+            work = _cleared(v.terms)[1] if rational else dict(v.terms)
+        else:
             j = v
             pending.remove((i, j))
             pos, lcm = lts[i][0], mon_lcm(lts[i][1], lts[j][1])
@@ -198,30 +232,27 @@ def _groebner(base, gens):
                    and mon_div(lcm, lts[k][1]) is not None
                    and (min(i, k), max(i, k)) not in pending
                    and (min(j, k), max(j, k)) not in pending
-                   for k in range(len(basis))):
+                   for k in range(len(lts))):
                 continue
             (li, fi), (lj, fj) = forms[i], forms[j]
             g = gcd(li, lj)
-            v = Vector(module, lincomb(fld.reduce,
-                                       [(lj // g, mon_div(lcm, lts[i][1]), fi),
-                                        (-(li // g), mon_div(lcm, lts[j][1]), fj)],
-                                       term_mul))
-        r = reduce_vector(v, basis, lts, forms)
-        if r.is_zero():
+            work = lincomb(reduce, [(lj // g, mon_div(lcm, lts[i][1]), fi),
+                                    (-(li // g), mon_div(lcm, lts[j][1]), fj)],
+                           term_mul)
+        out = _reduce(work, lts, forms, reduce)[2]
+        if not out:
             continue
         if kind == 2:
             kept.append(v)
-        lt = r.leading_term()[0]
-        form = integer_form(r, lt)
-        r = _monic(module, lt, form)
-        for k, b in enumerate(basis):
-            if lt in b.terms:
-                basis[k] = b = reduce_vector(b, [r], [lt], [form])
-                forms[k] = integer_form(b, lts[k])
-        basis.append(r)
+        lt = next(iter(out))
+        form = _primitive(out, lt, fld)
+        for k, (lead, tail) in enumerate(forms):
+            if lt in tail:
+                older = _reduce({lts[k]: lead, **tail}, [lt], [form], reduce)[2]
+                forms[k] = _primitive(older, lts[k], fld)
         lts.append(lt)
         forms.append(form)
-        new = len(basis) - 1
+        new = len(lts) - 1
         for i, (pos, mon) in enumerate(lts[:new]):
             if pos != lt[0]:
                 continue
@@ -230,30 +261,36 @@ def _groebner(base, gens):
             if not (rank1 and lcm == mon_mul(mon, lt[1])):
                 pending.add((i, new))
                 heappush(heap, (mon_deg(lcm) + module.twists[pos], 0, -pos, i, new))
-    return [b for _, b in sorted(zip(lts, basis), key=lambda p: term_key(p[0]))], kept
+    order = sorted(range(len(lts)), key=lambda k: term_key(lts[k]))
+    return module, [lts[k] for k in order], [forms[k] for k in order], kept
+
+
+class _Basis(list):
+    """A reduced basis: its monic vectors, built once, with the run's lead
+    terms and integer forms beside them as lts and forms."""
+
+    def __init__(self, module, lts, forms):
+        super().__init__(_monic(module, lt, form) for lt, form in zip(lts, forms))
+        self.lts, self.forms = lts, forms
 
 
 def buchberger(gens):
     """Reduced Groebner basis of the homogeneous gens' span: monic and
-    sorted by leading term, the leading one first."""
-    return _groebner((), gens)[0]
+    sorted by leading term, the leading one first, a list that also
+    carries the lead terms and integer forms as lts and forms."""
+    return _Basis(*_groebner((), gens)[:3])
 
 
 class SubmoduleGB:
     """A submodule of a free module given by its reduced basis; forms, the
-    basis' integer forms for reduce_vector, are built once, when first
-    read."""
+    basis' integer forms for reduce_vector, are the Buchberger run's."""
 
     def __init__(self, generators):
         self.basis = buchberger(generators)
-        self._lts = [b.leading_term()[0] for b in self.basis]
-
-    @cached_property
-    def forms(self):
-        return [integer_form(b, lt) for b, lt in zip(self.basis, self._lts)]
+        self.forms = self.basis.forms
 
     def leading_terms(self):
-        return list(self._lts)
+        return list(self.basis.lts)
 
 
 def kernel_of_map(f: ModuleMap, target_relations=()):
@@ -297,7 +334,7 @@ def minimal_generators(gens, base=()):
     """The gens that minimally generate (⟨gens⟩ + ⟨base⟩)/⟨base⟩, in order
     of degree and, within a degree, of input (graded Nakayama); base may
     be any generating set."""
-    return _groebner(base, gens)[1]
+    return _groebner(base, gens)[3]
 
 
 @memoized()

@@ -14,7 +14,7 @@ C. Pernet, ACM Trans. Math. Software 35, 2008).
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add
+from operator import add, sub
 
 
 class PolyError(Exception):
@@ -123,8 +123,8 @@ def mon_mul(a, b):
 
 def mon_div(a, b):
     """a / b, or None when b does not divide a."""
-    q = tuple(x - y for x, y in zip(a, b))
-    return q if all(e >= 0 for e in q) else None
+    q = tuple(map(sub, a, b))
+    return q if min(q, default=0) >= 0 else None
 
 
 def mon_divides(b, a):

@@ -37,7 +37,7 @@ import random
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import combinations_with_replacement, repeat
-from math import comb, lcm
+from math import comb, gcd, lcm
 
 from gradedca.gb import (GBError, annihilator, is_zero_module, kernel_of_map,
                          minimal_free_resolution, minimal_generators,
@@ -81,7 +81,10 @@ class _RankTracker:
 
     Rows are sparse {term: coefficient} dicts over any comparable terms;
     pivots are taken in the terms' natural order, since rank does not
-    depend on which order picks them.
+    depend on which order picks them.  Over Q every row is kept as its
+    primitive integer multiple: a pivot is cleared by the cross-multiple
+    a·work − c·row, a and c the two pivot entries over their gcd, and
+    the content is divided out before each step.
     """
 
     def __init__(self, fld):
@@ -89,6 +92,8 @@ class _RankTracker:
         self.rows = {}
 
     def add(self, terms):
+        if self.fld.p is None:
+            return self._add_rational(terms)
         fld = self.fld
         work = dict(terms)
         while work:
@@ -106,6 +111,30 @@ class _RankTracker:
                     work.pop(t, None)
                 else:
                     work[t] = s
+        return False
+
+    def _add_rational(self, terms):
+        den = lcm(*(c.denominator for c in terms.values()))
+        work = {t: c.numerator * (den // c.denominator) for t, c in terms.items() if c}
+        while work:
+            content = gcd(*work.values())
+            if content > 1:
+                work = {t: v // content for t, v in work.items()}
+            pivot = max(work)
+            row = self.rows.get(pivot)
+            if row is None:
+                self.rows[pivot] = work
+                return True
+            g = gcd(row[pivot], work[pivot])
+            a, c = row[pivot] // g, work[pivot] // g
+            if a != 1:
+                for t in work:
+                    work[t] *= a
+            for t, v in row.items():
+                if s := work.get(t, 0) - c * v:
+                    work[t] = s
+                else:
+                    del work[t]
         return False
 
     def rank(self, rows, cap):

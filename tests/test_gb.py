@@ -432,6 +432,39 @@ def test_buchberger_returns_the_reduced_basis_in_descending_order(char, seed):
                 assert gb.reduce_vector(s, basis).is_zero()
 
 
+@given(st.sampled_from([32003, None]), st.sampled_from(CORPUS_MODULES),
+       st.integers(min_value=0, max_value=2 ** 32))
+@settings(max_examples=30, deadline=None)
+def test_groebner_output_is_monic_in_field_coefficients(char, name, seed):
+    """The monic vectors built at the end of the run have Fraction
+    coefficients over Q and residues over F_p, with lead 1, and
+    SubmoduleGB's forms, taken from the run, are the integer forms of its
+    basis: on a corpus module's relations and on a partial basis."""
+    raw = _corpus_raw(name)
+    raw["ring"]["characteristic"] = char
+    module = build_job(raw).module
+    fld = module.ring.field
+    gens = _partial_basis(char, random.Random(seed))
+    maps = [module.presentation]
+    if gens:
+        amb = gens[0].module
+        maps.append(gb.ModuleMap(FreeModule(amb.ring, [g.degree() for g in gens]),
+                                 amb, gens))
+    for f in maps:
+        sgb = gb.SubmoduleGB(f.columns())
+        assert sgb.forms == [gb.integer_form(b, lt)
+                             for b, lt in zip(sgb.basis, sgb.leading_terms())]
+        for v in sgb.basis + gb.buchberger(f.columns()) + gb.kernel_of_map(f):
+            lead = v.terms[v.leading_term()[0]]
+            if fld.p is None:
+                assert all(type(c) is Fraction for c in v.terms.values())
+                assert type(lead) is Fraction and lead == 1
+            else:
+                assert all(type(c) is int and 0 <= c < fld.p
+                           for c in v.terms.values())
+                assert lead == 1
+
+
 @given(st.sampled_from([32003, None]), st.integers(min_value=0, max_value=2 ** 32))
 @settings(max_examples=30, deadline=None)
 def test_one_run_matches_the_separate_basis_and_generator_loops(char, seed):

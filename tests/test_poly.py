@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from gradedca.modules import FreeModule, term_key
 from gradedca.poly import (CoeffField, PolyError, PolyParseError, PolyRing,
-                           grevlex_key, mon_div, mon_divides, mon_lcm,
+                           grevlex_key, mon_div, mon_divides, mon_lcm, mon_mul,
                            monomials_of_degree)
 
 from reference import random_nonzero
@@ -75,6 +75,17 @@ def test_monomial_helpers():
     assert mon_div(a, b) is None
     assert mon_divides((1, 1, 0), (2, 1, 0))
     assert len(list(monomials_of_degree(3, 2))) == 6
+
+
+@given(st.integers(min_value=0, max_value=4).flatmap(
+    lambda n: st.tuples(*[st.tuples(*[st.integers(min_value=0, max_value=3)] * n)] * 2)))
+def test_mon_div_is_exact_division(pair):
+    # with 0 variables too: () divides (), with quotient ()
+    a, b = pair
+    q = mon_div(a, b)
+    assert (q is None) == (not mon_divides(b, a))
+    if q is not None:
+        assert mon_mul(q, b) == a
 
 
 def test_grevlex_order():
