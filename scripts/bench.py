@@ -1,18 +1,21 @@
 #!/usr/bin/env python3
 """Paired benchmark of two source trees, written as one BENCH_*.json record.
 
-    python3 scripts/bench.py --base DIR --out BENCH_N.json
+    python3 scripts/bench.py --base DIR --out BENCH_N.json [--first-seed S]
 
 DIR is a checkout of the commit to compare against (for example made with
 `git archive <commit> | tar -x -C DIR`); the other tree is the one holding
 this script.  For each workload of BENCHMARK.json the script runs
 perfbench/run.py --trace 0 for BENCHMARK.json's run_seconds in both trees,
-ten pairs, with seed i + 1 in pair i and the first side alternating between
-pairs, so that slow drift of the machine's speed falls on both sides alike.
-It records every run and, per side and metric, the median and the
-quartiles.  Then it makes one --trace 1 run per side and workload and
-records its per-layer metrics and, under op_s, the time of each op of the
-traced round, read from the trace file that run.py names on standard error.
+ten pairs, with seed S + i in pair i (S is 1 unless --first-seed sets it;
+a repeat of a claim takes seeds not used while the change was built) and
+the first side alternating between pairs, so that slow drift of the
+machine's speed falls on both sides alike.  It records every run and, per
+side and metric, the median and the quartiles, and per metric the number
+of pairs in which this tree's run read lower.  Then it makes one --trace 1
+run per side and workload and records its per-layer metrics and, under
+op_s, the time of each op of the traced round, read from the trace file
+that run.py names on standard error.
 Runs are sequential, one process at a time.
 
 Each tree's runs write and read their bytecode under their own fresh
@@ -70,6 +73,7 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True)
     parser.add_argument("--out", required=True)
+    parser.add_argument("--first-seed", type=int, default=1)
     args = parser.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         spec = json.load(fh)
@@ -79,19 +83,21 @@ def main(argv=None):
         "machine": {"platform": platform.platform(),
                     "python": platform.python_version(),
                     "cpus": os.cpu_count()},
-        "pairs": PAIRS, "seconds": seconds, "workloads": {},
+        "pairs": PAIRS, "seconds": seconds, "first_seed": args.first_seed,
+        "workloads": {},
         "traced": {}}
     with tempfile.TemporaryDirectory() as tmp:
         envs = {side: side_env(os.path.join(tmp, side)) for side in sides}
         for workload in (w["name"] for w in spec["workloads"]):
             docs = {side: [] for side in sides}
             for side, tree in sides.items():
-                run(side, tree, workload, 1, 1, 0, envs[side])
+                run(side, tree, workload, args.first_seed, 1, 0, envs[side])
             for i in range(PAIRS):
                 order = ["base", "head"] if i % 2 == 0 else ["head", "base"]
                 for side in order:
-                    docs[side].append(run(side, sides[side], workload, i + 1,
-                                          seconds, 0, envs[side]))
+                    docs[side].append(run(side, sides[side], workload,
+                                          args.first_seed + i, seconds, 0,
+                                          envs[side]))
             entry = {}
             for side, runs in docs.items():
                 entry[side] = {name: summary([d["metrics"][name]["value"] for d in runs])
@@ -99,12 +105,15 @@ def main(argv=None):
                 entry[side]["correct"] = all(d["correct"] for d in runs)
                 entry[side]["failed"] = sum(d["failed"] for d in runs)
                 entry[side]["attempted"] = sum(d["attempted"] for d in runs)
-            walls = zip(entry["base"]["wall_s"]["runs"], entry["head"]["wall_s"]["runs"])
-            entry["head_faster_pairs"] = sum(1 for b, h in walls if h < b)
+            entry["head_lower_pairs"] = {
+                name: sum(1 for b, h in zip(entry["base"][name]["runs"],
+                                            entry["head"][name]["runs"]) if h < b)
+                for name in docs["head"][0]["metrics"]}
             record["workloads"][workload] = entry
             record["traced"][workload] = {}
             for side, tree in sides.items():
-                doc = run(side, tree, workload, 1, seconds, 1, envs[side])
+                doc = run(side, tree, workload, args.first_seed, seconds, 1,
+                          envs[side])
                 record["traced"][workload][side] = dict(
                     {k: v["value"] for k, v in doc["metrics"].items()},
                     op_s=doc["op_s"])

@@ -3,6 +3,11 @@
 A job describes one graded module (ring, twists, relation matrix), named
 ideals, and a list of operations.  Corpus files reuse the same format
 plus a "claims" object of expected values checked by the check suite.
+
+JOB_SCHEMA is the one definition of a valid job.  It is read by a small
+interpreter in this module, not by a JSON Schema library: the interpreter
+implements exactly the keywords in _KEYWORDS, with Draft 2020-12's
+meaning, which is all JOB_SCHEMA uses.
 """
 
 from __future__ import annotations
@@ -11,8 +16,6 @@ import dataclasses
 import platform
 import time
 from fractions import Fraction
-
-import jsonschema
 
 from . import __version__, brim, homology, invariants, koszul, sampler
 from . import gb as gbmod
@@ -96,16 +99,72 @@ class JobError(PolyError):
     """Invalid job input (schema-level); maps to exit code 2."""
 
 
-# built once: jsonschema.validate would check the schema itself on every call
-_VALIDATOR = jsonschema.validators.validator_for(JOB_SCHEMA)(JOB_SCHEMA)
-_VALIDATOR.check_schema(JOB_SCHEMA)
+_KEYWORDS = {"type", "properties", "required", "additionalProperties",
+             "items", "minItems", "uniqueItems", "minimum"}
+_TYPES = {"object": dict, "array": list, "string": str, "null": type(None)}
+
+
+def _is_type(value, name):
+    if name == "integer":  # as in JSON Schema, 2.0 is an integer and true is not
+        return (isinstance(value, float) and value.is_integer()
+                or isinstance(value, int) and not isinstance(value, bool))
+    return isinstance(value, _TYPES[name])
+
+
+def _canonical(value):
+    """A hashable form of a JSON value, equal exactly when the values are
+    equal in JSON Schema's sense: 1 equals 1.0 but not true."""
+    if isinstance(value, list):
+        return ("array",) + tuple(map(_canonical, value))
+    if isinstance(value, dict):
+        return ("object", frozenset((k, _canonical(v)) for k, v in value.items()))
+    return (isinstance(value, bool), value)
+
+
+def _violation(schema, value, path=()):
+    """(path, message) of the first place where value breaks schema, or
+    None.  Each keyword applies only to values of the type it constrains."""
+    types = schema.get("type", [])
+    types = [types] if isinstance(types, str) else types
+    if types and not any(_is_type(value, t) for t in types):
+        return path, "%r is not of type %s" % (value, ", ".join(map(repr, types)))
+    if isinstance(value, dict):
+        for key in schema.get("required", []):
+            if key not in value:
+                return path, "%r is a required property" % key
+        props = schema.get("properties", {})
+        rest = schema.get("additionalProperties", {})
+        unexpected = [key for key in value if key not in props]
+        if rest is False and unexpected:
+            return path, ("Additional properties are not allowed (%s %s unexpected)"
+                          % (", ".join(map(repr, unexpected)),
+                             "was" if len(unexpected) == 1 else "were"))
+        for key, item in value.items():
+            found = _violation(props.get(key, rest), item, path + (key,))
+            if found:
+                return found
+    if isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            return path, "%r is too short" % (value,)
+        if (schema.get("uniqueItems")
+                and len(set(map(_canonical, value))) < len(value)):
+            return path, "%r has non-unique elements" % (value,)
+        for k, item in enumerate(value):
+            found = _violation(schema.get("items", {}), item, path + (k,))
+            if found:
+                return found
+    if (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and value < schema.get("minimum", value)):
+        return path, "%r is less than the minimum of %r" % (value, schema["minimum"])
+    return None
 
 
 def validate_job(raw):
-    exc = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(raw))
-    if exc is not None:
+    found = _violation(JOB_SCHEMA, raw)
+    if found is not None:
+        path, message = found
         raise JobError("job schema violation at %s: %s"
-                       % ("/".join(str(p) for p in exc.absolute_path), exc.message))
+                       % ("/".join(map(str, path)), message))
 
 
 @dataclasses.dataclass

@@ -64,6 +64,9 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+_ONE = Fraction(1)  # shared: Fractions are immutable
+
+
 class CoeffField:
     """Prime field F_p or the rationals, with exact arithmetic."""
 
@@ -92,13 +95,13 @@ class CoeffField:
         if self.p is None:
             if a == 0:
                 raise ZeroDivisionError("inverse of zero")
-            return Fraction(1) / a
+            return _ONE / a
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, self.p - 2, self.p)
 
     def one(self):
-        return Fraction(1) if self.p is None else 1
+        return _ONE if self.p is None else 1
 
     def random(self, rng):
         if self.p is None:

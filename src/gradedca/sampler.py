@@ -14,7 +14,7 @@ from .gb import GBError
 from .hilbert import (NEG_INF, HilbertError, ParameterIdeal, dim_module,
                       hilbert_coefficients, make_parameter_ideal)
 from .koszul import chi1_serre
-from .modules import GradedModule
+from .modules import GradedModule, memoized
 from .poly import require
 
 
@@ -56,8 +56,10 @@ def random_parameter_ideal(module: GradedModule, degrees, rng) -> ParameterIdeal
                        "(degenerate module or field too small)" % IDEAL_TRIES)
 
 
+@memoized(lambda module, cfg: (cfg,))
 def sample_parameter_ideals(module: GradedModule, cfg: SampleConfig):
-    """cfg.count parameter ideals with degrees drawn from degree_bounds."""
+    """cfg.count parameter ideals with degrees drawn from degree_bounds,
+    drawn once per module and config: a tuple every caller shares."""
     rng = cfg.rng()
     r = dim_module(module)
     if r == NEG_INF:
@@ -66,7 +68,7 @@ def sample_parameter_ideals(module: GradedModule, cfg: SampleConfig):
     for _ in range(cfg.count):
         degrees = [rng.choice(list(cfg.degree_bounds)) for _ in range(r)]
         out.append(random_parameter_ideal(module, degrees, rng))
-    return out
+    return tuple(out)
 
 
 @dataclass

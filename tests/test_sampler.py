@@ -13,13 +13,24 @@ RING2 = PolyRing(CoeffField(32003), ["x", "y"])
 def test_determinism(two_plane):
     cfg = sampler.SampleConfig(seed=12, count=6)
     a = sampler.sample_parameter_ideals(two_plane, cfg)
-    b = sampler.sample_parameter_ideals(two_plane, cfg)
+    # a fresh module has no memoized sample, so this draws again
+    b = sampler.sample_parameter_ideals(
+        GradedModule(two_plane.presentation), cfg)
     assert [tuple(map(repr, q.gens)) for q in a] == \
            [tuple(map(repr, q.gens)) for q in b]
     other = sampler.sample_parameter_ideals(
         two_plane, sampler.SampleConfig(seed=13, count=6))
     assert [tuple(map(repr, q.gens)) for q in a] != \
            [tuple(map(repr, q.gens)) for q in other]
+
+
+def test_sample_is_drawn_once_per_module_and_config(two_plane):
+    cfg = sampler.SampleConfig(seed=12, count=6)
+    a = sampler.sample_parameter_ideals(two_plane, cfg)
+    assert sampler.sample_parameter_ideals(
+        two_plane, sampler.SampleConfig(seed=12, count=6)) is a
+    assert sampler.sample_parameter_ideals(
+        two_plane, sampler.SampleConfig(seed=12, count=5)) == a[:5]
 
 
 def test_sampled_ideals_are_parameters(mixed_line, two_plane):
