@@ -18,6 +18,13 @@ op_s, the time of each op of the traced round, read from the trace file
 that run.py names on standard error.
 Runs are sequential, one process at a time.
 
+Each workload's entry also holds a verdict per end-to-end metric, all of
+which are lower-is-better: "lower" when this tree's run read lower in at
+least nine of ten pairs and the medians differ by more than the base's
+interquartile range; "worse" when this tree's median exceeds the base's
+by more than the metric's relative bound in BENCHMARK.json; "unresolved"
+otherwise.  The verdicts are also printed as a table on standard error.
+
 Each tree's runs write and read their bytecode under their own fresh
 PYTHONPYCACHEPREFIX in a temporary directory, with bytecode writing on, so
 neither side's setup_s depends on a stale __pycache__ left in its tree.  One
@@ -69,6 +76,29 @@ def summary(values):
     return {"median": med, "q1": q1, "q3": q3, "runs": values}
 
 
+def verdict(base, head, lower_pairs, bound):
+    """lower, worse or unresolved, from the two sides' summaries of one
+    lower-is-better metric and the pairs in which head read lower."""
+    if (lower_pairs >= 0.9 * PAIRS
+            and base["median"] - head["median"] > base["q3"] - base["q1"]):
+        return "lower"
+    if head["median"] > base["median"] * (1 + bound):
+        return "worse"
+    return "unresolved"
+
+
+def print_verdicts(record, file):
+    row = "%-20s %-14s %12s %12s %6s  %s"
+    print(row % ("workload", "metric", "base median", "head median",
+                 "lower", "verdict"), file=file)
+    for workload, entry in record["workloads"].items():
+        for name, word in entry["verdict"].items():
+            print(row % (workload, name, "%.4g" % entry["base"][name]["median"],
+                         "%.4g" % entry["head"][name]["median"],
+                         "%d/%d" % (entry["head_lower_pairs"][name], PAIRS),
+                         word), file=file)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True)
@@ -109,6 +139,12 @@ def main(argv=None):
                 name: sum(1 for b, h in zip(entry["base"][name]["runs"],
                                             entry["head"][name]["runs"]) if h < b)
                 for name in docs["head"][0]["metrics"]}
+            entry["verdict"] = {
+                m["name"]: verdict(entry["base"][m["name"]],
+                                   entry["head"][m["name"]],
+                                   entry["head_lower_pairs"][m["name"]],
+                                   m["bound"])
+                for m in spec["end_to_end"]}
             record["workloads"][workload] = entry
             record["traced"][workload] = {}
             for side, tree in sides.items():
@@ -120,6 +156,7 @@ def main(argv=None):
     with open(args.out, "w") as fh:
         json.dump(record, fh, indent=1, sort_keys=True)
         fh.write("\n")
+    print_verdicts(record, sys.stderr)
     return 0
 
 

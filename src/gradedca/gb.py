@@ -20,6 +20,7 @@ where the target block dominates.
 
 from __future__ import annotations
 
+import weakref
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
@@ -356,8 +357,23 @@ def quotient_module(module: GradedModule, extra_relations) -> GradedModule:
 
 @memoized(lambda module, polys: tuple(map(repr, polys)))
 def quotient_by_ideal(module: GradedModule, polys) -> GradedModule:
-    """M/(polys)M, keyed by polys in order, the order of its relations."""
-    return quotient_module(module, module.ambient.ideal_multiples(polys))
+    """M/(polys)M, keyed by polys in order, the order of its relations.
+
+    A quotient of a quotient is the quotient by the joined forms:
+    (M/aM)/b(M/aM) is the very object M/(a, b)M, whose relations are the
+    same in the same order, so it shares that module's basis and series.
+    A quotient refers back to M by a weak reference, and a quotient by no
+    forms is a new module, never the quotient itself, so no module's
+    cache reaches back to it; once M is gone, its quotients' quotients
+    are built from them directly.
+    """
+    polys = list(polys)
+    parent, head = getattr(module, "_quotient_of", (None, None))
+    if polys and parent is not None and (base := parent()) is not None:
+        return quotient_by_ideal(base, head + polys)
+    quo = quotient_module(module, module.ambient.ideal_multiples(polys))
+    quo._quotient_of = (weakref.ref(module), polys)
+    return quo
 
 
 def minimize_presentation(pres: ModuleMap) -> ModuleMap:

@@ -121,11 +121,15 @@ def _canonical(value):
     return (isinstance(value, bool), value)
 
 
+def _types(schema):
+    types = schema.get("type", [])
+    return [types] if isinstance(types, str) else types
+
+
 def _violation(schema, value, path=()):
     """(path, message) of the first place where value breaks schema, or
     None.  Each keyword applies only to values of the type it constrains."""
-    types = schema.get("type", [])
-    types = [types] if isinstance(types, str) else types
+    types = _types(schema)
     if types and not any(_is_type(value, t) for t in types):
         return path, "%r is not of type %s" % (value, ", ".join(map(repr, types)))
     if isinstance(value, dict):
@@ -159,6 +163,23 @@ def _violation(schema, value, path=()):
     return None
 
 
+def _with_ints(schema, value):
+    """The valid value with every float that schema types integer, such as
+    2.0, made an int, so that a job runs as its int twin does.  Below an
+    empty schema, as in claims, nothing is typed, so nothing changes."""
+    if not schema:
+        return value
+    if isinstance(value, float) and "integer" in _types(schema):
+        return int(value)
+    if isinstance(value, dict):
+        props = schema.get("properties", {})
+        rest = schema.get("additionalProperties", {})
+        return {k: _with_ints(props.get(k, rest), v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_with_ints(schema.get("items", {}), v) for v in value]
+    return value
+
+
 def validate_job(raw):
     found = _violation(JOB_SCHEMA, raw)
     if found is not None:
@@ -189,6 +210,7 @@ def _positive_form(p, what):
 
 def build_job(raw, default_char=32003, seed_override=None) -> Job:
     validate_job(raw)
+    raw = _with_ints(JOB_SCHEMA, raw)
     rspec = raw["ring"]
     char = rspec.get("characteristic", default_char)
     try:
@@ -353,7 +375,7 @@ def run_job(raw, default_char=32003, seed_override=None, with_timings=True):
         timings["%d:%s" % (k, opspec["op"])] = round(time.perf_counter() - t0, 4)
     report = {
         "name": job.name,
-        "inputs": raw,
+        "inputs": job.raw,
         "seed": job.sample.seed,
         "versions": {"gradedca": __version__,
                      "python": platform.python_version()},

@@ -7,6 +7,14 @@ coker d_i → 0 give HS(H_i) = HS(coker d_i) + HS(coker d_{i+1}) − HS(C_{i−1
 with coker d_0 = 0, C_{−1} = 0 and coker d_{r+1} = C_r.  HS(C_j) is
 Σ_T t^{deg x_T}·HS(M), so only the r cokernels need a Groebner basis.
 coker d_1 is quotient_by_ideal's M/(x)M, whose basis colength shares.
+
+A first form x₁ that is M-regular (0 :_M x₁ = 0, read off colon_series)
+is peeled first: H_i(x; M) = H_i(x′; M/x₁M) and H_r(x; M) = 0 (Bruns and
+Herzog, Cohen-Macaulay Rings, 1.6), and the peel repeats on M/x₁M.  So
+a complex is built only on the forms left after the longest M-regular
+prefix of x.  The peel stops at one form, whose complex needs no basis
+beyond M/xM's: for a system of parameters of a Cohen-Macaulay module,
+a regular sequence, that one-form complex is the only one built.
 """
 
 from __future__ import annotations
@@ -91,6 +99,21 @@ def _koszul_homology(module: GradedModule, forms) -> KoszulHomologyReport:
     for f in forms:
         if f.is_zero() or not f.is_homogeneous():
             raise KoszulError("Koszul forms must be nonzero homogeneous")
+    quo = quotient_by_ideal(module, forms[:1])
+    if r > 1 and not colon_series(module, forms[0], quo):
+        # x₁ is M-regular: H_i(x; M) = H_i(x′; M/x₁M) and H_r = 0
+        lengths = koszul_homology(quo, forms[1:]).lengths + [0]
+    else:
+        lengths = _complex_lengths(module, forms)
+    chi = sum((-1) ** i * l for i, l in enumerate(lengths))
+    chi1 = sum((-1) ** (i - 1) * l for i, l in enumerate(lengths) if i >= 1)
+    require(chi1 >= 0, "partial Euler characteristic must be nonnegative")
+    return KoszulHomologyReport(lengths=lengths, chi=chi, chi1=chi1)
+
+
+def _complex_lengths(module: GradedModule, forms):
+    """λ(H_i(x; M)) for i = 0..r, read off the Koszul complex's cokernels."""
+    r = len(forms)
     n = module.ring.num_vars
     diffs = {i: koszul_differential(module, forms, i) for i in range(1, r + 1)}
     for i in range(1, r):
@@ -116,10 +139,7 @@ def _koszul_homology(module: GradedModule, forms) -> KoszulHomologyReport:
         require(all(c >= 0 for c in h_i.values()),
                 "a Koszul homology module has negative dimension in a degree")
         lengths.append(sum(h_i.values()))
-    chi = sum((-1) ** i * l for i, l in enumerate(lengths))
-    chi1 = sum((-1) ** (i - 1) * l for i, l in enumerate(lengths) if i >= 1)
-    require(chi1 >= 0, "partial Euler characteristic must be nonnegative")
-    return KoszulHomologyReport(lengths=lengths, chi=chi, chi1=chi1)
+    return lengths
 
 
 def chi1_serre(module: GradedModule, q_gens) -> int:
@@ -142,7 +162,9 @@ def chi1_recursion_check(module: GradedModule, forms) -> Chi1RecursionReport:
 
     It follows from χ(x;M) = χ(x′;M/x₁M) − χ(x′;0:_M x₁) and
     H₀(x;M) = H₀(x′;M/x₁M), so the colon module enters through its full
-    Euler characteristic.
+    Euler characteristic.  When x₁ is M-regular, from_colon is 0, and
+    total and from_quotient come from one computation: koszul_homology
+    peels x₁ and computes H(x′; M/x₁M), which this check then reads back.
     """
     forms = list(forms)
     if len(forms) < 2:

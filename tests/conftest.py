@@ -1,7 +1,20 @@
+import gc
+
 import pytest
 
 from gradedca.modules import FreeModule, GradedModule
 from gradedca.poly import CoeffField, PolyRing
+
+
+@pytest.fixture
+def no_cyclic_gc():
+    """The cyclic collector off for one test, so that only reference
+    counting frees what the test drops."""
+    enabled = gc.isenabled()
+    gc.disable()
+    yield
+    if enabled:
+        gc.enable()
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -570,3 +571,36 @@ def test_zero_module_is_read_off_the_lead_terms(char, seed):
     amb = module.ambient
     assert gb.is_zero_module(module) == all(
         gb.reduce_vector(amb.basis(i), basis).is_zero() for i in range(amb.rank))
+
+
+@pytest.mark.parametrize("char", [32003, None])
+def test_quotient_of_a_quotient_is_the_quotient_by_the_joined_forms(char):
+    ring = PolyRing(CoeffField(char), ["x", "y"])
+    x, y = ring.gens()
+    module = GradedModule.quotient_ring(ring, [x ** 2])
+    quo = gb.quotient_by_ideal(module, [x + y])
+    both = gb.quotient_by_ideal(quo, [y])
+    assert both is gb.quotient_by_ideal(module, [x + y, y])
+    assert gb.quotient_by_ideal(quo, [y]) is both
+    # built first as a quotient of M, then reached through M/(x + y)M
+    other = GradedModule.quotient_ring(ring, [x ** 2])
+    joined = gb.quotient_by_ideal(other, [y, x])
+    assert gb.quotient_by_ideal(gb.quotient_by_ideal(other, [y]), [x]) is joined
+    assert joined.relations() == gb.quotient_module(
+        other, other.ambient.ideal_multiples([y, x])).relations()
+
+
+def test_module_and_its_quotients_are_freed_by_reference_counting(no_cyclic_gc):
+    # a quotient refers back to its module weakly, so the module and its
+    # quotients go once the caller drops them
+    module = GradedModule.quotient_ring(RING, [X ** 2])
+    quo = gb.quotient_by_ideal(module, [X + Y])
+    both = gb.quotient_by_ideal(quo, [Y])
+    # a quotient by no forms is a new module, not one caching itself
+    same = gb.quotient_by_ideal(both, [])
+    assert same is not both
+    for m in (module, quo, both, same):
+        hilbert_series(m)
+    refs = [weakref.ref(m) for m in (module, quo, both, same)]
+    del module, quo, both, same, m
+    assert [r() for r in refs] == [None] * 4

@@ -12,6 +12,7 @@ import random
 import pytest
 
 from gradedca import jobio
+from gradedca.cli import main
 from gradedca.jobio import JOB_SCHEMA, JobError, validate_job
 
 jsonschema = pytest.importorskip("jsonschema")
@@ -119,3 +120,31 @@ def test_violation_reports_its_path(edit, path, words):
 def test_integer_accepts_two_point_zero():
     validate_job({"ring": {"variables": ["x"], "characteristic": 3.0},
                   "ops": [{"op": "hilbert-samuel", "N": 2.0}]})
+
+
+def _floated(value):
+    """value with every int outside its claims made a float, 2 as 2.0."""
+    if isinstance(value, dict):
+        return {k: v if k == "claims" else _floated(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_floated(v) for v in value]
+    if isinstance(value, int) and not isinstance(value, bool):
+        return float(value)
+    return value
+
+
+@pytest.mark.parametrize("name", ["mixed-line", "plane-plus-line"])
+def test_integral_floats_run_as_their_int_twin(name, tmp_path, capsys):
+    # the schema reads 32003.0, "N": 4.0 and "powers": [1.0, 2.0, 3.0] as
+    # integers; the engine gets ints, so the report is the int job's
+    with open(os.path.join(CORPUS, name + ".json")) as fh:
+        raw = json.load(fh)
+    twin = _floated(raw)
+    assert isinstance(twin["ring"]["characteristic"], float)
+    outs = []
+    for stem, doc in (("int", raw), ("float", twin)):
+        path = tmp_path / (stem + ".json")
+        path.write_text(json.dumps(doc))
+        assert main(["compute", str(path), "--no-timings"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]

@@ -1,14 +1,15 @@
 import json
 import os
 import random
+import weakref
 
 import pytest
 
 from gradedca import koszul as kz
-from gradedca.gb import kernel_of_map, subquotient
-from gradedca.hilbert import (dim_module, divide_poles, hilbert_series,
-                              make_parameter_ideal, module_length,
-                              superficial_check)
+from gradedca.gb import kernel_of_map, quotient_by_ideal, subquotient
+from gradedca.hilbert import (colength, colon_series, dim_module, divide_poles,
+                              hilbert_series, make_parameter_ideal,
+                              module_length, superficial_check)
 from gradedca.jobio import build_job
 from gradedca.modules import GradedModule
 from gradedca.poly import CoeffField, PolyRing
@@ -206,6 +207,77 @@ def test_koszul_homology_once_per_module_and_forms():
     assert first.lengths == _reference_lengths(module, [y, z])
     assert kz.koszul_homology(module, list((y, z))) is first
     assert kz.koszul_homology(module, [z, y]) is not first
+
+
+# ---------------------------------------------------------------------------
+# the peel: an M-regular first form x₁ leaves H_i(x′; M/x₁M) and H_r = 0
+
+
+def _count_differentials(monkeypatch):
+    """The modules koszul_differential is called on, in call order."""
+    modules = []
+    original = kz.koszul_differential
+
+    def counted(module, forms, i):
+        modules.append(module)
+        return original(module, forms, i)
+    monkeypatch.setattr(kz, "koszul_differential", counted)
+    return modules
+
+
+@pytest.mark.parametrize("char", [32003, None])
+def test_cohen_macaulay_module_builds_no_complex_on_m(char, monkeypatch):
+    # on a Cohen-Macaulay module every sop is a regular sequence: x₁ is
+    # peeled, and only the one-form complex on M/x₁M is built
+    module = _case_module("hypersurface", char)
+    forms = _sops(module, "hypersurface")[0]
+    calls = _count_differentials(monkeypatch)
+    rep = kz.koszul_homology(module, forms)
+    assert calls == [quotient_by_ideal(module, forms[:1])]
+    assert rep.lengths == [colength(module, forms)] + [0] * len(forms)
+    assert rep.lengths == _reference_lengths(module, forms)
+
+
+@pytest.mark.parametrize("char", [32003, None])
+def test_two_plane_peels_one_form_then_builds_the_complex(char, monkeypatch):
+    # depth 1: x₁ = x + z is M-regular, and y + w kills the socle of
+    # M/x₁M, so the complex is built on M/x₁M alone, with one form
+    module = _case_module("two-plane", char)
+    x, y, z, w = module.ring.gens()
+    forms = [x + z, y + w]
+    quo = quotient_by_ideal(module, forms[:1])
+    assert not colon_series(module, forms[0], quo)
+    assert colon_series(quo, forms[1], quotient_by_ideal(quo, forms[1:]))
+    calls = _count_differentials(monkeypatch)
+    rep = kz.koszul_homology(module, forms)
+    assert calls and all(m is quo for m in calls)
+    assert rep.lengths == _reference_lengths(module, forms) == [3, 1, 0]
+
+
+@pytest.mark.parametrize("char", [32003, None])
+def test_zero_divisor_first_form_runs_the_full_complex(char, monkeypatch):
+    # y kills x in S/(x², xy, xz): no peel, the complex is built on M
+    module = _depth_zero(char)
+    y, z = module.ring.gens()[1:]
+    calls = _count_differentials(monkeypatch)
+    rep = kz.koszul_homology(module, [y, z])
+    assert calls and all(m is module for m in calls)
+    assert rep.lengths == _reference_lengths(module, [y, z]) == [2, 2, 1]
+
+
+@pytest.mark.parametrize("case", ["dim3-buchsbaum", "hypersurface"])
+def test_peeled_modules_are_freed_by_reference_counting(case, no_cyclic_gc):
+    # the peel keeps M/x₁M and its Koszul homology on M, and a quotient
+    # refers back to M weakly, so M and everything computed on it go once
+    # the caller drops M
+    module = _case_module(case, 32003)
+    forms = _sops(module, case)[0]
+    kz.chi1_recursion_check(module, forms)
+    refs = [weakref.ref(module)] + [
+        weakref.ref(quotient_by_ideal(module, forms[:i]))
+        for i in range(len(forms) + 1)]
+    del module
+    assert [r() for r in refs] == [None] * len(refs)
 
 
 def test_depth_zero_has_top_homology():
