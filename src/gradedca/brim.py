@@ -40,8 +40,13 @@ class ParameterModule:
         return len(self.columns)
 
     @cached_property  # stored in the instance dict, which frozen allows
+    def base(self):
+        """R = S/(ring_rels), one module, so its basis is built once."""
+        return GradedModule.quotient_ring(self.ring, list(self.ring_rels))
+
+    @cached_property  # stored in the instance dict, which frozen allows
     def base_dim(self):
-        return dim_module(GradedModule.quotient_ring(self.ring, list(self.ring_rels)))
+        return dim_module(self.base)
 
     @property
     def is_parameter(self):
@@ -98,8 +103,7 @@ def _brim_powers(pm: ParameterModule):
     has the part (T_i, φ_ij) for each φ_ij ≠ 0, so
     g_j·(a, m) = Σ_i (a·T_i, NF_R(φ_ij·m)).  The spaces hold R and the
     columns' entries, not pm, so pm and its powers form no cycle."""
-    base = GradedModule.quotient_ring(pm.ring, list(pm.ring_rels))
-    rank = pm.rank
+    base, rank = pm.base, pm.rank
     units = [tuple(int(k == i) for k in range(rank)) for i in range(rank)]
     parts = [[(units[i], e) for i, e in enumerate(col) if not e.is_zero()]
              for col in pm.columns]
@@ -181,9 +185,8 @@ class ConjectureProbe:
 
 def probe_conjecture_9_5(pm: ParameterModule) -> ConjectureProbe:
     """Evidence for: R unmixed and br₁(U) = 0 ⟹ R Cohen-Macaulay."""
-    base = GradedModule.quotient_ring(pm.ring, list(pm.ring_rels))
-    cm = local_cohomology_lengths(base).is_cohen_macaulay
-    unm = is_unmixed(base)
+    cm = local_cohomology_lengths(pm.base).is_cohen_macaulay
+    unm = is_unmixed(pm.base)
     rep = br_coefficients(pm)
     alert = unm and rep.br1 == 0 and not cm
     return ConjectureProbe(is_cm=cm, unmixed=unm, br1=rep.br1, alert=alert)

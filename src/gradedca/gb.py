@@ -9,10 +9,12 @@ term, so one reduction by the new element alone clears it.
 The run works on integers, fraction-free, from the first S-pair to the
 end: each basis element is kept as its integer form, over Q its
 primitive integer multiple (as hilbert._echelon's rows are), and every
-remainder comes out of one integer reduction loop and becomes its
-integer form by one content division.  No Fraction is built inside the
-run; the monic vectors, with Fraction coefficients over Q, are built
-once, when it ends.
+remainder comes out of one integer reduction loop, _reduce, and becomes
+its integer form by one content division.  _reduce is the one reduction
+kernel: hilbert's normal forms call it on the run's integer forms too.
+No Fraction is built inside the run; a SubmoduleGB keeps the run's lead
+terms and integer forms, and builds its monic vectors, with Fraction
+coefficients over Q, only when they are first read.
 Kernels and the annihilator, the colon (W :_S F), go through one
 elimination primitive, kernel_of_map: a Groebner basis in target ⊕ source
 where the target block dominates.
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import weakref
 from fractions import Fraction
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from operator import sub
@@ -53,15 +56,6 @@ def _primitive(ints, lt, fld):
     if ints[lt] < 0:
         content = -content
     return ints[lt] // content, {t: c // content for t, c in ints.items() if t != lt}
-
-
-def integer_form(b, lt):
-    """(L, tail), the reducer that reduce_vector uses for b, tail holding
-    the terms of b other than its lead term lt: over Q, b's primitive
-    integer multiple, whose lead coefficient L is positive; over F_p, b
-    made monic, with L = 1."""
-    fld = b.field
-    return _primitive(b.terms if fld.p is not None else _cleared(b.terms)[1], lt, fld)
 
 
 def _monic(module, lt, form):
@@ -147,34 +141,6 @@ def _reduce(work, lts, forms, reduce):
             num //= g
             den //= g
     return num, den, out
-
-
-def reduce_vector(v: Vector, basis, lts=None, forms=None):
-    """Full normal form of v against a list of nonzero vectors, each used
-    through its integer form, so any nonzero multiple of it will do.
-
-    The work is _reduce's, on integers: over Q, v's coefficients, ints or
-    Fractions, are cleared of their denominators first, and each reducer
-    is an integer_form (L, tail), from forms or built from basis.  The
-    vector is built once, from the loop's integer remainder: with
-    Fraction coefficients over Q and residues over F_p, so the normal
-    form and its coefficient types are those of exact field arithmetic.
-    Against an empty basis v is its own normal form, and a copy of it
-    comes back at once.
-    """
-    if not basis:
-        return Vector(v.module, dict(v.terms))
-    if lts is None:
-        lts = [b.leading_term()[0] for b in basis]
-    if forms is None:
-        forms = [integer_form(b, lt) for b, lt in zip(basis, lts)]
-    fld = v.module.ring.field
-    if fld.p is not None:
-        return Vector(v.module, _reduce(dict(v.terms), lts, forms, fld.reduce)[2])
-    scale, work = _cleared(v.terms)
-    num, den, out = _reduce(work, lts, forms, fld.reduce)
-    den *= scale
-    return Vector(v.module, {t: Fraction(c * num, den) for t, c in out.items()})
 
 
 def _groebner(base, gens):
@@ -266,32 +232,27 @@ def _groebner(base, gens):
     return module, [lts[k] for k in order], [forms[k] for k in order], kept
 
 
-class _Basis(list):
-    """A reduced basis: its monic vectors, built once, with the run's lead
-    terms and integer forms beside them as lts and forms."""
-
-    def __init__(self, module, lts, forms):
-        super().__init__(_monic(module, lt, form) for lt, form in zip(lts, forms))
-        self.lts, self.forms = lts, forms
-
-
 def buchberger(gens):
     """Reduced Groebner basis of the homogeneous gens' span: monic and
-    sorted by leading term, the leading one first, a list that also
-    carries the lead terms and integer forms as lts and forms."""
-    return _Basis(*_groebner((), gens)[:3])
+    sorted by leading term, the leading one first."""
+    return SubmoduleGB(gens).basis
 
 
 class SubmoduleGB:
-    """A submodule of a free module given by its reduced basis; forms, the
-    basis' integer forms for reduce_vector, are the Buchberger run's."""
+    """A submodule of a free module given by its reduced Groebner basis:
+    the run's lead terms lts and integer forms forms, which _reduce reads,
+    and basis, the monic vectors, built from them when first read."""
 
     def __init__(self, generators):
-        self.basis = buchberger(generators)
-        self.forms = self.basis.forms
+        self.ambient, self.lts, self.forms = _groebner((), generators)[:3]
+
+    @cached_property
+    def basis(self):
+        return [_monic(self.ambient, lt, form)
+                for lt, form in zip(self.lts, self.forms)]
 
     def leading_terms(self):
-        return list(self.basis.lts)
+        return list(self.lts)
 
 
 def kernel_of_map(f: ModuleMap, target_relations=()):

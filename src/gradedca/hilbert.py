@@ -26,10 +26,12 @@ no product of generators is formed, and no row that provably reduces to
 zero is formed either (see _Powers).  The tables are summed from
 multiplication tables kept on the module and shared by every Q of it
 (FGLM's, for the variables): NF(τ) of an ambient term τ is reduced once
-per module and packed once per module and slot width as a row over the
-standard terms of its degree, X_{m,s} lists NF(x^m·u) by the slot of u,
-and the table of g = Σ c_m·x^m on degree s is Σ c_m·X_{m,s}, one integer
-multiply-add per term and row.  _echelon does the linear algebra: over
+per module, by gb._reduce on the integer forms of M's Buchberger run, and
+kept as integers, (den, {term: c}), with no Fraction; it is packed once
+per module and slot width as a row over the standard terms of its
+degree, X_{m,s} lists NF(x^m·u) by the slot of u, and the table of
+g = Σ c_m·x^m on degree s is Σ c_m·X_{m,s}, one integer multiply-add per
+term and row.  _echelon does the linear algebra: over
 F_p a packed echelon, each row one Python int with a slot per column and
 mod-p reduction delayed until a slot is read, so a row operation is one
 integer multiply-add and a table entry is never reduced before it; over
@@ -56,8 +58,8 @@ from dataclasses import dataclass, field
 from itertools import repeat
 from math import comb, gcd, lcm
 
-from .gb import GBError, module_gb, quotient_by_ideal, reduce_vector
-from .modules import GradedModule, Vector, memoized
+from .gb import GBError, _reduce, module_gb, quotient_by_ideal
+from .modules import GradedModule, memoized
 from .poly import Poly, lincomb, mon_deg, mon_divides, mon_mul, require
 
 NEG_INF = float("-inf")
@@ -328,21 +330,19 @@ def _echelon(fld, rows, w, cap):
 @memoized()
 def _normal_forms(module: GradedModule):
     """nf(term): the normal form against M's basis of a term of M's
-    ambient, as {term: coefficient}.  Each is one reduce_vector call on
-    that monomial, made once per module: nf and its table are memoized on
-    it.  Against an empty basis each term is its own normal form."""
+    ambient, as (den, {term: c}) with integers c, the normal form being
+    Σ c/den·term; over F_p den = 1 and the c are residues.  Each is one
+    gb._reduce of that monomial on the basis' integer forms, made once per
+    module: nf and its table are memoized on it."""
     gb = module_gb(module)
-    one = module.ring.field.one()
-    if not gb.basis:
-        return lambda t: {t: one}
-    amb, lts = module.ambient, gb.leading_terms()
+    lts, forms, reduce = gb.lts, gb.forms, module.ring.field.reduce
     table = {}
 
     def nf(t):
         form = table.get(t)
         if form is None:
-            v = Vector(amb, {t: one})
-            form = table[t] = reduce_vector(v, gb.basis, lts, gb.forms).terms
+            num, den, out = _reduce({t: 1}, lts, forms, reduce)
+            form = table[t] = den, {u: num * c for u, c in out.items()}
         return form
     return nf
 
@@ -377,14 +377,9 @@ def _pack_normal_form(fld, nf, term, slots, w):
     coefficient c in slot slots[u] of w bits, over Q (den, {slot: c}) with
     integers c and nf(term) = Σ c/den·u.  A standard term is its own normal
     form and is reduced by nothing."""
-    if term in slots:
-        form = {term: fld.one()}
-    else:
-        form = nf(term)
+    den, form = (1, {term: 1}) if term in slots else nf(term)
     if fld.p is None:
-        den = lcm(*(c.denominator for c in form.values()))
-        return den, {slots[u]: c.numerator * (den // c.denominator)
-                     for u, c in form.items()}
+        return den, {slots[u]: c for u, c in form.items()}
     row = 0
     for u, c in form.items():
         row |= c << w * slots[u]

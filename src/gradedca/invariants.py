@@ -108,7 +108,7 @@ def is_d_sequence(module: GradedModule, forms) -> bool:
     """
     forms = list(forms)
     for i in range(len(forms)):
-        mi = quotient_by_ideal(module, forms[:i])
+        mi = module if i == 0 else quotient_by_ideal(module, forms[:i])
         for k in range(i, len(forms)):
             a, b = (colon_series(mi, h, quotient_by_ideal(mi, [h]))
                     for h in (forms[i] * forms[k], forms[k]))

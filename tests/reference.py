@@ -7,11 +7,14 @@ kernel, the elimination the series colons are checked against.
 reference_reduce_vector is the normal form in exact field arithmetic, a
 Fraction operation per step over Q, and reference_spair the S-vector of
 two monic vectors: the loop and the pair that gb's integer kernel
-replaces.  reference_buchberger is Buchberger with pairs taken by a min()
-scan over all pending ones and a minimalizing pass before the
-interreduction, and reference_minimal_generators the greedy
-graded-Nakayama loop that reruns it for every generator it keeps: the two
-separate loops that gb._groebner replaces with one run.  contains is
+replaces.  reduce_vector is that kernel, gb._reduce, on a vector and a
+list of vectors, each used through its integer_form, with the normal form
+built as a vector of field coefficients, so the two can be compared.
+reference_buchberger is Buchberger with pairs taken by a min() scan over
+all pending ones and a minimalizing pass before the interreduction, and
+reference_minimal_generators the greedy graded-Nakayama loop that reruns
+it for every generator it keeps: the two separate loops that
+gb._groebner replaces with one run.  contains is
 submodule membership by the normal form against a reduced basis.  These
 three reduce through reference_reduce_vector alone, so gb's kernel is
 never held to itself.  sympy_groebner is sympy's reduced grevlex basis
@@ -39,10 +42,10 @@ from heapq import heapify, heappop, heappush
 from itertools import combinations_with_replacement, repeat
 from math import comb, gcd, lcm
 
-from gradedca.gb import (GBError, annihilator, is_zero_module, kernel_of_map,
+from gradedca.gb import (GBError, _cleared, _primitive, _reduce, annihilator,
+                         is_zero_module, kernel_of_map,
                          minimal_free_resolution, minimal_generators,
-                         minimal_presentation, module_gb, quotient_module,
-                         reduce_vector)
+                         minimal_presentation, module_gb, quotient_module)
 from gradedca.hilbert import (_Powers, _Space, _standard_terms, dim_module,
                               hilbert_series, series_length, shifted_sum)
 from gradedca.modules import (FreeModule, GradedModule, ModuleMap, Vector,
@@ -146,6 +149,34 @@ class _RankTracker:
             if terms and self.add(terms):
                 rank += 1
         return rank
+
+
+def integer_form(b, lt):
+    """(L, tail), the reducer that reduce_vector uses for b, tail holding
+    the terms of b other than its lead term lt: over Q, b's primitive
+    integer multiple, whose lead coefficient L is positive; over F_p, b
+    made monic, with L = 1."""
+    fld = b.field
+    return _primitive(b.terms if fld.p is not None else _cleared(b.terms)[1], lt, fld)
+
+
+def reduce_vector(v: Vector, basis, lts=None, forms=None):
+    """Full normal form of v against a list of nonzero vectors, each used
+    through its integer form, so any nonzero multiple of it will do: one
+    gb._reduce on v cleared of its denominators, with the reducers from
+    forms or built from basis by integer_form.  The vector has Fraction
+    coefficients over Q and residues over F_p, those of exact field
+    arithmetic, so it can be held to reference_reduce_vector."""
+    if lts is None:
+        lts = [b.leading_term()[0] for b in basis]
+    if forms is None:
+        forms = [integer_form(b, lt) for b, lt in zip(basis, lts)]
+    fld = v.module.ring.field
+    if fld.p is not None:
+        return Vector(v.module, _reduce(dict(v.terms), lts, forms, fld.reduce)[2])
+    scale, work = _cleared(v.terms)
+    num, den, out = _reduce(work, lts, forms, fld.reduce)
+    return Vector(v.module, {t: Fraction(c * num, den * scale) for t, c in out.items()})
 
 
 def reference_reduce_vector(v: Vector, basis, lts=None):

@@ -5,13 +5,13 @@ from math import comb
 import pytest
 
 from gradedca import brim, hilbert
-from gradedca.gb import SubmoduleGB, reduce_vector
+from gradedca.gb import SubmoduleGB
 from gradedca.hilbert import hilbert_coefficients
 from gradedca.modules import FreeModule, GradedModule
 from gradedca.poly import CoeffField, Poly, PolyRing, monomials_of_degree
 from gradedca.sampler import random_parameter_module
 
-from reference import _RankTracker
+from reference import _RankTracker, reduce_vector
 
 RING1 = PolyRing(CoeffField(32003), ["x"])
 RING2 = PolyRing(CoeffField(32003), ["x", "y"])
@@ -84,6 +84,29 @@ def test_conjecture_probe_no_alert():
     probe = brim.probe_conjecture_9_5(pm)
     assert probe.is_cm and probe.unmixed and probe.br1 == 0
     assert not probe.alert
+
+
+def test_powers_and_probe_share_one_base_ring(monkeypatch, two_plane):
+    """R = S/(ring_rels) is pm.base, one module: the filtration's spaces,
+    base_dim and the probe's Ext profile all read it, so R's basis is
+    built once."""
+    x, y, z, w = two_plane.ring.gens()
+    pm = brim.make_parameter_module(
+        two_plane.ring, [x * z, x * w, y * z, y * w], [[x + z], [y + w]])
+    read = []
+
+    def recorded(f):
+        def g(module):
+            read.append(module)
+            return f(module)
+        return g
+    for name in ("local_cohomology_lengths", "is_unmixed"):
+        monkeypatch.setattr(brim, name, recorded(getattr(brim, name)))
+    probe = brim.probe_conjecture_9_5(pm)
+    assert probe.br1 == -1 and probe.unmixed and not probe.is_cm
+    assert pm.powers.top.base is pm.base
+    assert read == [pm.base, pm.base]
+    assert ("module_gb",) in pm.base._cache
 
 
 def test_validation_rejects_bad_input():

