@@ -15,6 +15,11 @@ kernel: hilbert's normal forms call it on the run's integer forms too.
 No Fraction is built inside the run; a SubmoduleGB keeps the run's lead
 terms and integer forms, and builds its monic vectors, with Fraction
 coefficients over Q, only when they are first read.
+A run may start from a seed, the reduced basis of a submodule of the
+span: the basis of M/(f)M starts from M's and reduces only the multiples
+f·e_i.  Seed elements are reduced like any other vector, and the S-pair
+of two of them that both keep their lead terms is never formed, since
+the seed already gives it a representation below its lcm (_groebner).
 Kernels and the annihilator, the colon (W :_S F), go through one
 elimination primitive, kernel_of_map: a Groebner basis in target ⊕ source
 where the target block dominates.
@@ -143,28 +148,30 @@ def _reduce(work, lts, forms, reduce):
     return num, den, out
 
 
-def _groebner(base, gens):
-    """The reduced Groebner basis of ⟨base⟩ + ⟨gens⟩, as its module, lead
-    terms and integer forms sorted by lead term, and the gens that
-    minimally generate it modulo ⟨base⟩, from one homogeneous run.
+def _groebner(base, gens, seed=None):
+    """The reduced Groebner basis of ⟨seed⟩ + ⟨base⟩ + ⟨gens⟩, as its module,
+    lead terms and integer forms sorted by lead term, and the gens that
+    minimally generate it modulo ⟨seed⟩ + ⟨base⟩, from one homogeneous run.
+    seed, when given, is the SubmoduleGB of a submodule of the span.
 
     One heap holds the S-pairs and the input vectors, keyed by degree, a
     pair's being that of its lcm.  In each degree t the S-pairs come first,
     those at later positions (smaller lcm in position-over-term order,
     which over Q keeps the coefficients of eliminations smaller) before
-    the others; then base's vectors, then gens' in input order.  So the
-    basis is a Groebner basis up to degree t when a vector is reduced,
-    and a gen is kept exactly when it reduces to something nonzero
-    (graded Nakayama).  A remainder joins the basis in a degree no
-    smaller than any basis element's and reduced against them all, so no
-    lead term divides another and the basis stays minimal.  Each older
-    element holding the new lead term lt is reduced by the new one alone:
-    a term at lt's position that lt divides has degree ≥ the new
-    element's ≥ the older one's, so it is lt itself.  So every tail stays
-    reduced, with no final pass.
+    the others; then seed's elements, then base's vectors, then gens' in
+    input order.  So the basis is a Groebner basis up to degree t when a
+    vector is reduced, and a gen is kept exactly when it reduces to
+    something nonzero (graded Nakayama).  A remainder joins the basis in a
+    degree no smaller than any basis element's and reduced against them
+    all, so no lead term divides another and the basis stays minimal.
+    Each older element holding the new lead term lt is reduced by the new
+    one alone: a term at lt's position that lt divides has degree ≥ the
+    new element's ≥ the older one's, so it is lt itself.  So every tail
+    stays reduced, with no final pass.
 
     The run is on integer forms throughout.  An input vector is cleared
-    of its denominators; an S-pair is formed from the forms as
+    of its denominators, and a seed element enters as its integer form; an
+    S-pair is formed from the forms as
     (L_j/g)·m_i·tail_i − (L_i/g)·m_j·tail_j, g = gcd(L_i, L_j), a positive
     multiple of the monic S-pair whose lead terms cancel, and already
     integer.  Each comes out of _reduce as an integer remainder, whose
@@ -172,24 +179,42 @@ def _groebner(base, gens):
     element's form is reduced in place of it.  A pair is dropped by the
     product criterion, in the ideal case only, or by the chain criterion:
     some k whose lead divides the lcm, with both sub-pairs no longer
-    pending.  Inputs must be homogeneous.
+    pending.  The pair of two seed elements that both kept their lead
+    terms is never formed: over the seed, a Groebner basis, their S-vector
+    is a combination with every lead term below the lcm; over the basis,
+    each seed element is one with no lead term above its own (its
+    reduction and the tail reductions since), and one that kept its lead
+    term differs from its basis element by smaller terms.  So that
+    representation carries over, which is all that Buchberger's and the
+    chain criterion ask of a pair.  Inputs must be homogeneous.
     """
-    # S-pair (i, j): (degree, 0, -position, i, j); vector v, i-th of base
-    # (kind 1) or gens (kind 2): (degree, kind, 0, i, v), v never compared
+    # S-pair (i, j): (degree, 0, -position, i, j); input (degree, 1, 0, i, v):
+    # the k-th seed element at i = k − len(seed), v = k, base's i-th vector
+    # at i ≥ 0; the i-th of gens (degree, 2, 0, i, v); v never compared
     heap = [(v.degree(), kind, 0, i, v) for kind, vs in ((1, base), (2, gens))
             for i, v in enumerate(vs) if v]
-    if not heap:
+    seeds = seed.lts if seed is not None else []
+    if seeds:
+        module = seed.ambient
+        heap += [(mon_deg(mon) + module.twists[pos], 1, 0, k - len(seeds), k)
+                 for k, (pos, mon) in enumerate(seeds)]
+    elif heap:
+        module = heap[0][-1].module
+    else:
         return None, [], [], []
     heapify(heap)
-    module = heap[0][-1].module
     fld = module.ring.field
     reduce, rational = fld.reduce, fld.p is None
     rank1 = module.rank == 1
     pending = set()
     lts, forms, kept = [], [], []
+    seeded = set()  # basis elements that are seed elements with their lead terms
     while heap:
         _, kind, _, i, v = heappop(heap)
-        if kind:
+        if kind and i < 0:
+            lead, tail = seed.forms[v]
+            work = {seeds[v]: lead, **tail}
+        elif kind:
             work = _cleared(v.terms)[1] if rational else dict(v.terms)
         else:
             j = v
@@ -220,8 +245,10 @@ def _groebner(base, gens):
         lts.append(lt)
         forms.append(form)
         new = len(lts) - 1
+        if kind and i < 0 and lt == seeds[v]:
+            seeded.add(new)
         for i, (pos, mon) in enumerate(lts[:new]):
-            if pos != lt[0]:
+            if pos != lt[0] or (new in seeded and i in seeded):
                 continue
             lcm = mon_lcm(mon, lt[1])
             # product criterion is only valid in the ideal case
@@ -241,10 +268,15 @@ def buchberger(gens):
 class SubmoduleGB:
     """A submodule of a free module given by its reduced Groebner basis:
     the run's lead terms lts and integer forms forms, which _reduce reads,
-    and basis, the monic vectors, built from them when first read."""
+    and basis, the monic vectors, built from them when first read.  The
+    run may start from seed, the SubmoduleGB of a submodule of the span.
+    kept lists the generators that minimally generate the span, in
+    minimal_generators' order; it is None after a seeded run, whose kept
+    generators are minimal only modulo the seed."""
 
-    def __init__(self, generators):
-        self.ambient, self.lts, self.forms = _groebner((), generators)[:3]
+    def __init__(self, generators, seed=None):
+        self.ambient, self.lts, self.forms, kept = _groebner((), generators, seed)
+        self.kept = kept if seed is None else None
 
     @cached_property
     def basis(self):
@@ -268,8 +300,11 @@ def kernel_of_map(f: ModuleMap, target_relations=()):
     gens = [block.embed(col) + block.basis(offset + j)
             for j, col in enumerate(f.columns())]
     gens += [block.embed(w) for w in target_relations]
-    return [f.source.embed(b, -offset)
-            for b in buchberger(gens) if all(i >= offset for i, _ in b.terms)]
+    # in position-over-term order a lead term in the source block puts
+    # every term there
+    block, lts, forms, _ = _groebner((), gens)
+    return [f.source.embed(_monic(block, lt, form), -offset)
+            for lt, form in zip(lts, forms) if lt[0] >= offset]
 
 
 @memoized()
@@ -301,6 +336,12 @@ def minimal_generators(gens, base=()):
 
 @memoized()
 def module_gb(module: GradedModule) -> SubmoduleGB:
+    """M's reduced basis; that of M/(polys)M, while M lives, is seeded
+    with M's and reduces only the multiples of polys."""
+    parent, polys = getattr(module, "_quotient_of", (None, None))
+    if parent is not None and (base := parent()) is not None:
+        return SubmoduleGB(module.ambient.ideal_multiples(polys),
+                           seed=module_gb(base))
     return SubmoduleGB(module.relations())
 
 
@@ -337,10 +378,11 @@ def quotient_by_ideal(module: GradedModule, polys) -> GradedModule:
     return quo
 
 
-def minimize_presentation(pres: ModuleMap) -> ModuleMap:
+def minimize_presentation(pres: ModuleMap, minimal=None) -> ModuleMap:
     """Cancel unit entries and redundant columns; result has entries in m.
 
-    The columns are cut to minimal generators once.  Then each round takes
+    The columns are cut to minimal generators once, unless minimal already
+    lists them, as minimal_generators would.  Then each round takes
     the first column with a unit entry, at its lowest position i, clears
     coordinate i from the other columns with it, and drops that column and
     e_i: an invertible graded change of generators that splits off the
@@ -349,7 +391,8 @@ def minimize_presentation(pres: ModuleMap) -> ModuleMap:
     ring = pres.source.ring
     fld = ring.field
     amb = pres.target
-    columns = minimal_generators(pres.columns())
+    columns = list(minimal_generators(pres.columns()) if minimal is None
+                   else minimal)
     while True:
         j = next((j for j, col in enumerate(columns)
                   if any(mon_deg(m) == 0 for _, m in col.terms)), None)
@@ -374,7 +417,10 @@ def minimize_presentation(pres: ModuleMap) -> ModuleMap:
 
 @memoized()
 def minimal_presentation(module: GradedModule) -> GradedModule:
-    return GradedModule(minimize_presentation(module.presentation))
+    """M on minimal generators and relations; the minimal relations come
+    from module_gb's run when that run was not seeded."""
+    return GradedModule(minimize_presentation(module.presentation,
+                                              module_gb(module).kept))
 
 
 @memoized()

@@ -4,6 +4,19 @@ Local cohomology enters only through graded duality: the j-th dual
 M_j = Ext^{d−j}_S(M, S) carries the dimension and (when finite) the
 length of H^j_m(M), and no twist normalization is needed downstream.
 
+The profile needs only the duals' Hilbert series, and reads them off
+cokernels, as koszul's complex lengths do.  With F the minimal free
+resolution of M and d_k^* : F_{k−1}^* → F_k^* its transposed
+differentials, the exact sequences 0 → ker d_{k+1}^* → F_k^* →
+im d_{k+1}^* → 0 and 0 → im d_k^* → F_k^* → coker d_k^* → 0 give
+
+    N(Ext^k) = N(coker d_k^*) + N(coker d_{k+1}^*) − N(F_{k+1}^*),
+
+with coker d_0^* = F_0^*.  So each Ext series costs one plain basis of a
+transposed differential's columns, shared by neighbouring k, and no
+elimination.  ext_module builds a dual as a module, for hdeg and the
+annihilators below.
+
 The duals also answer unmixedness (Eisenbud, Huneke and Vasconcelos,
 Invent. Math. 110, 1992, §1): by local duality over S_P, P of dimension j
 lies in Ass M exactly when it lies in Supp M_j.  They give the Hilbert
@@ -17,11 +30,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from .gb import (GBError, annihilator, is_zero_module, kernel_of_map,
                  minimal_free_resolution, minimal_presentation,
                  quotient_by_ideal, subquotient)
-from .hilbert import NEG_INF, colon_series, dim_module, module_length
+from .hilbert import (NEG_INF, colon_series, dim_module, hilbert_series,
+                      series_dim, series_length, shifted_sum)
 from .modules import FreeModule, GradedModule, memoized
 from .poly import require
 
@@ -64,12 +79,60 @@ def ext_dual(module: GradedModule, j: int) -> GradedModule:
     return ext_module(module, d - j)
 
 
+def _free_series(twists):
+    """N(F) of the free module with these twists."""
+    return shifted_sum((1, t, {0: 1}) for t in twists)
+
+
+@memoized(lambda module, k: (k,))
+def _dual_cokernel_series(module: GradedModule, k: int):
+    """N(coker d_k^*), d_k^* : F_{k−1}^* → F_k^* the transposed k-th
+    differential of M's minimal resolution F; coker d_0^* = F_0^*, and
+    past F's length the cokernel is 0."""
+    maps = minimal_free_resolution(module)
+    if k == 0:
+        return _free_series(-t for t in minimal_presentation(module).ambient.twists)
+    if k > len(maps):
+        return {}
+    dual = maps[k - 1].transpose()
+    return hilbert_series(GradedModule.from_relations(dual.target, dual.columns()))
+
+
+def ext_series(module: GradedModule, k: int):
+    """N(Ext^k_S(M, S)) from the cokernels of the transposed differentials,
+    with no Ext module built (see the module docstring)."""
+    if k < 0:
+        return {}
+    maps = minimal_free_resolution(module)
+    top = _free_series(-t for t in maps[k].source.twists) if k < len(maps) else {}
+    return shifted_sum([(1, 0, _dual_cokernel_series(module, k)),
+                        (1, 0, _dual_cokernel_series(module, k + 1)),
+                        (-1, 0, top)])
+
+
 @dataclass
 class CohomologyProfile:
-    duals: list
-    h: list
-    depth: float
-    dim: float
+    """series[j] is N(M_j), the Hilbert numerator of the j-th dual, for
+    j = 0..dim M, over n variables; empty for the zero module."""
+    series: list
+    n: int
+
+    @property
+    def dim(self):
+        return len(self.series) - 1 if self.series else NEG_INF
+
+    def dual_dim(self, j):
+        return series_dim(self.series[j], self.n)
+
+    @cached_property
+    def depth(self):
+        """The smallest j with M_j ≠ 0; +inf for the zero module."""
+        return next((j for j, s in enumerate(self.series) if s), POS_INF)
+
+    @cached_property
+    def h(self):
+        """λ(H^j_m(M)) for j < dim M, None where infinite (dim M_j > 0)."""
+        return [series_length(s, self.n) for s in self.series[:-1]]
 
     def finite_below_top(self):
         return all(v is not None for v in self.h)
@@ -81,29 +144,22 @@ class CohomologyProfile:
     @property
     def is_unmixed(self):
         """dim M_j < j for every j < dim M; true for the zero module."""
-        return all(dim_module(mj) < j for j, mj in enumerate(self.duals[:-1]))
+        return all(self.dual_dim(j) < j for j in range(len(self.series) - 1))
 
 
 @memoized()
 def local_cohomology_lengths(module: GradedModule) -> CohomologyProfile:
-    """Profile of h^j = λ(H^j_m(M)) for j < dim, with depth."""
+    """Profile of h^j = λ(H^j_m(M)) for j < dim, with depth, from the
+    duals' series."""
+    n = module.ring.num_vars
     r = dim_module(module)
-    if r == NEG_INF:
-        return CohomologyProfile(duals=[], h=[], depth=POS_INF, dim=NEG_INF)
-    duals = []
-    h = []
-    dep = None
-    for j in range(r + 1):
-        mj = ext_dual(module, j)
-        dj = dim_module(mj)
-        require(dj == NEG_INF or dj <= j, "dual dimension exceeds its index")
-        duals.append(mj)
-        if dep is None and dj != NEG_INF:
-            dep = j
-        if j < r:
-            h.append(module_length(mj) if dj <= 0 else None)
-    require(dep is not None, "top-dimensional dual of a nonzero module vanished")
-    return CohomologyProfile(duals=duals, h=h, depth=dep, dim=r)
+    series = [] if r == NEG_INF else [ext_series(module, n - j) for j in range(r + 1)]
+    prof = CohomologyProfile(series=series, n=n)
+    require(all(prof.dual_dim(j) <= j for j in range(len(series))),
+            "dual dimension exceeds its index")
+    require(r == NEG_INF or prof.depth != POS_INF,
+            "top-dimensional dual of a nonzero module vanished")
+    return prof
 
 
 def depth(module: GradedModule):
@@ -151,8 +207,8 @@ def unmixed_component(module: GradedModule):
     prof = local_cohomology_lengths(module)
     if prof.is_unmixed:
         return {}
-    factors = [annihilator(mj) for j, mj in enumerate(prof.duals[:-1])
-               if dim_module(mj) == j]
+    factors = [annihilator(ext_dual(module, j)) for j in range(prof.dim)
+               if prof.dual_dim(j) == j]
     rng = random.Random(7)
     for _ in range(UNMIXED_FORM_TRIES):
         g = module.ring.one()

@@ -9,7 +9,7 @@ from math import comb
 from .gb import GBError, betti_numbers, quotient_by_ideal
 from .hilbert import (NEG_INF, colength, colon_series, dim_module,
                       hilbert_coefficients, module_length, qkey)
-from .homology import local_cohomology_lengths
+from .homology import ext_dual, local_cohomology_lengths
 from .koszul import chi1_serre
 from .modules import GradedModule, memoized
 from .poly import require
@@ -35,9 +35,8 @@ def hdeg(module: GradedModule, q_gens) -> int:
     r = dim_module(module)
     if r <= 0:
         return module_length(module)  # 0 for the zero module
-    duals = local_cohomology_lengths(module).duals
     return multiplicity(module, q_gens) + sum(
-        comb(r - 1, j) * hdeg(duals[j], q_gens) for j in range(r))
+        comb(r - 1, j) * hdeg(ext_dual(module, j), q_gens) for j in range(r))
 
 
 def torsion(module: GradedModule, q_gens, i: int) -> int:
@@ -45,8 +44,7 @@ def torsion(module: GradedModule, q_gens, i: int) -> int:
     r = dim_module(module)
     if not (1 <= i <= r - 1):
         raise InvariantError("torsion index must satisfy 1 <= i <= dim-1")
-    prof = local_cohomology_lengths(module)
-    return sum(comb(r - i - 1, j - 1) * hdeg(prof.duals[j], q_gens)
+    return sum(comb(r - i - 1, j - 1) * hdeg(ext_dual(module, j), q_gens)
                for j in range(1, r - i + 1))
 
 

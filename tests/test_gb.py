@@ -605,3 +605,51 @@ def test_module_and_its_quotients_are_freed_by_reference_counting(no_cyclic_gc):
     refs = [weakref.ref(m) for m in (module, quo, both, same)]
     del module, quo, both, same, m
     assert [r() for r in refs] == [None] * 4
+
+
+@given(st.sampled_from([32003, None]), st.sampled_from(CORPUS_MODULES),
+       st.integers(min_value=0, max_value=2 ** 32))
+@settings(max_examples=30, deadline=None)
+def test_seeded_quotient_basis_equals_the_unseeded_one(char, name, seed):
+    """module_gb(M/(f)M) starts from M's basis and reduces only the
+    multiples of f; its lead terms and integer forms are those of one
+    unseeded run on the quotient's relations, also for a quotient of a
+    quotient, which is seeded with M's basis too."""
+    raw = _corpus_raw(name)
+    raw["ring"]["characteristic"] = char
+    module = build_job(raw).module
+    rng = random.Random(seed)
+    forms = [module.ring.random_form(rng.choice([1, 2]), rng) for _ in range(3)]
+    forms = [f for f in forms if not f.is_zero()]
+    quo = gb.quotient_by_ideal(module, forms[:1])
+    both = gb.quotient_by_ideal(quo, forms[1:])
+    for q in (quo, both):
+        seeded = gb.module_gb(q)
+        assert seeded.kept is None  # the run was seeded
+        plain = gb.SubmoduleGB(q.relations())
+        assert (seeded.lts, seeded.forms) == (plain.lts, plain.forms)
+
+
+@pytest.mark.parametrize("char", [32003, None])
+@pytest.mark.parametrize("name", CORPUS_MODULES)
+def test_basis_and_minimal_presentation_share_one_run(name, char, monkeypatch):
+    """minimal_presentation(M) takes M's minimal generators from the run
+    that module_gb(M) makes, so the two make one pass over M's relations,
+    and the presentation is the one a separate minimal_generators run
+    gives."""
+    raw = _corpus_raw(name)
+    raw["ring"]["characteristic"] = char
+    module = build_job(raw).module
+    runs = []
+    original = gb._groebner
+
+    def counted(base, gens, seed=None):
+        runs.append(list(gens))
+        return original(base, gens, seed)
+    monkeypatch.setattr(gb, "_groebner", counted)
+    gb.module_gb(module)
+    pres = gb.minimal_presentation(module).presentation
+    assert runs == [module.relations()]
+    monkeypatch.undo()
+    again = gb.minimize_presentation(module.presentation)
+    assert (pres.columns(), pres.target) == (again.columns(), again.target)

@@ -118,9 +118,43 @@ def test_ext_criterion_matches_the_unmixed_component(name, char):
     assert u == reference_unmixed_series(module)
     assert hm.is_unmixed(module) == (not u)
     prof = hm.local_cohomology_lengths(module)
-    top = max((j for j, mj in enumerate(prof.duals[:-1])
-               if dim_module(mj) == j), default=NEG_INF)
+    top = max((j for j in range(len(prof.series) - 1)
+               if series_dim(prof.series[j], prof.n) == j), default=NEG_INF)
     assert series_dim(u, module.ring.num_vars) == top
+
+
+def _depth_zero(char):
+    """S/(x², xy, xz), whose top Koszul homology does not vanish."""
+    ring = PolyRing(CoeffField(char), ["x", "y", "z"])
+    x, y, z = ring.gens()
+    return GradedModule.quotient_ring(ring, [x ** 2, x * y, x * z])
+
+
+def _depth_zero_plus_field(char):
+    """S/(x², xy, xz) ⊕ S/(x, y, z): depth 0 from two summands."""
+    module = _depth_zero(char)
+    return module.direct_sum(GradedModule.quotient_ring(module.ring,
+                                                        module.ring.gens()))
+
+
+PROFILE_CASES = {"three-sum": _three_sum, "depth-zero": _depth_zero,
+                 "depth-zero+k": _depth_zero_plus_field}
+
+
+@pytest.mark.parametrize("char", [32003, None])
+@pytest.mark.parametrize("name", CORPUS_MODULES + sorted(PROFILE_CASES))
+def test_profile_series_are_the_series_of_the_ext_modules(name, char):
+    """The series read off the dual resolution's cokernels equal those of
+    the Ext modules built by elimination, for k = 0..n, and the profile
+    holds them as its duals' series."""
+    module = (PROFILE_CASES[name](char) if name in PROFILE_CASES
+              else _corpus_module(name, char))
+    n = module.ring.num_vars
+    want = [hilbert_series(hm.ext_module(module, k)) for k in range(n + 1)]
+    assert [hm.ext_series(module, k) for k in range(n + 1)] == want
+    prof = hm.local_cohomology_lengths(module)
+    assert len(prof.series) == dim_module(module) + 1
+    assert prof.series == [want[n - j] for j in range(len(prof.series))]
 
 
 def test_generalized_cm(free_plane, mixed_line, two_plane, plane_plus_line):
