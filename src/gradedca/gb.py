@@ -16,10 +16,11 @@ No Fraction is built inside the run; a SubmoduleGB keeps the run's lead
 terms and integer forms, and builds its monic vectors, with Fraction
 coefficients over Q, only when they are first read.
 A run may start from a seed, the reduced basis of a submodule of the
-span: the basis of M/(f)M starts from M's and reduces only the multiples
-f·e_i.  Seed elements are reduced like any other vector, and the S-pair
-of two of them that both keep their lead terms is never formed, since
-the seed already gives it a representation below its lcm (_groebner).
+span: the basis of M/(f)M starts from M's, when M's is built, and
+reduces only the multiples f·e_i.  Seed elements are reduced like any
+other vector, and the S-pair of two of them that both keep their lead
+terms is never formed, since the seed already gives it a representation
+below its lcm (_groebner).
 Kernels and the annihilator, the colon (W :_S F), go through one
 elimination primitive, kernel_of_map: a Groebner basis in target ⊕ source
 where the target block dominates.
@@ -336,12 +337,14 @@ def minimal_generators(gens, base=()):
 
 @memoized()
 def module_gb(module: GradedModule) -> SubmoduleGB:
-    """M's reduced basis; that of M/(polys)M, while M lives, is seeded
-    with M's and reduces only the multiples of polys."""
+    """M's reduced basis; that of M/(polys)M, while M lives and its basis
+    is already built, is seeded with M's and reduces only the multiples
+    of polys.  A parent basis that nothing has read is not built for it:
+    one unseeded run does the work of two."""
     parent, polys = getattr(module, "_quotient_of", (None, None))
-    if parent is not None and (base := parent()) is not None:
-        return SubmoduleGB(module.ambient.ideal_multiples(polys),
-                           seed=module_gb(base))
+    base = parent() if parent is not None else None
+    if base is not None and (seed := module_gb.peek(base)) is not None:
+        return SubmoduleGB(module.ambient.ideal_multiples(polys), seed=seed)
     return SubmoduleGB(module.relations())
 
 

@@ -5,10 +5,10 @@ M_j = Ext^{d−j}_S(M, S) carries the dimension and (when finite) the
 length of H^j_m(M), and no twist normalization is needed downstream.
 
 The profile needs only the duals' Hilbert series, and reads them off
-cokernels, as koszul's complex lengths do.  With F the minimal free
-resolution of M and d_k^* : F_{k−1}^* → F_k^* its transposed
-differentials, the exact sequences 0 → ker d_{k+1}^* → F_k^* →
-im d_{k+1}^* → 0 and 0 → im d_k^* → F_k^* → coker d_k^* → 0 give
+cokernels.  With F the minimal free resolution of M and
+d_k^* : F_{k−1}^* → F_k^* its transposed differentials, the exact
+sequences 0 → ker d_{k+1}^* → F_k^* → im d_{k+1}^* → 0 and
+0 → im d_k^* → F_k^* → coker d_k^* → 0 give
 
     N(Ext^k) = N(coker d_k^*) + N(coker d_{k+1}^*) − N(F_{k+1}^*),
 
@@ -16,6 +16,15 @@ with coker d_0^* = F_0^*.  So each Ext series costs one plain basis of a
 transposed differential's columns, shared by neighbouring k, and no
 elimination.  ext_module builds a dual as a module, for hdeg and the
 annihilators below.
+
+Tor against S/(x), for forms x, comes off the same resolution by the
+same count on the complex F/(x)F, whose differentials d̄_i : F̄_i →
+F̄_{i−1} go down: N(Tor_i) = N(coker d̄_i) + N(coker d̄_{i+1}) − N(F̄_{i−1}),
+with coker d̄_0 = 0 and coker d̄_{pd+1} = F̄_pd.  coker d̄_i is
+F_{i−1}/(im d_i + (x)F_{i−1}), one plain basis, and
+N(F̄_i) = N(F_i)·∏(1 − t^{deg x_j}) needs none.  When x is S-regular these
+are the Koszul homology series of x on M; koszul shows that a system of
+parameters of M always is.
 
 The duals also answer unmixedness (Eisenbud, Huneke and Vasconcelos,
 Invent. Math. 110, 1992, §1): by local duality over S_P, P of dimension j
@@ -84,6 +93,12 @@ def _free_series(twists):
     return shifted_sum((1, t, {0: 1}) for t in twists)
 
 
+def _cokernel_series(d, polys=()):
+    """N(coker d / (polys)·coker d), d a map of free modules."""
+    rels = d.columns() + d.target.ideal_multiples(polys)
+    return hilbert_series(GradedModule.from_relations(d.target, rels))
+
+
 @memoized(lambda module, k: (k,))
 def _dual_cokernel_series(module: GradedModule, k: int):
     """N(coker d_k^*), d_k^* : F_{k−1}^* → F_k^* the transposed k-th
@@ -94,8 +109,7 @@ def _dual_cokernel_series(module: GradedModule, k: int):
         return _free_series(-t for t in minimal_presentation(module).ambient.twists)
     if k > len(maps):
         return {}
-    dual = maps[k - 1].transpose()
-    return hilbert_series(GradedModule.from_relations(dual.target, dual.columns()))
+    return _cokernel_series(maps[k - 1].transpose())
 
 
 def ext_series(module: GradedModule, k: int):
@@ -108,6 +122,24 @@ def ext_series(module: GradedModule, k: int):
     return shifted_sum([(1, 0, _dual_cokernel_series(module, k)),
                         (1, 0, _dual_cokernel_series(module, k + 1)),
                         (-1, 0, top)])
+
+
+def tor_series(module: GradedModule, forms):
+    """N(Tor_i^S(M, S/(forms))) for i = 0..len(forms), the homology of
+    F/(forms)F, F the minimal free resolution of M (see the module
+    docstring)."""
+    maps = minimal_free_resolution(module)
+    stages = []  # N(F_i/(forms)F_i) = N(F_i)·∏(1 − t^deg f)
+    for free in [minimal_presentation(module).ambient] + [d.source for d in maps]:
+        num = _free_series(free.twists)
+        for f in forms:
+            num = shifted_sum([(1, 0, num), (-1, f.total_degree(), num)])
+        stages.append(num)
+    # coker[i] = N(coker d̄_i): 0 for i = 0, F̄_pd for i = pd + 1
+    coker = [{}] + [_cokernel_series(d, forms) for d in maps] + stages[-1:]
+    return [shifted_sum([(1, 0, coker[i]), (1, 0, coker[i + 1]),
+                         (-1, 0, stages[i - 1] if i else {})])
+            if i < len(stages) else {} for i in range(len(forms) + 1)]
 
 
 @dataclass

@@ -320,12 +320,17 @@ def execute_op(job: Job, opspec):
         return plain(hb.hilbert_samuel(m, gens, opspec.get("N", 6)))
     if op == "hilbert-coefficients":
         return plain(hb.hilbert_coefficients(m, _ideal(job, opspec)))
-    if op == "koszul-homology":
-        return plain(koszul.koszul_homology(m, _ideal(job, opspec)))
+    if op in ("koszul-homology", "chi1-recursion"):
+        run = (koszul.koszul_homology if op == "koszul-homology"
+               else koszul.chi1_recursion_check)
+        gens = _ideal(job, opspec)
+        try:
+            return plain(run(m, gens))
+        except koszul.KoszulError as exc:
+            # every KoszulError is about the input forms
+            raise JobError("ideal %r: %s" % (opspec["ideal"], exc)) from exc
     if op == "chi1-serre":
         return koszul.chi1_serre(m, _ideal(job, opspec))
-    if op == "chi1-recursion":
-        return plain(koszul.chi1_recursion_check(m, _ideal(job, opspec)))
     if op == "hdeg":
         return plain(invariants.hdeg_report(m, _ideal(job, opspec)))
     if op == "e1-torsion-bound":

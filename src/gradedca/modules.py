@@ -206,7 +206,8 @@ class ModuleMap:
 
 def memoized(key=lambda module: ()):
     """Decorator: f(module, …) is computed once and kept in module._cache
-    under (f.__name__,) + key(module, …); key has f's signature."""
+    under (f.__name__,) + key(module, …); key has f's signature.
+    f.peek(module, …) is the kept value, or None, computing nothing."""
     def decorate(f):
         name = (f.__name__,)
 
@@ -216,6 +217,8 @@ def memoized(key=lambda module: ()):
             if k not in module._cache:
                 module._cache[k] = f(module, *args, **kwargs)
             return module._cache[k]
+        cached.peek = lambda module, *args, **kwargs: module._cache.get(
+            name + key(module, *args, **kwargs))
         return cached
     return decorate
 

@@ -31,6 +31,9 @@ T·p².  quotient_length counts λ(F/K) from per-degree Macaulay matrices
 over F_p, with no Groebner basis.  reference_tor_lengths reads
 Tor_i(M, S/(x)) off M's minimal free resolution modulo (x), the Koszul
 homology lengths when x is S-regular, with no Koszul complex.
+reference_koszul_lengths is the Koszul complex itself, the oracle that
+koszul's series and Tor routes are held to: koszul_differential builds
+its maps on M's ambient, and the cycles come from an elimination basis.
 random_nonzero draws the nonzero coefficients of the random test inputs,
 and random_integer_forms the text of random forms with small integer
 coefficients, read alike over Q and over F_p.
@@ -39,7 +42,7 @@ coefficients, read alike over Q and over F_p.
 import random
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import combinations_with_replacement, repeat
+from itertools import combinations, combinations_with_replacement, repeat
 from math import comb, gcd, lcm
 
 from gradedca.gb import (GBError, _cleared, _primitive, _reduce, annihilator,
@@ -510,6 +513,71 @@ def reference_tor_lengths(module, forms):
         num = shifted_sum([
             (1, 0, hilbert_series(GradedModule.from_relations(free, bounds))),
             (-1, 0, hilbert_series(GradedModule.from_relations(free, cycles)))])
+        lengths.append(series_length(num, n))
+    return lengths
+
+
+def koszul_stage(module, forms, i):
+    """C_i = F₀ ⊗ Λ^i on len(forms) symbols, F₀ M's ambient: a block of
+    F₀(−deg x_T) for each i-subset T, in combinations' order."""
+    degs = [f.total_degree() for f in forms]
+    return FreeModule(module.ring, [
+        t + sum(degs[s] for s in T)
+        for T in combinations(range(len(forms)), i)
+        for t in module.ambient.twists])
+
+
+def koszul_differential(module, forms, i):
+    """d_i : C_i → C_{i−1}; the column of e_b ⊗ e_T is
+    Σ_j (−1)^j x_{T_j}·e_b ⊗ e_{T∖T_j}, whose summands sit at distinct
+    positions."""
+    r, f = len(forms), module.ambient.rank
+    fld = module.ring.field
+    tgt = koszul_stage(module, forms, i - 1)
+    lower = {T: k for k, T in enumerate(combinations(range(r), i - 1))}
+    cols = []
+    for T in combinations(range(r), i):
+        for b in range(f):
+            terms = {}
+            for j, s in enumerate(T):
+                pos = lower[T[:j] + T[j + 1:]] * f + b
+                for m, c in forms[s].terms.items():
+                    terms[(pos, m)] = c if j % 2 == 0 else fld.reduce(-c)
+            cols.append(Vector(tgt, terms))
+    return ModuleMap(koszul_stage(module, forms, i), tgt, cols)
+
+
+def stage_relations(module, stage, i, r):
+    """M's relations carried into every block of C_i."""
+    f = module.ambient.rank
+    return [stage.embed(w, blk * f) for blk in range(comb(r, i))
+            for w in module.relations()]
+
+
+def reference_koszul_lengths(module, forms):
+    """λ(H_i(forms; M)) for i = 0..len(forms) off the Koszul complex:
+    with B_i = im d_{i+1} + M's relations and Z_i = d_i^{−1}(M's
+    relations in C_{i−1}), the cycles by one elimination basis,
+    λ(H_i) = λ(C_i/B_i) − λ(C_i/Z_i) from two Hilbert series; None where
+    it is infinite."""
+    r, n = len(forms), module.ring.num_vars
+    lengths = []
+    for i in range(r + 1):
+        stage = koszul_stage(module, forms, i)
+        bounds = stage_relations(module, stage, i, r)
+        if i == 0:
+            cycles = [stage.basis(k) for k in range(stage.rank)]
+        else:
+            prev = koszul_stage(module, forms, i - 1)
+            cycles = kernel_of_map(
+                koszul_differential(module, forms, i),
+                target_relations=stage_relations(module, prev, i - 1, r))
+        if i < r:
+            bounds += [c for c in koszul_differential(module, forms, i + 1).columns()
+                       if not c.is_zero()]
+        num = shifted_sum([
+            (1, 0, hilbert_series(GradedModule.from_relations(stage, bounds))),
+            (-1, 0, hilbert_series(GradedModule.from_relations(stage, cycles)))])
         lengths.append(series_length(num, n))
     return lengths
 

@@ -368,12 +368,17 @@ BAD_INPUTS = [
             "ring_relations": ["x+x^2"]}),
     (None, {"op": "probe-9-5", "columns": [["x"], ["y"]],
             "ring_relations": ["x+x^2"]}),
+    ({"U": ["x", "y"]}, {"op": "koszul-homology", "ideal": "U"}),
+    ({"U": ["x", "y"]}, {"op": "chi1-recursion", "ideal": "U"}),
+    ({"U": ["x"]}, {"op": "koszul-homology", "ideal": "U"}),
+    ({"U": ["x"]}, {"op": "chi1-recursion", "ideal": "U"}),
 ]
 
 
 @pytest.mark.parametrize("ideals,op", BAD_INPUTS)
 def test_bad_ideal_or_matrix_exits_2(tmp_path, capsys, ideals, op):
-    # a unit, zero or inhomogeneous ideal generator or h, a power below 1,
+    # a unit, zero or inhomogeneous ideal generator or h, Koszul forms that
+    # are not a system of parameters of M (dim M = 1 here), a power below 1,
     # a malformed column matrix and an op field no op reads are invalid
     # input, not computation errors
     path = write_job(tmp_path, _mixed_line(ideals, [op]))

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from gradedca import gb
 from gradedca.jobio import build_job
 from gradedca.modules import FreeModule, GradedModule, Vector
-from gradedca.hilbert import hilbert_series
+from gradedca.hilbert import hilbert_series, module_length
 from gradedca.poly import (CoeffField, PolyError, PolyRing, RingMismatch, mon_deg,
                            mon_div, monomials_of_degree)
 
@@ -611,13 +611,14 @@ def test_module_and_its_quotients_are_freed_by_reference_counting(no_cyclic_gc):
        st.integers(min_value=0, max_value=2 ** 32))
 @settings(max_examples=30, deadline=None)
 def test_seeded_quotient_basis_equals_the_unseeded_one(char, name, seed):
-    """module_gb(M/(f)M) starts from M's basis and reduces only the
-    multiples of f; its lead terms and integer forms are those of one
-    unseeded run on the quotient's relations, also for a quotient of a
-    quotient, which is seeded with M's basis too."""
+    """module_gb(M/(f)M), once M's basis is built, starts from it and
+    reduces only the multiples of f; its lead terms and integer forms are
+    those of one unseeded run on the quotient's relations, also for a
+    quotient of a quotient, which is seeded with M's basis too."""
     raw = _corpus_raw(name)
     raw["ring"]["characteristic"] = char
     module = build_job(raw).module
+    gb.module_gb(module)
     rng = random.Random(seed)
     forms = [module.ring.random_form(rng.choice([1, 2]), rng) for _ in range(3)]
     forms = [f for f in forms if not f.is_zero()]
@@ -628,6 +629,37 @@ def test_seeded_quotient_basis_equals_the_unseeded_one(char, name, seed):
         assert seeded.kept is None  # the run was seeded
         plain = gb.SubmoduleGB(q.relations())
         assert (seeded.lts, seeded.forms) == (plain.lts, plain.forms)
+
+
+def _count_runs(monkeypatch):
+    """The seed argument of each gb._groebner run, in call order."""
+    seeds = []
+    original = gb._groebner
+
+    def counted(base, gens, seed=None):
+        seeds.append(seed)
+        return original(base, gens, seed)
+    monkeypatch.setattr(gb, "_groebner", counted)
+    return seeds
+
+
+@pytest.mark.parametrize("char", [32003, None])
+def test_quotient_of_an_unread_module_makes_one_run(char, monkeypatch):
+    """A quotient of a module whose basis nothing has built is not seeded:
+    λ(M/(x + z, y + w)M) on a fresh two-plane makes one unseeded run, and
+    reading M's basis afterwards makes one more; a second quotient of M,
+    once M's basis is built, is seeded with it."""
+    raw = _corpus_raw("two-plane")
+    raw["ring"]["characteristic"] = char
+    module = build_job(raw).module
+    x, y, z, w = module.ring.gens()
+    seeds = _count_runs(monkeypatch)
+    assert module_length(gb.quotient_by_ideal(module, [x + z, y + w])) == 3
+    assert seeds == [None] and gb.module_gb.peek(module) is None
+    gb.module_gb(module)
+    assert seeds == [None, None]
+    gb.module_gb(gb.quotient_by_ideal(module, [x + y, z + w]))
+    assert seeds[2] is gb.module_gb(module)
 
 
 @pytest.mark.parametrize("char", [32003, None])

@@ -5,18 +5,20 @@ import weakref
 
 import pytest
 
+from gradedca import homology
 from gradedca import koszul as kz
-from gradedca.gb import kernel_of_map, quotient_by_ideal, subquotient
-from gradedca.hilbert import (colength, colon_series, dim_module, divide_poles,
-                              hilbert_series, make_parameter_ideal,
-                              module_length, superficial_check)
+from gradedca.gb import quotient_by_ideal, subquotient
+from gradedca.hilbert import (colength, colon_series, dim_module,
+                              make_parameter_ideal, module_length,
+                              superficial_check)
 from gradedca.jobio import build_job
 from gradedca.modules import GradedModule
 from gradedca.poly import CoeffField, PolyRing
 from gradedca.sampler import (SampleConfig, random_parameter_ideal,
                               sample_parameter_ideals)
 
-from reference import colon_submodule, reference_tor_lengths
+from reference import (colon_submodule, koszul_differential,
+                       reference_koszul_lengths, reference_tor_lengths)
 
 RING = PolyRing(CoeffField(32003), ["x", "y"])
 X, Y = RING.gens()
@@ -44,10 +46,11 @@ def test_two_plane_homology(two_plane, ring4):
 
 
 def test_differential_squares_to_zero(two_plane, ring4):
+    # the reference complex, which the engine's lengths are held to
     x, y, z, w = ring4.gens()
-    d1 = kz.koszul_differential(two_plane, [x, y, z + w], 1)
-    d2 = kz.koszul_differential(two_plane, [x, y, z + w], 2)
-    d3 = kz.koszul_differential(two_plane, [x, y, z + w], 3)
+    d1 = koszul_differential(two_plane, [x, y, z + w], 1)
+    d2 = koszul_differential(two_plane, [x, y, z + w], 2)
+    d3 = koszul_differential(two_plane, [x, y, z + w], 3)
     assert d1.compose(d2).is_zero()
     assert d2.compose(d3).is_zero()
 
@@ -92,35 +95,9 @@ def test_non_parameter_input_fails(free_plane):
 
 
 # ---------------------------------------------------------------------------
-# reference: the cycles Z_i by an elimination Groebner basis, then
-# λ(H_i) = λ(stage/boundaries) − λ(stage/cycles) from two Hilbert series;
-# and the colon 0:_M h presented as a subquotient
-
-
-def _reference_lengths(module, forms):
-    r, n = len(forms), module.ring.num_vars
-    lengths = []
-    for i in range(r + 1):
-        stage = kz.koszul_stage(module, forms, i)
-        bounds = kz._stage_relations(module, stage, i, r)
-        if i == 0:
-            cycles = [stage.basis(k) for k in range(stage.rank)]
-        else:
-            prev = kz.koszul_stage(module, forms, i - 1)
-            cycles = kernel_of_map(
-                kz.koszul_differential(module, forms, i),
-                target_relations=kz._stage_relations(module, prev, i - 1, r))
-        if i < r:
-            bounds += [c for c in kz.koszul_differential(
-                module, forms, i + 1).columns() if not c.is_zero()]
-        big = hilbert_series(GradedModule.from_relations(stage, bounds))
-        small = hilbert_series(GradedModule.from_relations(stage, cycles))
-        diff = {e: big.get(e, 0) - small.get(e, 0)
-                for e in big.keys() | small.keys()}
-        j, quo = divide_poles(diff, n)
-        assert j == n
-        lengths.append(sum(quo.values()))
-    return lengths
+# reference: the Koszul complex's lengths, its cycles Z_i by an elimination
+# Groebner basis (reference.reference_koszul_lengths); and the colon 0:_M h
+# presented as a subquotient
 
 
 def _reference_colon(module, h):
@@ -133,25 +110,33 @@ def _euler(lengths):
     return sum((-1) ** i * v for i, v in enumerate(lengths))
 
 
-# corpus modules, two of them with their ambient retwisted, and a module of
-# depth zero whose top Koszul homology does not vanish
+# corpus modules, two of them with their ambient retwisted; k[x,y,z,w]/(xw,
+# xyz, x³), of dimension 3 and depth 1, where Tor runs after a nonempty
+# M-regular prefix; and a module of depth zero whose top Koszul homology
+# does not vanish
 CASES = {name: name for name in ["free-plane", "mixed-line", "mixed-sum",
                                  "plane-plus-line", "two-plane",
                                  "dim3-buchsbaum", "hypersurface"]}
 CASES["mixed-sum(-1,2)"] = ("mixed-sum", [-1, 2])
 CASES["plane-plus-line(1,0)"] = ("plane-plus-line", [1, 0])
+CASES["monomial-3"] = {"ring": {"variables": ["x", "y", "z", "w"]},
+                       "module": {"twists": [0], "relations": [
+                           ["x*w"], ["x*y*z"], ["x^3"]]}}
 
 
 def _case_module(case, char):
     spec = CASES[case]
-    name, twists = (spec, None) if isinstance(spec, str) else spec
-    path = os.path.join(os.path.dirname(__file__), "..", "corpus",
-                        name + ".json")
-    with open(path) as fh:
-        raw = json.load(fh)
+    if isinstance(spec, dict):
+        raw = dict(spec, ring=dict(spec["ring"]))
+    else:
+        name, twists = (spec, None) if isinstance(spec, str) else spec
+        path = os.path.join(os.path.dirname(__file__), "..", "corpus",
+                            name + ".json")
+        with open(path) as fh:
+            raw = json.load(fh)
+        if twists is not None:
+            raw["module"]["twists"] = twists
     raw["ring"]["characteristic"] = char
-    if twists is not None:
-        raw["module"]["twists"] = twists
     return build_job(raw).module
 
 
@@ -174,7 +159,7 @@ def test_homology_lengths_match_cycle_path(case, char):
     module = _depth_zero(char) if case == "depth-zero" \
         else _case_module(case, char)
     for forms in _sops(module, case):
-        ref = _reference_lengths(module, forms)
+        ref = reference_koszul_lengths(module, forms)
         rep = kz.koszul_homology(module, forms)
         assert rep.lengths == ref
         assert rep.chi == _euler(ref)
@@ -204,72 +189,94 @@ def test_koszul_homology_once_per_module_and_forms():
     module = _depth_zero(32003)
     y, z = module.ring.gens()[1:]
     first = kz.koszul_homology(module, iter([y, z]))
-    assert first.lengths == _reference_lengths(module, [y, z])
+    assert first.lengths == reference_koszul_lengths(module, [y, z])
     assert kz.koszul_homology(module, list((y, z))) is first
     assert kz.koszul_homology(module, [z, y]) is not first
 
 
 # ---------------------------------------------------------------------------
-# the peel: an M-regular first form x₁ leaves H_i(x′; M/x₁M) and H_r = 0
+# the route: series alone after an M-regular prefix x₁..x_{r−1}, else Tor of
+# M's own minimal resolution
 
 
-def _count_differentials(monkeypatch):
-    """The modules koszul_differential is called on, in call order."""
-    modules = []
-    original = kz.koszul_differential
-
-    def counted(module, forms, i):
-        modules.append(module)
-        return original(module, forms, i)
-    monkeypatch.setattr(kz, "koszul_differential", counted)
-    return modules
+def _count_route(monkeypatch):
+    """(name, module) of each call of tor_series and of the minimal
+    resolution, in call order."""
+    calls = []
+    for owner, name in ((kz, "tor_series"),
+                        (homology, "minimal_free_resolution")):
+        def counted(module, *args, _name=name, _original=getattr(owner, name)):
+            calls.append((_name, module))
+            return _original(module, *args)
+        monkeypatch.setattr(owner, name, counted)
+    return calls
 
 
 @pytest.mark.parametrize("char", [32003, None])
 def test_cohen_macaulay_module_builds_no_complex_on_m(char, monkeypatch):
-    # on a Cohen-Macaulay module every sop is a regular sequence: x₁ is
-    # peeled, and only the one-form complex on M/x₁M is built
+    # on a Cohen-Macaulay module every sop is a regular sequence: the
+    # lengths are λ(M/xM) and zeros, with no resolution
     module = _case_module("hypersurface", char)
     forms = _sops(module, "hypersurface")[0]
-    calls = _count_differentials(monkeypatch)
+    calls = _count_route(monkeypatch)
     rep = kz.koszul_homology(module, forms)
-    assert calls == [quotient_by_ideal(module, forms[:1])]
+    assert calls == []
     assert rep.lengths == [colength(module, forms)] + [0] * len(forms)
-    assert rep.lengths == _reference_lengths(module, forms)
+    assert rep.lengths == reference_koszul_lengths(module, forms)
 
 
 @pytest.mark.parametrize("char", [32003, None])
 def test_two_plane_peels_one_form_then_builds_the_complex(char, monkeypatch):
     # depth 1: x₁ = x + z is M-regular, and y + w kills the socle of
-    # M/x₁M, so the complex is built on M/x₁M alone, with one form
+    # M/x₁M, so H_1 = 0 :_{M/x₁M} (y + w) is read off series, with no
+    # resolution
     module = _case_module("two-plane", char)
     x, y, z, w = module.ring.gens()
     forms = [x + z, y + w]
     quo = quotient_by_ideal(module, forms[:1])
     assert not colon_series(module, forms[0], quo)
     assert colon_series(quo, forms[1], quotient_by_ideal(quo, forms[1:]))
-    calls = _count_differentials(monkeypatch)
+    calls = _count_route(monkeypatch)
     rep = kz.koszul_homology(module, forms)
-    assert calls and all(m is quo for m in calls)
-    assert rep.lengths == _reference_lengths(module, forms) == [3, 1, 0]
+    assert calls == []
+    assert rep.lengths == reference_koszul_lengths(module, forms) == [3, 1, 0]
 
 
 @pytest.mark.parametrize("char", [32003, None])
 def test_zero_divisor_first_form_runs_the_full_complex(char, monkeypatch):
-    # y kills x in S/(x², xy, xz): no peel, the complex is built on M
+    # y kills x in S/(x², xy, xz): no regular prefix, and the lengths are
+    # Tor of M's own resolution modulo (y, z)
     module = _depth_zero(char)
     y, z = module.ring.gens()[1:]
-    calls = _count_differentials(monkeypatch)
+    calls = _count_route(monkeypatch)
     rep = kz.koszul_homology(module, [y, z])
-    assert calls and all(m is module for m in calls)
-    assert rep.lengths == _reference_lengths(module, [y, z]) == [2, 2, 1]
+    assert [m for name, m in calls if name == "tor_series"] == [module]
+    assert calls and all(m is module for _, m in calls)
+    assert rep.lengths == reference_koszul_lengths(module, [y, z]) == [2, 2, 1]
+
+
+@pytest.mark.parametrize("char", [32003, None])
+def test_tor_runs_on_m_after_a_regular_prefix(char, monkeypatch):
+    # depth 1 and dimension 3: x₁ is M-regular and x₂ is not regular on
+    # M/x₁M, so Tor runs, on M's resolution, not on M/x₁M's
+    module = _case_module("monomial-3", char)
+    calls = _count_route(monkeypatch)
+    for forms in _sops(module, "monomial-3"):
+        quo = quotient_by_ideal(module, forms[:1])
+        assert not colon_series(module, forms[0], quo)
+        assert colon_series(quo, forms[1], quotient_by_ideal(quo, forms[1:2]))
+        calls.clear()
+        rep = kz.koszul_homology(module, forms)
+        assert calls and all(m is module for _, m in calls)
+        assert [name for name, _ in calls].count("tor_series") == 1
+        assert rep.lengths == reference_koszul_lengths(module, forms)
 
 
 @pytest.mark.parametrize("case", ["dim3-buchsbaum", "hypersurface"])
 def test_peeled_modules_are_freed_by_reference_counting(case, no_cyclic_gc):
-    # the peel keeps M/x₁M and its Koszul homology on M, and a quotient
-    # refers back to M weakly, so M and everything computed on it go once
-    # the caller drops M
+    # the prefix scan keeps M/x₁M and the Koszul homology on M, and a
+    # quotient refers back to M weakly, so M and everything computed on it
+    # go once the caller drops M
     module = _case_module(case, 32003)
     forms = _sops(module, case)[0]
     kz.chi1_recursion_check(module, forms)
@@ -297,7 +304,7 @@ def test_recursion_colon_term_matches_colon_module(case, char):
         else _case_module(case, char)
     for forms in _sops(module, case):
         col = _reference_colon(module, forms[0])
-        expected = (_euler(_reference_lengths(col, forms[1:]))
+        expected = (_euler(reference_koszul_lengths(col, forms[1:]))
                     if col.ambient.rank else 0)
         rep = kz.chi1_recursion_check(module, forms)
         assert rep.from_colon == expected
