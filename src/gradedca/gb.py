@@ -360,7 +360,7 @@ def quotient_module(module: GradedModule, extra_relations) -> GradedModule:
     return GradedModule.from_relations(module.ambient, rels)
 
 
-@memoized(lambda module, polys: tuple(map(repr, polys)))
+@memoized(forms=tuple)
 def quotient_by_ideal(module: GradedModule, polys) -> GradedModule:
     """M/(polys)M, keyed by polys in order, the order of its relations.
 
@@ -372,7 +372,6 @@ def quotient_by_ideal(module: GradedModule, polys) -> GradedModule:
     cache reaches back to it; once M is gone, its quotients' quotients
     are built from them directly.
     """
-    polys = list(polys)
     parent, head = getattr(module, "_quotient_of", (None, None))
     if polys and parent is not None and (base := parent()) is not None:
         return quotient_by_ideal(base, head + polys)

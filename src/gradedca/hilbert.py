@@ -46,9 +46,9 @@ same fit.
 The series, the normal-form table, its packed rows, the multiplication
 tables, the standard terms and the Hilbert coefficients of (M, Q) are
 kept on the module by modules.memoized.
-The coefficients are keyed by qkey(Q): a reordered generating set hits
-the same entry, and since the table values depend only on the ideal, a hit
-returns what a recomputation would.
+The coefficients are keyed by the frozenset of Q's generators: a reordered
+or repeated generating set hits the same entry, and since the table values
+depend only on the ideal, a hit returns what a recomputation would.
 """
 
 from __future__ import annotations
@@ -225,14 +225,9 @@ def make_parameter_ideal(module: GradedModule, gens) -> ParameterIdeal:
     return ParameterIdeal(gens, tuple(g.total_degree() for g in gens), lam)
 
 
-def qkey(gens):
-    """Cache key of an ideal's generating set: independent of their order."""
-    return tuple(sorted(repr(g) for g in gens))
-
-
 def colength(module: GradedModule, gens):
     """λ(M/(gens)M); raises naming a growth direction when infinite."""
-    quo = quotient_by_ideal(module, list(gens))
+    quo = quotient_by_ideal(module, gens)
     lam = module_length(quo)
     if lam is None:
         raise HilbertError(
@@ -347,7 +342,7 @@ def _normal_forms(module: GradedModule):
     return nf
 
 
-@memoized(lambda module, t: (t,))
+@memoized()
 def _standard_terms(module: GradedModule, t):
     """The standard terms of M of degree t: the (pos, mon) with mon
     divisible by no lead term at pos, H(M, t) of them, listed once per
@@ -386,7 +381,7 @@ def _pack_normal_form(fld, nf, term, slots, w):
     return row
 
 
-@memoized(lambda module, t, w: (t, w))
+@memoized()
 def _packed_normal_forms(module: GradedModule, t, w):
     """row(term): _pack_normal_form of a term of degree t of M's ambient
     over the standard terms of degree t, packed once per module and
@@ -404,7 +399,7 @@ def _packed_normal_forms(module: GradedModule, t, w):
     return row
 
 
-@memoized(lambda module, m, s, w: (m, s, w))
+@memoized()
 def _multiplication_table(module: GradedModule, m, s, w):
     """X_{m,s}: the packed NF(x^m·u) for the standard terms u of degree s,
     listed by u's slot.  For a variable x_i it is the multiplication
@@ -623,9 +618,8 @@ def _hs_value(module: GradedModule, powers, n):
 
 def hilbert_samuel(module: GradedModule, q_gens, N: int) -> HilbertSamuelTable:
     """Table of λ(M/Q^{n+1}M) for n = 0..N."""
-    gens = list(q_gens)
-    colength(module, gens)  # certifies the Artinian property once
-    powers = _module_powers(module, gens)
+    colength(module, q_gens)  # certifies the Artinian property once
+    powers = _module_powers(module, q_gens)
     values = [_hs_value(module, powers, n) for n in range(N + 1)]
     return HilbertSamuelTable(values=values, N=N)
 
@@ -678,15 +672,14 @@ class HilbertCoefficients:
 HS_N_MAX = 40  # the Hilbert-Samuel fit window ends at n = HS_N_MAX
 
 
-@memoized(lambda module, q_gens: (qkey(q_gens),))
-def hilbert_coefficients(module: GradedModule, q_gens) -> HilbertCoefficients:
+@memoized(forms=frozenset)
+def hilbert_coefficients(module: GradedModule, gens) -> HilbertCoefficients:
     """Stabilized coefficients e₀..e_r of n ↦ λ(M/Q^{n+1}M), r = dim M.
 
     The fit is fit_binomial's, within n ≤ HS_N_MAX.  Q may have more
     generators than dim M, as for M/hM in superficial_check.  The result is
-    memoized on the module under qkey(Q).
+    memoized on the module under the set of Q's generators.
     """
-    gens = list(q_gens)
     r = dim_module(module)
     if r == NEG_INF:
         raise HilbertError("zero module has no Hilbert coefficients")
@@ -709,12 +702,14 @@ def hilbert_coefficients(module: GradedModule, q_gens) -> HilbertCoefficients:
 # superficial elements
 
 
-def colon_series(module: GradedModule, h: Poly, quo: GradedModule):
-    """Numerator of HS(0 :_M h), given quo = M/hM, from the exact sequence
-    0 → (0:_M h)(−d) → M(−d) → M → M/hM → 0 with d = deg h."""
+def colon_series(module: GradedModule, h: Poly):
+    """Numerator of HS(0 :_M h) from the exact sequence
+    0 → (0:_M h)(−d) → M(−d) → M → M/hM → 0 with d = deg h, M/hM being
+    the memoized quotient_by_ideal(M, [h])."""
     if h.is_zero() or not h.is_homogeneous():
         raise HilbertError("colon by a zero or inhomogeneous form")
     num, d = hilbert_series(module), h.total_degree()
+    quo = quotient_by_ideal(module, [h])
     return shifted_sum([(1, 0, num), (-1, -d, num),
                         (1, -d, hilbert_series(quo))])
 
@@ -736,7 +731,7 @@ def superficial_check(module: GradedModule, q: ParameterIdeal, h: Poly) -> Super
     """
     r = dim_module(module)
     quo = quotient_by_ideal(module, [h])
-    lam = series_length(colon_series(module, h, quo), module.ring.num_vars)
+    lam = series_length(colon_series(module, h), module.ring.num_vars)
     if lam is None:
         return SuperficialReport(False, [], [], -1, "0:_M h has infinite length")
     dq = dim_module(quo)

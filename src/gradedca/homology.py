@@ -21,7 +21,8 @@ Tor against S/(x), for forms x, comes off the same resolution by the
 same count on the complex F/(x)F, whose differentials d̄_i : F̄_i →
 F̄_{i−1} go down: N(Tor_i) = N(coker d̄_i) + N(coker d̄_{i+1}) − N(F̄_{i−1}),
 with coker d̄_0 = 0 and coker d̄_{pd+1} = F̄_pd.  coker d̄_i is
-F_{i−1}/(im d_i + (x)F_{i−1}), one plain basis, and
+F_{i−1}/(im d_i + (x)F_{i−1}), one plain basis; coker d̄_1 is M/(x)M,
+whose series is read off the memoized quotient_by_ideal(M, x), and
 N(F̄_i) = N(F_i)·∏(1 − t^{deg x_j}) needs none.  When x is S-regular these
 are the Koszul homology series of x on M; koszul shows that a system of
 parameters of M always is.
@@ -57,7 +58,7 @@ class HomologyError(GBError):
     pass
 
 
-@memoized(lambda module, k: (k,))
+@memoized()
 def ext_module(module: GradedModule, k: int) -> GradedModule:
     """Ext^k_S(M, S) from the dualized minimal free resolution."""
     ring = module.ring
@@ -99,7 +100,7 @@ def _cokernel_series(d, polys=()):
     return hilbert_series(GradedModule.from_relations(d.target, rels))
 
 
-@memoized(lambda module, k: (k,))
+@memoized()
 def _dual_cokernel_series(module: GradedModule, k: int):
     """N(coker d_k^*), d_k^* : F_{k−1}^* → F_k^* the transposed k-th
     differential of M's minimal resolution F; coker d_0^* = F_0^*, and
@@ -135,8 +136,11 @@ def tor_series(module: GradedModule, forms):
         for f in forms:
             num = shifted_sum([(1, 0, num), (-1, f.total_degree(), num)])
         stages.append(num)
-    # coker[i] = N(coker d̄_i): 0 for i = 0, F̄_pd for i = pd + 1
-    coker = [{}] + [_cokernel_series(d, forms) for d in maps] + stages[-1:]
+    # coker[i] = N(coker d̄_i): 0 for i = 0, M/(forms)M for i = 1 (built by
+    # koszul_homology's sop check) and F̄_pd for i = pd + 1; when pd = 0,
+    # F̄_0 is M/(forms)M itself and the last entry goes unread
+    coker = ([{}, hilbert_series(quotient_by_ideal(module, forms))]
+             + [_cokernel_series(d, forms) for d in maps[1:]] + stages[-1:])
     return [shifted_sum([(1, 0, coker[i]), (1, 0, coker[i + 1]),
                          (-1, 0, stages[i - 1] if i else {})])
             if i < len(stages) else {} for i in range(len(forms) + 1)]
@@ -253,7 +257,7 @@ def unmixed_component(module: GradedModule):
                             "the dimension")
     prev, h = {}, g
     while True:
-        u = colon_series(module, h, quotient_by_ideal(module, [h]))
+        u = colon_series(module, h)
         if u == prev:
             return u
         prev, h = u, h * g

@@ -8,7 +8,7 @@ from math import comb
 
 from .gb import GBError, betti_numbers, quotient_by_ideal
 from .hilbert import (NEG_INF, colength, colon_series, dim_module,
-                      hilbert_coefficients, module_length, qkey)
+                      hilbert_coefficients, module_length)
 from .homology import ext_dual, local_cohomology_lengths
 from .koszul import chi1_serre
 from .modules import GradedModule, memoized
@@ -26,10 +26,10 @@ def multiplicity(module: GradedModule, q_gens) -> int:
         return 0
     if r == 0:
         return module_length(module)
-    return hilbert_coefficients(module, list(q_gens)).e[0]
+    return hilbert_coefficients(module, q_gens).e[0]
 
 
-@memoized(lambda module, q_gens: (qkey(q_gens),))
+@memoized(forms=frozenset)
 def hdeg(module: GradedModule, q_gens) -> int:
     """Homological degree: e₀ plus binomially weighted hdeg of the duals."""
     r = dim_module(module)
@@ -56,11 +56,10 @@ class HdegReport:
 
 
 def hdeg_report(module: GradedModule, q_gens) -> HdegReport:
-    gens = list(q_gens)
     r = dim_module(module)
-    h = hdeg(module, gens)
-    d = multiplicity(module, gens)
-    ts = [torsion(module, gens, i) for i in range(1, max(r, 1))]
+    h = hdeg(module, q_gens)
+    d = multiplicity(module, q_gens)
+    ts = [torsion(module, q_gens, i) for i in range(1, max(r, 1))]
     require(h >= d, "hdeg must be at least the multiplicity")
     if ts:
         require(h > ts[0] or h == d == module_length(module),
@@ -79,18 +78,16 @@ class BoundReport:
 
 def check_e1_torsion_bound(module: GradedModule, q_gens) -> BoundReport:
     """−e₁(Q,M) ≤ T^(1)(M), both sides computed independently."""
-    gens = list(q_gens)
-    e1 = hilbert_coefficients(module, gens).e[1]
-    t1 = torsion(module, gens, 1)
+    e1 = hilbert_coefficients(module, q_gens).e[1]
+    t1 = torsion(module, q_gens, 1)
     return BoundReport(passed=(-e1 <= t1), lhs=-e1, rhs=t1)
 
 
 def check_chi1_hdeg_bound(module: GradedModule, q_gens) -> BoundReport:
     """χ₁(Q;M) ≤ hdeg_Q(M) − deg_Q(M)."""
-    gens = list(q_gens)
-    chi1 = chi1_serre(module, gens)
-    h = hdeg(module, gens)
-    d = multiplicity(module, gens)
+    chi1 = chi1_serre(module, q_gens)
+    h = hdeg(module, q_gens)
+    d = multiplicity(module, q_gens)
     return BoundReport(passed=(chi1 <= h - d), lhs=chi1, rhs=h - d)
 
 
@@ -104,11 +101,10 @@ def is_d_sequence(module: GradedModule, forms) -> bool:
     In M_i = M/(x₁..x_i)M they are 0 :_{M_i} x_{i+1}x_k ⊇ 0 :_{M_i} x_k, equal
     exactly when their series (hilbert.colon_series) are.
     """
-    forms = list(forms)
     for i in range(len(forms)):
         mi = module if i == 0 else quotient_by_ideal(module, forms[:i])
         for k in range(i, len(forms)):
-            a, b = (colon_series(mi, h, quotient_by_ideal(mi, [h]))
+            a, b = (colon_series(mi, h)
                     for h in (forms[i] * forms[k], forms[k]))
             if a != b:
                 return False
@@ -117,7 +113,7 @@ def is_d_sequence(module: GradedModule, forms) -> bool:
 
 def hilbert_characteristic(module: GradedModule, q_gens) -> int:
     """Alternating sum Σ (−1)^i e_i of the fitted coefficients."""
-    e = hilbert_coefficients(module, list(q_gens)).e
+    e = hilbert_coefficients(module, q_gens).e
     return sum((-1) ** i * v for i, v in enumerate(e))
 
 
@@ -132,7 +128,7 @@ class BettiBoundReport:
 def betti_bound_check(module: GradedModule, forms) -> BettiBoundReport:
     """β_i(M) ≤ λ(M/(x)M)·β_i(k) with β_i(k) = binom(d, i)."""
     betti = betti_numbers(module)
-    lam = colength(module, list(forms))
+    lam = colength(module, forms)
     d = module.ring.num_vars
     fb = [comb(d, i) for i in range(len(betti))]
     ok = all(b <= lam * f for b, f in zip(betti, fb))
@@ -179,13 +175,12 @@ def standardness_data(module: GradedModule, ideals) -> BuchsbaumData:
     i_m, bound_s = buchsbaum_invariant(module)
     samples = []
     for q in ideals:
-        gens = list(q)
-        lam = colength(module, gens)
-        hc = hilbert_coefficients(module, gens)
+        lam = colength(module, q)
+        hc = hilbert_coefficients(module, q)
         dev = lam - hc.e[0]
         e1 = hc.e[1] if len(hc.e) > 1 else 0
         samples.append(StandardnessSample(
-            q_gens=tuple(gens), deviation=dev, e1=e1,
+            q_gens=tuple(q), deviation=dev, e1=e1,
             is_standard=(i_m is not None and dev == i_m)))
     return BuchsbaumData(I_M=i_m, bound_s=bound_s, samples=samples)
 

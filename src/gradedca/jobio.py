@@ -131,7 +131,8 @@ def _violation(schema, value, path=()):
     None.  Each keyword applies only to values of the type it constrains."""
     types = _types(schema)
     if types and not any(_is_type(value, t) for t in types):
-        return path, "%r is not of type %s" % (value, ", ".join(map(repr, types)))
+        return path, "%r is not of type %s" % (
+            value, ", ".join(repr(t) for t in types))
     if isinstance(value, dict):
         for key in schema.get("required", []):
             if key not in value:
@@ -141,7 +142,7 @@ def _violation(schema, value, path=()):
         unexpected = [key for key in value if key not in props]
         if rest is False and unexpected:
             return path, ("Additional properties are not allowed (%s %s unexpected)"
-                          % (", ".join(map(repr, unexpected)),
+                          % (", ".join(repr(k) for k in unexpected),
                              "was" if len(unexpected) == 1 else "were"))
         for key, item in value.items():
             found = _violation(props.get(key, rest), item, path + (key,))

@@ -47,13 +47,6 @@ class KoszulHomologyReport:
     chi1: int
 
 
-def koszul_homology(module: GradedModule, forms) -> KoszulHomologyReport:
-    """Lengths of H_i(x; M) for i = 0..r, with χ and χ₁, for a system of
-    parameters x of M, kept per (M, forms); KoszulError when x is not one.
-    A tuple of the forms keeps an iterator from being spent on the key."""
-    return _koszul_homology(module, tuple(forms))
-
-
 def _finite_length(num, n):
     """λ of a Koszul homology module with HS = num/(1−t)^n."""
     j, h = divide_poles(num, n)
@@ -63,8 +56,11 @@ def _finite_length(num, n):
     return sum(h.values())
 
 
-@memoized(lambda module, forms: tuple(map(repr, forms)))
-def _koszul_homology(module: GradedModule, forms) -> KoszulHomologyReport:
+@memoized(forms=tuple)
+def koszul_homology(module: GradedModule, forms) -> KoszulHomologyReport:
+    """Lengths of H_i(x; M) for i = 0..r, with χ and χ₁, for a system of
+    parameters x of M, kept on M per x in order; KoszulError when x is not
+    one.  x may be any iterable: memoized passes it on as a tuple."""
     r, n = len(forms), module.ring.num_vars
     for f in forms:
         if f.is_zero() or not f.is_homogeneous():
@@ -76,14 +72,13 @@ def _koszul_homology(module: GradedModule, forms) -> KoszulHomologyReport:
     # the longest M-regular prefix x1..xk, k < r, and M_k = M/(x1..xk)M
     k, m_k = 0, module
     while k < r - 1:
-        quo = quotient_by_ideal(module, forms[:k + 1])
-        if colon_series(m_k, forms[k], quo):
+        if colon_series(m_k, forms[k]):
             break
-        k, m_k = k + 1, quo
+        k, m_k = k + 1, quotient_by_ideal(module, forms[:k + 1])
     if k >= r - 1:
         lengths = [module_length(top)]
         if r:
-            colon = colon_series(m_k, forms[-1], top)
+            colon = colon_series(m_k, forms[-1])
             lengths += [_finite_length(colon, n)] + [0] * (r - 1)
     else:
         lengths = [_finite_length(num, n) for num in tor_series(module, forms)]
@@ -95,8 +90,8 @@ def _koszul_homology(module: GradedModule, forms) -> KoszulHomologyReport:
 
 def chi1_serre(module: GradedModule, q_gens) -> int:
     """λ(M/QM) − e₀(Q,M); agrees with the homological χ₁."""
-    lam = colength(module, list(q_gens))
-    e = hilbert_coefficients(module, list(q_gens)).e
+    lam = colength(module, q_gens)
+    e = hilbert_coefficients(module, q_gens).e
     return lam - e[0]
 
 
@@ -118,17 +113,15 @@ def chi1_recursion_check(module: GradedModule, forms) -> Chi1RecursionReport:
     (total, total, 0) with nothing more computed; only a zero divisor x₁
     asks for the Koszul homology of M/x₁M.
     """
-    forms = list(forms)
     if len(forms) < 2:
         raise KoszulError("recursion check needs at least two forms")
     x1, rest = forms[0], forms[1:]
     total = koszul_homology(module, forms).chi1
-    quo = quotient_by_ideal(module, [x1])
-    num = colon_series(module, x1, quo)
+    num = colon_series(module, x1)
     if not num:
         return Chi1RecursionReport(passed=True, total=total,
                                    from_quotient=total, from_colon=0)
-    a = koszul_homology(quo, rest).chi1
+    a = koszul_homology(quotient_by_ideal(module, [x1]), rest).chi1
     # χ(x′; 0:_M x₁) is the value at 1 of HS(0:_M x₁)·∏_{x∈x′}(1 − t^deg x)
     for f in rest:
         num = shifted_sum([(1, 0, num), (-1, f.total_degree(), num)])

@@ -133,7 +133,7 @@ class Vector(SparseTerms):
         return [Poly(ring, d) for d in coords]
 
     def __repr__(self):
-        return "(" + ", ".join(map(repr, self.coordinates())) + ")"
+        return "(" + ", ".join(repr(p) for p in self.coordinates()) + ")"
 
 
 class ModuleMap:
@@ -204,21 +204,31 @@ class ModuleMap:
         return f"ModuleMap({self.source.rank} -> {self.target.rank})"
 
 
-def memoized(key=lambda module: ()):
+def memoized(forms=None):
     """Decorator: f(module, …) is computed once and kept in module._cache
-    under (f.__name__,) + key(module, …); key has f's signature.
-    f.peek(module, …) is the kept value, or None, computing nothing."""
+    under (f.__name__,) + its other arguments, which must be hashable;
+    f.peek(module, …) is the kept value, or None, computing nothing.  With
+    forms, f (which has no peek) takes one other argument, a sequence of
+    Polys: f receives it as a tuple, keyed as forms(that tuple), tuple
+    where the order counts and frozenset where only the ideal does."""
     def decorate(f):
         name = (f.__name__,)
-
-        @wraps(f)
-        def cached(module, *args, **kwargs):
-            k = name + key(module, *args, **kwargs)
-            if k not in module._cache:
-                module._cache[k] = f(module, *args, **kwargs)
-            return module._cache[k]
-        cached.peek = lambda module, *args, **kwargs: module._cache.get(
-            name + key(module, *args, **kwargs))
+        if forms is None:
+            @wraps(f)
+            def cached(module, *args):
+                k = name + args
+                if k not in module._cache:
+                    module._cache[k] = f(module, *args)
+                return module._cache[k]
+            cached.peek = lambda module, *args: module._cache.get(name + args)
+        else:
+            @wraps(f)
+            def cached(module, gens):
+                gens = tuple(gens)
+                k = name + (forms(gens),)
+                if k not in module._cache:
+                    module._cache[k] = f(module, gens)
+                return module._cache[k]
         return cached
     return decorate
 

@@ -56,7 +56,7 @@ def random_parameter_ideal(module: GradedModule, degrees, rng) -> ParameterIdeal
                        "(degenerate module or field too small)" % IDEAL_TRIES)
 
 
-@memoized(lambda module, cfg: (cfg,))
+@memoized()
 def sample_parameter_ideals(module: GradedModule, cfg: SampleConfig):
     """cfg.count parameter ideals with degrees drawn from degree_bounds,
     drawn once per module and config: a tuple every caller shares."""

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from gradedca import gb as gbmod
 from gradedca import hilbert as hb
-from gradedca import homology, invariants
+from gradedca import homology, invariants, koszul
+from gradedca.checks import check_instance
 from gradedca.gb import module_gb, quotient_by_ideal
 from gradedca.jobio import build_job
 from gradedca.modules import FreeModule, GradedModule
@@ -685,7 +686,8 @@ MEMOIZED = [(gbmod.module_gb, ()), (gbmod.annihilator, ()),
             (hb._normal_forms, ()), (hb.hilbert_coefficients, ([Y],)),
             (homology.ext_module, (1,)),
             (homology.local_cohomology_lengths, ()),
-            (homology.unmixed_component, ()), (invariants.hdeg, ([Y],))]
+            (homology.unmixed_component, ()), (invariants.hdeg, ([Y],)),
+            (koszul.koszul_homology, ([Y],))]
 
 
 @pytest.mark.parametrize("fn,args", MEMOIZED,
@@ -729,6 +731,59 @@ def test_quotient_memo_keeps_generator_order(ring3):
     assert quotient_by_ideal(module, [x + y, z]) is ab
     assert quotient_by_ideal(module, [z, x + y]) is ba
     assert hb.module_length(ab) == hb.module_length(ba) == 2
+
+
+@pytest.mark.parametrize("char", [32003, None])
+def test_memo_keys_are_the_forms_themselves(char):
+    # a form is keyed by Poly's own hash and equality: an equal Poly parsed
+    # again, or the forms in a tuple rather than a list, hit the same entry;
+    # the ordered keys miss on another order, and the coefficients, keyed
+    # by the set of generators, hit on another order or a repeated one
+    ring = PolyRing(CoeffField(char), ["x", "y", "z", "w"])
+    x, y, z, w = ring.gens()
+    module = GradedModule.quotient_ring(ring, [x * z, x * w, y * z, y * w])
+    forms = [x + z, y + w]
+    parsed = [ring.poly(repr(f)) for f in forms]
+    assert parsed == forms and parsed[0] is not forms[0]
+    quo = quotient_by_ideal(module, forms)
+    hc = hb.hilbert_coefficients(module, forms)
+    kh = koszul.koszul_homology(module, forms)
+    for same in (parsed, tuple(forms), tuple(parsed)):
+        assert quotient_by_ideal(module, same) is quo
+        assert hb.hilbert_coefficients(module, same) is hc
+        assert koszul.koszul_homology(module, same) is kh
+    assert quotient_by_ideal(module, forms[::-1]) is not quo
+    assert hb.hilbert_coefficients(module, forms[::-1]) is hc
+    repeated = forms + [parsed[0]]
+    assert hb.hilbert_coefficients(module, repeated) is hc
+    fresh = hb.hilbert_coefficients(GradedModule(module.presentation), repeated)
+    assert fresh is not hc and fresh.e == hc.e == [2, -1, 0]
+
+
+def _holds_str(key):
+    return isinstance(key, str) or (isinstance(key, (tuple, frozenset))
+                                    and any(map(_holds_str, key)))
+
+
+def test_check_battery_keys_hold_no_strings():
+    # every memo key is the function's name followed by its arguments, with
+    # forms as Polys: no key spells a form out as a string
+    path = os.path.join(os.path.dirname(__file__), "..", "corpus",
+                        "dim3-buchsbaum.json")
+    with open(path) as fh:
+        job = build_job(json.load(fh))
+    assert all(row.passed for row in check_instance(job))
+    modules, seen = [job.module], set()
+    while modules:
+        module = modules.pop()
+        if id(module) in seen:
+            continue
+        seen.add(id(module))
+        for key, value in module._cache.items():
+            assert isinstance(key[0], str) and not _holds_str(key[1:]), key
+            if isinstance(value, GradedModule):
+                modules.append(value)
+    assert len(seen) > 1
 
 
 def test_infinite_colength_raises_on_every_call():

@@ -129,7 +129,7 @@ def test_d_sequence_takes_m_itself_as_m0(name, monkeypatch):
     monkeypatch.setattr(gbmod, "_groebner", counted)
     inv.is_d_sequence(module, forms)
     assert module.relations() not in runs
-    assert ("quotient_by_ideal",) not in module._cache
+    assert ("quotient_by_ideal", ()) not in module._cache
 
 
 def test_hilbert_characteristic_equals_colength(free_plane, mixed_line,
