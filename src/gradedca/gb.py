@@ -15,6 +15,12 @@ kernel: hilbert's normal forms call it on the run's integer forms too.
 No Fraction is built inside the run; a SubmoduleGB keeps the run's lead
 terms and integer forms, and builds its monic vectors, with Fraction
 coefficients over Q, only when they are first read.
+Inside the engine a term is one packed int (see poly): it is packed once,
+when an input vector enters _groebner, and unpacked only where it leaves,
+in the monic vectors and leading_terms().  A product is an addition,
+divisibility a subtraction and a mask, and _reduce's heap holds the ints
+t ^ key_mask.  _groebner checks each degree it works in against
+poly.EXP_LIMIT, so no exponent wraps.
 A run may start from a seed, the reduced basis of a submodule of the
 span: the basis of M/(f)M starts from M's, when M's is built, and
 reduces only the multiples f·e_i.  Seed elements are reduced like any
@@ -33,11 +39,10 @@ from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from operator import sub
+from operator import add
 
-from .modules import (FreeModule, GradedModule, ModuleMap, Vector, memoized,
-                      term_key, term_mul)
-from .poly import Poly, PolyError, lincomb, mon_deg, mon_div, mon_lcm, mon_mul
+from .modules import FreeModule, GradedModule, ModuleMap, Vector, memoized
+from .poly import Poly, PolyError, lincomb, mon_deg, require_packable
 
 
 class GBError(PolyError):
@@ -65,19 +70,24 @@ def _primitive(ints, lt, fld):
 
 
 def _monic(module, lt, form):
-    """The monic vector with lead term lt whose integer form is form."""
+    """The monic vector with lead term lt whose integer form is form, its
+    packed terms unpacked: where a basis leaves the engine."""
     lead, tail = form
-    if module.ring.field.p is None:
-        tail = {t: Fraction(c, lead) for t, c in tail.items()}
-    return Vector(module, {lt: module.ring.field.one(), **tail})
+    ring = module.ring
+    unpack = ring.unpack_term
+    if ring.field.p is None:
+        tail = {unpack(t): Fraction(c, lead) for t, c in tail.items()}
+    else:
+        tail = {unpack(t): c for t, c in tail.items()}
+    return Vector(module, {unpack(lt): ring.field.one(), **tail})
 
 
-def _reduce(work, lts, forms, reduce):
-    """The normal form of the integer vector work, a dict it uses up,
-    against the reducers with lead terms lts and integer forms forms, as
-    (num, den, out): the normal form is (num/den)·out, out an integer
-    dict in descending term order.  reduce is the field's, so over F_p
-    every coefficient is a residue.
+def _reduce(work, lts, forms, ring):
+    """The normal form of the integer vector work, a dict of packed terms
+    it uses up, against the reducers with packed lead terms lts and integer
+    forms forms, as (num, den, out): the normal form is (num/den)·out, out
+    an integer dict in descending term order.  Coefficients are reduced by
+    ring's field, so over F_p every coefficient is a residue.
 
     A term c·x^q·lt is cleared in three parts: g = gcd(L, c); the pending
     and the emitted terms are scaled by L/g, and den with it; then
@@ -85,29 +95,29 @@ def _reduce(work, lts, forms, reduce):
     pending and emitted terms together moves into num, so coefficients do
     not grow.  Over F_p, L = 1: no gcd and no scaling, and num = den = 1.
 
-    The pending terms sit in work; a min-heap of term_key(t) + (t,) holds
-    one entry for each time a term t enters work, so its top is the
+    The pending terms sit in work; a min-heap of the keys t ^ key_mask
+    holds one entry for each time a term t enters work, so its top is the
     leading term of work.  A popped entry whose term has since cancelled
     out of work is skipped.  A processed term never comes back, since
     every other term of its reducer is smaller, so terms are processed,
-    and emitted, in descending order.
+    and emitted, in descending order.  The reducer of a term is the first
+    whose lead term lt gives a quotient q = term − lt with no bit of
+    div_mask set, and x^q·t is t + q.
     """
+    km, dm, reduce = ring.key_mask, ring.div_mask, ring.field.reduce
     num = den = 1
     out = {}
-    heap = [term_key(t) + (t,) for t in work]
+    heap = [t ^ km for t in work]
     heapify(heap)
     while heap:
-        term = heappop(heap)[-1]
+        term = heappop(heap) ^ km
         coeff = work.pop(term, None)
         if coeff is None:
             continue
-        pos, mon = term
-        for form, (bpos, bmon) in zip(forms, lts):
-            if bpos == pos:
-                # a ring has at least one variable, so q is never empty
-                q = tuple(map(sub, mon, bmon))
-                if min(q) >= 0:
-                    break
+        for form, blt in zip(forms, lts):
+            q = term - blt
+            if not q & dm:
+                break
         else:
             out[term] = coeff
             continue
@@ -125,12 +135,12 @@ def _reduce(work, lts, forms, reduce):
                 den *= m
                 scaled = True
         for bt, bc in tail.items():
-            t = term_mul(bt, q)
+            t = bt + q
             old = work.get(t)
             if old is None:
                 # a new term: nonzero, as a product of two nonzero ones
                 work[t] = reduce(-(bc * coeff))
-                heappush(heap, term_key(t) + (t,))
+                heappush(heap, t ^ km)
             elif s := reduce(old - bc * coeff):
                 work[t] = s
             else:
@@ -188,6 +198,20 @@ def _groebner(base, gens, seed=None):
     term differs from its basis element by smaller terms.  So that
     representation carries over, which is all that Buchberger's and the
     chain criterion ask of a pair.  Inputs must be homogeneous.
+
+    Every term of the run is packed (poly's module docstring), and no
+    packed term wraps.  An input vector is packed when it is popped, and
+    each popped item of degree d must pass d − min twist ≤ EXP_LIMIT
+    (poly.require_packable), so each monomial it brings has degree at
+    most EXP_LIMIT.
+    No other step raises a degree: the run is homogeneous, so an S-pair's
+    terms have its lcm's degree, the degree it was popped at; _reduce's
+    products x^q·t have the degree of the term they clear; an older
+    element reduced by a new one keeps its degree; and a seed element
+    passed the same check in its own run.  The one term formed before its
+    check is a pair's lcm, pushed with its degree: its fields are maxima
+    of two exponents and its degree at most 2·EXP_LIMIT, which the
+    degree field holds, so it is exact until its pair is popped.
     """
     # S-pair (i, j): (degree, 0, -position, i, j); input (degree, 1, 0, i, v):
     # the k-th seed element at i = k − len(seed), v = k, base's i-th vector
@@ -197,42 +221,45 @@ def _groebner(base, gens, seed=None):
     seeds = seed.lts if seed is not None else []
     if seeds:
         module = seed.ambient
-        heap += [(mon_deg(mon) + module.twists[pos], 1, 0, k - len(seeds), k)
-                 for k, (pos, mon) in enumerate(seeds)]
     elif heap:
         module = heap[0][-1].module
     else:
         return None, [], [], []
+    ring, twists = module.ring, module.twists
+    ps, dm = ring.pos_shift, ring.div_mask
+    heap += [(ring.term_degree(t) + twists[t >> ps], 1, 0, k - len(seeds), k)
+             for k, t in enumerate(seeds)]
     heapify(heap)
-    fld = module.ring.field
+    least = min(twists)
+    fld = ring.field
     reduce, rational = fld.reduce, fld.p is None
     rank1 = module.rank == 1
     pending = set()
     lts, forms, kept = [], [], []
     seeded = set()  # basis elements that are seed elements with their lead terms
     while heap:
-        _, kind, _, i, v = heappop(heap)
+        d, kind, _, i, v = heappop(heap)
+        require_packable(d, least)
         if kind and i < 0:
             lead, tail = seed.forms[v]
             work = {seeds[v]: lead, **tail}
         elif kind:
-            work = _cleared(v.terms)[1] if rational else dict(v.terms)
+            terms = _cleared(v.terms)[1] if rational else v.terms
+            work = {ring.pack_term(t): c for t, c in terms.items()}
         else:
             j = v
             pending.remove((i, j))
-            pos, lcm = lts[i][0], mon_lcm(lts[i][1], lts[j][1])
-            if any(k != i and k != j and lts[k][0] == pos
-                   and mon_div(lcm, lts[k][1]) is not None
+            lcm = ring.term_lcm(lts[i], lts[j])
+            if any(k != i and k != j and not (lcm - lts[k]) & dm
                    and (min(i, k), max(i, k)) not in pending
                    and (min(j, k), max(j, k)) not in pending
                    for k in range(len(lts))):
                 continue
             (li, fi), (lj, fj) = forms[i], forms[j]
             g = gcd(li, lj)
-            work = lincomb(reduce, [(lj // g, mon_div(lcm, lts[i][1]), fi),
-                                    (-(li // g), mon_div(lcm, lts[j][1]), fj)],
-                           term_mul)
-        out = _reduce(work, lts, forms, reduce)[2]
+            work = lincomb(reduce, [(lj // g, lcm - lts[i], fi),
+                                    (-(li // g), lcm - lts[j], fj)], add)
+        out = _reduce(work, lts, forms, ring)[2]
         if not out:
             continue
         if kind == 2:
@@ -241,22 +268,26 @@ def _groebner(base, gens, seed=None):
         form = _primitive(out, lt, fld)
         for k, (lead, tail) in enumerate(forms):
             if lt in tail:
-                older = _reduce({lts[k]: lead, **tail}, [lt], [form], reduce)[2]
+                older = _reduce({lts[k]: lead, **tail}, [lt], [form], ring)[2]
                 forms[k] = _primitive(older, lts[k], fld)
         lts.append(lt)
         forms.append(form)
         new = len(lts) - 1
         if kind and i < 0 and lt == seeds[v]:
             seeded.add(new)
-        for i, (pos, mon) in enumerate(lts[:new]):
-            if pos != lt[0] or (new in seeded and i in seeded):
+        pos = lt >> ps
+        for i, old in enumerate(lts[:new]):
+            if old >> ps != pos or (new in seeded and i in seeded):
                 continue
-            lcm = mon_lcm(mon, lt[1])
-            # product criterion is only valid in the ideal case
-            if not (rank1 and lcm == mon_mul(mon, lt[1])):
+            lcm = ring.term_lcm(old, lt)
+            # product criterion is only valid in the ideal case, where
+            # every position is 0
+            if not (rank1 and lcm == old + lt):
                 pending.add((i, new))
-                heappush(heap, (mon_deg(lcm) + module.twists[pos], 0, -pos, i, new))
-    order = sorted(range(len(lts)), key=lambda k: term_key(lts[k]))
+                heappush(heap, (ring.term_degree(lcm) + twists[pos], 0, -pos,
+                                i, new))
+    km = ring.key_mask
+    order = sorted(range(len(lts)), key=lambda k: lts[k] ^ km)
     return module, [lts[k] for k in order], [forms[k] for k in order], kept
 
 
@@ -268,12 +299,12 @@ def buchberger(gens):
 
 class SubmoduleGB:
     """A submodule of a free module given by its reduced Groebner basis:
-    the run's lead terms lts and integer forms forms, which _reduce reads,
-    and basis, the monic vectors, built from them when first read.  The
-    run may start from seed, the SubmoduleGB of a submodule of the span.
-    kept lists the generators that minimally generate the span, in
-    minimal_generators' order; it is None after a seeded run, whose kept
-    generators are minimal only modulo the seed."""
+    the run's packed lead terms lts and integer forms forms, which _reduce
+    reads, and basis, the monic vectors with unpacked terms, built from
+    them when first read.  The run may start from seed, the SubmoduleGB of
+    a submodule of the span.  kept lists the generators that minimally
+    generate the span, in minimal_generators' order; it is None after a
+    seeded run, whose kept generators are minimal only modulo the seed."""
 
     def __init__(self, generators, seed=None):
         self.ambient, self.lts, self.forms, kept = _groebner((), generators, seed)
@@ -285,7 +316,8 @@ class SubmoduleGB:
                 for lt, form in zip(self.lts, self.forms)]
 
     def leading_terms(self):
-        return list(self.lts)
+        """The lead terms as (position, exponent tuple) pairs."""
+        return [self.ambient.ring.unpack_term(t) for t in self.lts]
 
 
 def kernel_of_map(f: ModuleMap, target_relations=()):
@@ -304,8 +336,9 @@ def kernel_of_map(f: ModuleMap, target_relations=()):
     # in position-over-term order a lead term in the source block puts
     # every term there
     block, lts, forms, _ = _groebner((), gens)
+    start = offset << f.source.ring.pos_shift
     return [f.source.embed(_monic(block, lt, form), -offset)
-            for lt, form in zip(lts, forms) if lt[0] >= offset]
+            for lt, form in zip(lts, forms) if lt >= start]
 
 
 @memoized()
@@ -350,8 +383,8 @@ def module_gb(module: GradedModule) -> SubmoduleGB:
 
 def is_zero_module(module: GradedModule) -> bool:
     """M = 0 exactly when every e_i is a lead term of M's basis."""
-    lts = module_gb(module).leading_terms()
-    return all((i, module.ring.zero_mon) in lts for i in range(module.ambient.rank))
+    lts, ps = set(module_gb(module).lts), module.ring.pos_shift
+    return all(i << ps in lts for i in range(module.ambient.rank))
 
 
 def quotient_module(module: GradedModule, extra_relations) -> GradedModule:

@@ -27,9 +27,13 @@ zero is formed either (see _Powers).  The tables are summed from
 multiplication tables kept on the module and shared by every Q of it
 (FGLM's, for the variables): NF(τ) of an ambient term τ is reduced once
 per module, by gb._reduce on the integer forms of M's Buchberger run, and
-kept as integers, (den, {term: c}), with no Fraction; it is packed once
-per module and slot width as a row over the standard terms of its
-degree, X_{m,s} lists NF(x^m·u) by the slot of u, and the table of
+kept as integers, (den, {term: c}), with no Fraction.  The terms τ, the
+standard terms and the terms of each normal form are the engine's packed
+ints (see poly), so x^m·u is an addition and a standard term is one no
+lead term divides by a subtraction and a mask; _standard_terms checks
+each degree against poly.EXP_LIMIT before it forms its terms.  NF(τ) is
+packed once per module and slot width as a row over the standard terms
+of its degree, X_{m,s} lists NF(x^m·u) by the slot of u, and the table of
 g = Σ c_m·x^m on degree s is Σ c_m·X_{m,s}, one integer multiply-add per
 term and row.  _echelon does the linear algebra: over
 F_p a packed echelon, each row one Python int with a slot per column and
@@ -60,7 +64,8 @@ from math import comb, gcd, lcm
 
 from .gb import GBError, _reduce, module_gb, quotient_by_ideal
 from .modules import GradedModule, memoized
-from .poly import Poly, lincomb, mon_deg, mon_divides, mon_mul, require
+from .poly import (EXP_BITS, Poly, lincomb, mon_deg, mon_divides, mon_mul,
+                   require, require_packable)
 
 NEG_INF = float("-inf")
 
@@ -324,19 +329,20 @@ def _echelon(fld, rows, w, cap):
 
 @memoized()
 def _normal_forms(module: GradedModule):
-    """nf(term): the normal form against M's basis of a term of M's
-    ambient, as (den, {term: c}) with integers c, the normal form being
-    Σ c/den·term; over F_p den = 1 and the c are residues.  Each is one
-    gb._reduce of that monomial on the basis' integer forms, made once per
-    module: nf and its table are memoized on it."""
+    """nf(term): the normal form against M's basis of a packed term of M's
+    ambient, as (den, {term: c}) with packed terms and integers c, the
+    normal form being Σ c/den·term; over F_p den = 1 and the c are
+    residues.  Each is one gb._reduce of that monomial on the basis'
+    integer forms, made once per module: nf and its table are memoized
+    on it."""
     gb = module_gb(module)
-    lts, forms, reduce = gb.lts, gb.forms, module.ring.field.reduce
+    lts, forms, ring = gb.lts, gb.forms, module.ring
     table = {}
 
     def nf(t):
         form = table.get(t)
         if form is None:
-            num, den, out = _reduce({t: 1}, lts, forms, reduce)
+            num, den, out = _reduce({t: 1}, lts, forms, ring)
             form = table[t] = den, {u: num * c for u, c in out.items()}
         return form
     return nf
@@ -344,24 +350,29 @@ def _normal_forms(module: GradedModule):
 
 @memoized()
 def _standard_terms(module: GradedModule, t):
-    """The standard terms of M of degree t: the (pos, mon) with mon
+    """The standard terms of M of degree t, packed: the (pos, mon) with mon
     divisible by no lead term at pos, H(M, t) of them, listed once per
     module and degree.  A divisor of a standard monomial is standard, so
     each is the unit at a position of twist t or x_i·u for a standard term
-    (pos, u) of degree t − 1, with i at most the index of u's first
-    variable, which makes the pair unique."""
+    u of degree t − 1, with i at most the index of u's first variable
+    (its lowest nonzero field), which makes the pair unique.  Each degree
+    is checked against poly.EXP_LIMIT before its terms are formed, and the
+    products of _multiplication_table on them land in a degree whose
+    standard terms are listed first, so no packed exponent wraps."""
     twists = module.ambient.twists
     if t < min(twists):
         return []
-    nv = module.ring.num_vars
-    cands = [(pos, (0,) * nv) for pos, twist in enumerate(twists) if twist == t]
-    for pos, u in _standard_terms(module, t - 1):
-        first = next((i for i, e in enumerate(u) if e), nv - 1)
-        cands += [(pos, u[:i] + (u[i] + 1,) + u[i + 1:])
-                  for i in range(first + 1)]
-    by_pos = _lead_monomials_by_position(module)
-    terms = [(pos, mon) for pos, mon in cands
-             if not any(mon_divides(lt, mon) for lt in by_pos[pos])]
+    require_packable(t, min(twists))
+    ring = module.ring
+    ps, dm, last = ring.pos_shift, ring.div_mask, ring.num_vars - 1
+    xs = ring.var_terms
+    cands = [pos << ps for pos, twist in enumerate(twists) if twist == t]
+    for u in _standard_terms(module, t - 1):
+        low = u & ring.exp_mask
+        first = ((low & -low).bit_length() - 1) // EXP_BITS if low else last
+        cands += [u + x for x in xs[:first + 1]]
+    lts = module_gb(module).lts
+    terms = [u for u in cands if all((u - lt) & dm for lt in lts)]
     require(len(terms) == hilbert_function(module, t),
             "standard terms of degree %d do not number H(M, %d)" % (t, t))
     return terms
@@ -402,12 +413,14 @@ def _packed_normal_forms(module: GradedModule, t, w):
 @memoized()
 def _multiplication_table(module: GradedModule, m, s, w):
     """X_{m,s}: the packed NF(x^m·u) for the standard terms u of degree s,
-    listed by u's slot.  For a variable x_i it is the multiplication
-    matrix of FGLM (J.-C. Faugère, P. Gianni, D. Lazard and T. Mora,
-    J. Symbolic Comput. 16, 1993) from degree s to s + 1; it is built once
-    per module, monomial, degree and width."""
+    listed by u's slot; with m packed at position 0, x^m·u is u + m.  For
+    a variable x_i it is the multiplication matrix of FGLM (J.-C. Faugère,
+    P. Gianni, D. Lazard and T. Mora, J. Symbolic Comput. 16, 1993) from
+    degree s to s + 1; it is built once per module, monomial, degree and
+    width."""
     row = _packed_normal_forms(module, s + mon_deg(m), w)
-    return [row((pos, mon_mul(u, m))) for pos, u in _standard_terms(module, s)]
+    m = module.ring.pack_term((0, m))
+    return [row(u + m) for u in _standard_terms(module, s)]
 
 
 def _form_table(module: GradedModule, form, s, w):
@@ -691,7 +704,7 @@ def hilbert_coefficients(module: GradedModule, gens) -> HilbertCoefficients:
             "Hilbert-Samuel table did not stabilize within n <= %d" % HS_N_MAX)
     e, values, n0 = fit
     require(e[0] >= 1, "leading Hilbert coefficient must be positive")
-    if len(gens) == r >= 1:
+    if len(set(gens)) == r >= 1:
         require(e[1] <= 0,
                 "first Hilbert coefficient of a parameter ideal must be <= 0")
     table = HilbertSamuelTable(values=values, N=len(values) - 1)

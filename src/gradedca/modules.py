@@ -204,6 +204,9 @@ class ModuleMap:
         return f"ModuleMap({self.source.rank} -> {self.target.rank})"
 
 
+_MISSING = object()  # a cached value may be falsy, so a miss is this
+
+
 def memoized(forms=None):
     """Decorator: f(module, …) is computed once and kept in module._cache
     under (f.__name__,) + its other arguments, which must be hashable;
@@ -217,18 +220,20 @@ def memoized(forms=None):
             @wraps(f)
             def cached(module, *args):
                 k = name + args
-                if k not in module._cache:
-                    module._cache[k] = f(module, *args)
-                return module._cache[k]
+                value = module._cache.get(k, _MISSING)
+                if value is _MISSING:
+                    value = module._cache[k] = f(module, *args)
+                return value
             cached.peek = lambda module, *args: module._cache.get(name + args)
         else:
             @wraps(f)
             def cached(module, gens):
                 gens = tuple(gens)
                 k = name + (forms(gens),)
-                if k not in module._cache:
-                    module._cache[k] = f(module, gens)
-                return module._cache[k]
+                value = module._cache.get(k, _MISSING)
+                if value is _MISSING:
+                    value = module._cache[k] = f(module, gens)
+                return value
         return cached
     return decorate
 

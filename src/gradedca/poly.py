@@ -9,12 +9,40 @@ ascending key: the smallest key is the leading monomial.  Every sparse sum
 Σ c·x^m·v is one lincomb, which sums exactly and reduces each coefficient
 once by CoeffField.reduce (delayed reduction: J.-G. Dumas, P. Giorgi and
 C. Pernet, ACM Trans. Math. Software 35, 2008).
+
+Polys and Vectors keep their terms as exponent tuples.  Inside the
+Groebner engine a module term (pos, x^a) is one packed int (M. Monagan and
+R. Pearce, J. Symbolic Comput. 46, 2011; O. Bachmann and H. Schönemann,
+ISSAC 1998), laid out by its PolyRing as
+
+    pos << pos_shift | deg(a) << deg_shift | P(a),
+
+P(a) the exponents in fields of EXP_BITS bits, x_1 in the lowest field
+and x_n in the highest, then the degree in one more field and the
+position above it.  The top bit of each exponent field is a guard, zero
+in every term, so an exponent is at most EXP_LIMIT.  Then:
+
+    a product t·x^q is t + q, q packed at position 0;
+    t is at lt's position and divisible by it exactly when
+        not (t − lt) & div_mask: a field of t smaller than lt's borrows
+        and sets its guard bit, a lower position makes the difference
+        negative and a higher one leaves bits at pos_shift and above;
+    the ascending position-over-term grevlex key is t ^ key_mask, which
+        reverses the degree field: the lower position, then the higher
+        degree, then the smaller exponent of x_n, then of x_{n−1}, …;
+    lcm is a field max read off the guard bits (PolyRing.term_lcm).
+
+A field holds a sum of two exponents without carrying into the next one,
+and the degree field holds a degree up to 2·EXP_LIMIT, so no step wraps
+while every packed term has degree at most EXP_LIMIT; gb and hilbert
+check that bound (require_packable) before they form a term of a new
+degree.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add, sub
+from operator import add, lshift
 
 
 class PolyError(Exception):
@@ -124,18 +152,8 @@ def mon_mul(a, b):
     return tuple(map(add, a, b))
 
 
-def mon_div(a, b):
-    """a / b, or None when b does not divide a."""
-    q = tuple(map(sub, a, b))
-    return q if min(q, default=0) >= 0 else None
-
-
 def mon_divides(b, a):
     return all(x >= y for x, y in zip(a, b))
-
-
-def mon_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
 
 
 def mon_deg(a):
@@ -149,6 +167,21 @@ def grevlex_key(mon):
     last variable, then of the one before it, and so on.
     """
     return (-sum(mon), mon[::-1])
+
+
+EXP_BITS = 16  # the width of a packed field; its top bit is the guard
+EXP_LIMIT = (1 << EXP_BITS - 1) - 1  # the largest packed exponent and degree
+FIELD_MASK = (1 << EXP_BITS) - 1
+
+
+def require_packable(degree, least_twist):
+    """Raise InvariantViolation unless a term of this degree, in a module
+    whose least twist is least_twist, has a monomial of degree at most
+    EXP_LIMIT, so that it packs without wrapping."""
+    if degree - least_twist > EXP_LIMIT:
+        raise InvariantViolation(
+            "degree %d is past the packed exponent limit %d above the least "
+            "twist %d" % (degree, EXP_LIMIT, least_twist))
 
 
 def monomials_of_degree(num_vars, deg):
@@ -181,6 +214,44 @@ class PolyRing:
         self.num_vars = len(names)
         self._var_index = {n: i for i, n in enumerate(names)}
         self.zero_mon = (0,) * self.num_vars
+        # the packed layout: see the module docstring
+        self.shifts = tuple(range(0, EXP_BITS * self.num_vars, EXP_BITS))
+        self.deg_shift = EXP_BITS * self.num_vars
+        self.pos_shift = self.deg_shift + EXP_BITS
+        self.var_terms = tuple(1 << s | 1 << self.deg_shift for s in self.shifts)
+        self.exp_mask = (1 << self.deg_shift) - 1
+        self._ones = sum(1 << s for s in self.shifts)
+        self._guards = self._ones << EXP_BITS - 1
+        self.div_mask = self._guards | -(1 << self.pos_shift)
+        self.key_mask = FIELD_MASK << self.deg_shift
+
+    def pack_term(self, term):
+        """The packed int of the term (pos, mon); mon's exponents and degree
+        must be at most EXP_LIMIT."""
+        pos, mon = term
+        return (pos << self.pos_shift | sum(mon) << self.deg_shift
+                | sum(map(lshift, mon, self.shifts)))
+
+    def unpack_term(self, t):
+        """The term (pos, mon) of a packed int."""
+        return t >> self.pos_shift, tuple(t >> s & EXP_LIMIT for s in self.shifts)
+
+    def term_degree(self, t):
+        """deg(mon) of the packed term (pos, mon)."""
+        return t >> self.deg_shift & FIELD_MASK
+
+    def term_lcm(self, a, b):
+        """The packed lcm of packed terms a and b, at a's position.  In each
+        field (a_i | guard) − b_i keeps its guard bit exactly when
+        a_i ≥ b_i, and no field borrows from the next; the guard bits,
+        spread over their fields, select a_i there and b_i elsewhere.  The
+        degree is the sum of the fields, read off the top field of P·Σ 2^s,
+        whose partial sums are at most the degree, below 2^EXP_BITS."""
+        guards = self._guards
+        sel = ((a | guards) - b & guards) >> EXP_BITS - 1
+        p = (b ^ (a ^ b) & (sel << EXP_BITS - 1) - sel) & self.exp_mask
+        deg = p * self._ones >> self.deg_shift - EXP_BITS & FIELD_MASK
+        return a >> self.pos_shift << self.pos_shift | deg << self.deg_shift | p
 
     def zero(self):
         return Poly(self, {})

@@ -53,10 +53,20 @@ from gradedca.hilbert import (_Powers, _Space, _standard_terms, dim_module,
                               hilbert_series, series_length, shifted_sum)
 from gradedca.modules import (FreeModule, GradedModule, ModuleMap, Vector,
                               term_key, term_mul)
-from gradedca.poly import (Poly, lincomb, mon_deg, mon_div, mon_lcm,
-                           mon_mul, monomials_of_degree)
+from gradedca.poly import Poly, lincomb, mon_deg, mon_mul, monomials_of_degree
 
 REGULAR_SEQUENCE_TRIES = 50  # random draws per form of a regular sequence
+
+
+def mon_div(a, b):
+    """a / b on exponent tuples, or None when b does not divide a."""
+    q = tuple(a_i - b_i for a_i, b_i in zip(a, b))
+    return q if min(q, default=0) >= 0 else None
+
+
+def mon_lcm(a, b):
+    """The lcm of two exponent tuples."""
+    return tuple(max(x, y) for x, y in zip(a, b))
 
 
 def random_nonzero(fld, rng):
@@ -166,20 +176,28 @@ def integer_form(b, lt):
 def reduce_vector(v: Vector, basis, lts=None, forms=None):
     """Full normal form of v against a list of nonzero vectors, each used
     through its integer form, so any nonzero multiple of it will do: one
-    gb._reduce on v cleared of its denominators, with the reducers from
-    forms or built from basis by integer_form.  The vector has Fraction
-    coefficients over Q and residues over F_p, those of exact field
-    arithmetic, so it can be held to reference_reduce_vector."""
+    gb._reduce on v cleared of its denominators and packed by the ring's
+    pack_term, with the packed lead terms lts and integer forms forms of a
+    SubmoduleGB, or with reducers built from basis by integer_form and
+    packed.  The vector, unpacked, has Fraction coefficients over Q and
+    residues over F_p, those of exact field arithmetic, so it can be held
+    to reference_reduce_vector."""
+    ring = v.module.ring
+    pack, unpack = ring.pack_term, ring.unpack_term
     if lts is None:
-        lts = [b.leading_term()[0] for b in basis]
-    if forms is None:
-        forms = [integer_form(b, lt) for b, lt in zip(basis, lts)]
-    fld = v.module.ring.field
+        tuple_lts = [b.leading_term()[0] for b in basis]
+        lts = [pack(lt) for lt in tuple_lts]
+        forms = [(lead, {pack(t): c for t, c in tail.items()})
+                 for lead, tail in (integer_form(b, lt)
+                                    for b, lt in zip(basis, tuple_lts))]
+    fld = ring.field
+    scale, work = (1, v.terms) if fld.p is not None else _cleared(v.terms)
+    num, den, out = _reduce({pack(t): c for t, c in work.items()}, lts, forms,
+                            ring)
     if fld.p is not None:
-        return Vector(v.module, _reduce(dict(v.terms), lts, forms, fld.reduce)[2])
-    scale, work = _cleared(v.terms)
-    num, den, out = _reduce(work, lts, forms, fld.reduce)
-    return Vector(v.module, {t: Fraction(c * num, den * scale) for t, c in out.items()})
+        return Vector(v.module, {unpack(t): c for t, c in out.items()})
+    return Vector(v.module, {unpack(t): Fraction(c * num, den * scale)
+                             for t, c in out.items()})
 
 
 def reference_reduce_vector(v: Vector, basis, lts=None):
@@ -466,14 +484,14 @@ class _ReferenceSpace(_Space):
     def table(self, j, s, w, dst):
         module, g = self.base, self.parts[j][0][1]
         gb = module_gb(module)
-        lts = gb.leading_terms()
         amb = module.ambient
+        unpack = module.ring.unpack_term
 
         def times(u):
-            pos, mon = u
+            pos, mon = unpack(u)
             v = Vector(amb, {(pos, mon_mul(mon, m)): c for m, c in g.terms.items()})
-            return reduce_vector(v, gb.basis, lts, gb.forms).terms
-        slots = {u: i for i, u in
+            return reduce_vector(v, gb.basis, gb.lts, gb.forms).terms
+        slots = {unpack(u): i for i, u in
                  enumerate(_standard_terms(module, s + g.total_degree()))}
         return reference_pack(module.ring.field,
                               [times(u) for u in _standard_terms(module, s)],

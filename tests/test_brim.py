@@ -166,7 +166,7 @@ def test_br_coefficients_builds_each_product_level_once(monkeypatch):
 
 
 def _reference_nf(p, gb, amb):
-    return reduce_vector(amb.element([p]), gb.basis, gb.leading_terms(),
+    return reduce_vector(amb.element([p]), gb.basis, gb.lts,
                          gb.forms).coordinates()[0]
 
 

@@ -13,9 +13,9 @@ from gradedca.jobio import build_job
 from gradedca.modules import FreeModule, GradedModule, Vector
 from gradedca.hilbert import hilbert_series, module_length
 from gradedca.poly import (CoeffField, PolyError, PolyRing, RingMismatch, mon_deg,
-                           mon_div, monomials_of_degree)
+                           monomials_of_degree)
 
-from reference import (colon_submodule, contains, integer_form, monic,
+from reference import (colon_submodule, contains, integer_form, mon_div, monic,
                        random_nonzero, reduce_vector, reference_buchberger,
                        reference_minimal_generators, random_integer_forms,
                        reference_reduce_vector, reference_spair,
@@ -373,7 +373,7 @@ def test_integer_reduction_matches_the_fraction_reference(char, reduced, degree,
     want = list(reference_reduce_vector(v, basis).terms.items())
     assert list(reduce_vector(v, basis).terms.items()) == want
     if reduced:
-        got = reduce_vector(v, basis, sgb.leading_terms(), sgb.forms)
+        got = reduce_vector(v, basis, sgb.lts, sgb.forms)
         assert list(got.terms.items()) == want
     if char is None:
         assert all(type(c) is Fraction for _, c in want)
@@ -454,8 +454,11 @@ def test_groebner_output_is_monic_in_field_coefficients(char, name, seed):
                                  amb, gens))
     for f in maps:
         sgb = gb.SubmoduleGB(f.columns())
-        assert sgb.forms == [integer_form(b, lt)
-                             for b, lt in zip(sgb.basis, sgb.leading_terms())]
+        unpack = f.target.ring.unpack_term
+        forms = [(lead, {unpack(t): c for t, c in tail.items()})
+                 for lead, tail in sgb.forms]
+        assert forms == [integer_form(b, lt)
+                         for b, lt in zip(sgb.basis, sgb.leading_terms())]
         for v in sgb.basis + gb.buchberger(f.columns()) + gb.kernel_of_map(f):
             lead = v.terms[v.leading_term()[0]]
             if fld.p is None:

@@ -15,9 +15,9 @@ from gradedca import homology, invariants, koszul
 from gradedca.checks import check_instance
 from gradedca.gb import module_gb, quotient_by_ideal
 from gradedca.jobio import build_job
-from gradedca.modules import FreeModule, GradedModule
-from gradedca.poly import (CoeffField, Poly, PolyRing, monomials_of_degree,
-                           parse_poly)
+from gradedca.modules import FreeModule, GradedModule, memoized
+from gradedca.poly import (EXP_LIMIT, CoeffField, InvariantViolation, Poly,
+                           PolyRing, monomials_of_degree, parse_poly, require)
 from gradedca.sampler import random_parameter_ideal
 
 from reference import (_RankTracker, quotient_length, random_integer_forms,
@@ -253,7 +253,7 @@ def _reference_quotient_length(module, vectors):
     ring = module.ring
     one = ring.field.one()
     gb = module_gb(module)
-    lts = gb.leading_terms()
+    lts = gb.lts
     amb = module.ambient
     bases = []
     for v in vectors:
@@ -758,6 +758,45 @@ def test_memo_keys_are_the_forms_themselves(char):
     assert hb.hilbert_coefficients(module, repeated) is hc
     fresh = hb.hilbert_coefficients(GradedModule(module.presentation), repeated)
     assert fresh is not hc and fresh.e == hc.e == [2, -1, 0]
+
+
+def test_e1_check_depends_only_on_the_set_of_generators(monkeypatch):
+    # the e₁ ≤ 0 check counts Q's distinct generators, as its frozenset key
+    # does, so a first call with a repeated generator makes it too
+    ring = PolyRing(CoeffField(32003), ["x", "y", "z"])
+    x, y, z = ring.gens()
+    module = GradedModule.quotient_ring(ring, [z ** 2])
+    checked = []
+
+    def recorded(cond, msg):
+        checked.append(msg)
+        require(cond, msg)
+    monkeypatch.setattr(hb, "require", recorded)
+    assert hb.hilbert_coefficients(module, [x, x, y]).e == [2, 0, 0]
+    assert any("first Hilbert coefficient" in msg for msg in checked)
+
+
+def test_standard_terms_refuse_a_degree_past_the_packed_limit():
+    """The limit counts from the least twist: degree EXP_LIMIT + 1 above it
+    raises before any term is formed, while the least twist's degree
+    lists its unit e_0, packed as 0."""
+    for twists in [(0,), (-3, 2)]:
+        module = GradedModule.free(RING, twists)
+        with pytest.raises(InvariantViolation, match="packed exponent limit"):
+            hb._standard_terms(module, min(twists) + EXP_LIMIT + 1)
+    module = GradedModule.free(RING, (-3, 2))
+    assert hb._standard_terms(module, -3) == [0]
+
+
+def test_memoized_keeps_a_falsy_value():
+    calls = []
+
+    @memoized()
+    def empty(module):
+        calls.append(module)
+        return {}
+    module = GradedModule.free(RING)
+    assert empty(module) == empty(module) == {} and len(calls) == 1
 
 
 def _holds_str(key):

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradedca.modules import FreeModule, term_key
-from gradedca.poly import (CoeffField, PolyError, PolyParseError, PolyRing,
-                           grevlex_key, mon_div, mon_divides, mon_lcm, mon_mul,
-                           monomials_of_degree)
+from gradedca.modules import FreeModule, term_key, term_mul
+from gradedca.poly import (EXP_LIMIT, CoeffField, InvariantViolation, PolyError,
+                           PolyParseError, PolyRing, grevlex_key, mon_deg,
+                           mon_divides, mon_mul, monomials_of_degree)
 
-from reference import random_nonzero
+from reference import mon_div, mon_lcm, random_nonzero
 
 FIELD = CoeffField(32003)
 RING = PolyRing(FIELD, ["x", "y", "z"])
@@ -126,6 +126,102 @@ def test_ascending_term_key_matches_the_descending_one(terms):
     assert sorted(terms, key=term_key) == \
         sorted(terms, key=_old_term_key, reverse=True)
     assert min(terms, key=term_key) == max(terms, key=_old_term_key)
+
+
+# ---------------------------------------------------------------------------
+# packed terms against the exponent-tuple helpers
+
+@st.composite
+def _packable_mon(draw, n, degree=EXP_LIMIT):
+    """An exponent tuple in n variables of degree at most degree, each
+    exponent small or as large as what is left allows."""
+    mon, left = [], degree
+    for _ in range(n):
+        e = draw(st.one_of(st.integers(0, min(3, left)),
+                           st.integers(max(0, left - 3), left)))
+        mon.append(e)
+        left -= e
+    return tuple(draw(st.permutations(mon)))
+
+
+@st.composite
+def _packable_terms(draw, count):
+    """A ring in 1-4 variables and count terms (pos, mon) of degree at most
+    EXP_LIMIT at positions 0..3."""
+    n = draw(st.integers(1, 4))
+    ring = PolyRing(FIELD, ["x%d" % i for i in range(n)])
+    return ring, [(draw(st.integers(0, 3)), draw(_packable_mon(n)))
+                  for _ in range(count)]
+
+
+@given(_packable_terms(1))
+def test_packed_term_round_trip(drawn):
+    ring, [term] = drawn
+    t = ring.pack_term(term)
+    assert ring.unpack_term(t) == term
+    assert ring.term_degree(t) == mon_deg(term[1])
+    assert ring.unpack_term(ring.pack_term((2, (EXP_LIMIT,) + (0,) * (
+        ring.num_vars - 1)))) == (2, (EXP_LIMIT,) + (0,) * (ring.num_vars - 1))
+
+
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(st.tuples(
+    st.integers(0, 3), _packable_mon(n)), min_size=1, max_size=12, unique=True)))
+def test_packed_key_is_term_key(terms):
+    ring = PolyRing(FIELD, ["x%d" % i for i in range(len(terms[0][1]))])
+    km = ring.key_mask
+    assert sorted(terms, key=lambda t: ring.pack_term(t) ^ km) == \
+        sorted(terms, key=term_key)
+
+
+@given(_packable_terms(2), st.booleans(), st.data())
+def test_packed_divisibility_is_mon_divides(drawn, derive, data):
+    """not (t − lt) & div_mask exactly when lt is at t's position and its
+    monomial divides t's; lt is drawn as a divisor of t's monomial at a
+    drawn position, or freely."""
+    ring, [t, lt] = drawn
+    if derive:
+        lt = (lt[0], tuple(data.draw(st.integers(0, e)) for e in t[1]))
+    divides = not (ring.pack_term(t) - ring.pack_term(lt)) & ring.div_mask
+    assert divides == (t[0] == lt[0] and mon_divides(lt[1], t[1]))
+
+
+@given(_packable_terms(2))
+def test_packed_lcm_is_mon_lcm(drawn):
+    ring, [a, b] = drawn
+    lcm = ring.term_lcm(ring.pack_term(a), ring.pack_term(b))
+    assert ring.unpack_term(lcm) == (a[0], mon_lcm(a[1], b[1]))
+    assert ring.term_degree(lcm) == mon_deg(mon_lcm(a[1], b[1]))
+
+
+@given(_packable_terms(1), st.data())
+def test_packed_product_is_term_mul(drawn, data):
+    """t + q is t·x^q, for t and q drawn as the factors of a term of
+    degree at most EXP_LIMIT."""
+    ring, [(pos, product)] = drawn
+    q = tuple(data.draw(st.integers(0, e)) for e in product)
+    t = (pos, tuple(e - f for e, f in zip(product, q)))
+    packed = ring.pack_term(t) + ring.pack_term((0, q))
+    assert packed == ring.pack_term((pos, product))
+    assert ring.unpack_term(packed) == term_mul(t, q)
+
+
+def test_groebner_input_past_the_packed_limit_raises():
+    """A degree past EXP_LIMIT above the least twist raises, from an input
+    or from an S-pair's lcm, and never wraps: x^EXP_LIMIT comes back
+    exact, x^(EXP_LIMIT + 1) and x^40000 raise, and so does the ideal
+    (x^20000·y, x·y^20000), whose S-pair lies in degree 40000."""
+    from gradedca.gb import buchberger
+    ring = PolyRing(FIELD, ["x", "y"])
+    amb = FreeModule(ring, [0])
+    top = amb.element([ring.monomial((EXP_LIMIT, 0))])
+    assert buchberger([top]) == [top]
+    for gens in ([(EXP_LIMIT + 1, 0)], [(40000, 0)],
+                 [(20000, 1), (1, 20000)]):
+        with pytest.raises(InvariantViolation, match="packed exponent limit"):
+            buchberger([amb.element([ring.monomial(m)]) for m in gens])
+    shifted = FreeModule(ring, [-3])
+    low = shifted.element([ring.monomial((EXP_LIMIT, 0))])
+    assert buchberger([low]) == [low]
 
 
 def test_integer_times_element_is_scale():
