@@ -3,7 +3,7 @@
 For a module E ⊆ F = R^r given by a matrix of forms, Fⁿ is the free
 R-module on the degree-n monomials in T₁..T_r, and Eⁿ is spanned by the
 degree-n products of the g_j = Σ_i φ_ij T_i.  So E⁰ = F⁰ = R and
-Eⁿ⁺¹ = Σ_j g_j·Eⁿ, the filtration that hilbert._Powers steps for the
+Eⁿ⁺¹ = Σ_j g_j·Eⁿ, the filtration that hilbert.Powers steps for the
 Hilbert-Samuel values too, with tables that hilbert sums from R's
 multiplication tables: level n in degree t is an echelon basis of the
 images g_j·(a, m) = Σ_i (a + e_i, NF_R(φ_ij·m)) of level n − 1's bases.
@@ -18,7 +18,7 @@ from functools import cached_property
 from itertools import count
 
 from .gb import GBError
-from .hilbert import _Powers, _Space, dim_module, fit_binomial, module_length
+from .hilbert import Powers, Space, dim_module, fit_binomial, module_length
 from .homology import is_unmixed, local_cohomology_lengths
 from .modules import FreeModule, GradedModule
 from .poly import monomials_of_degree, require
@@ -98,7 +98,7 @@ def make_parameter_module(ring, ring_rels, columns) -> ParameterModule:
 
 
 def _brim_powers(pm: ParameterModule):
-    """Eⁿ ⊆ Fⁿ as a hilbert._Powers filtration over R = S/(ring_rels):
+    """Eⁿ ⊆ Fⁿ as a hilbert.Powers filtration over R = S/(ring_rels):
     A_n = Fⁿ is R on the blocks a, the T-monomials of degree n, and g_j
     has the part (T_i, φ_ij) for each φ_ij ≠ 0, so
     g_j·(a, m) = Σ_i (a·T_i, NF_R(φ_ij·m)).  The spaces hold R and the
@@ -107,8 +107,8 @@ def _brim_powers(pm: ParameterModule):
     units = [tuple(int(k == i) for k in range(rank)) for i in range(rank)]
     parts = [[(units[i], e) for i, e in enumerate(col) if not e.is_zero()]
              for col in pm.columns]
-    return _Powers(_Space(base, list(monomials_of_degree(rank, n)), parts)
-                   for n in count())
+    return Powers(Space(base, list(monomials_of_degree(rank, n)), parts)
+                  for n in count())
 
 
 def br_value(pm: ParameterModule, n: int) -> int:

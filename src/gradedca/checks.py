@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from . import brim, homology, invariants, koszul, sampler
 from . import gb as gbmod
 from . import hilbert as hb
-from .jobio import Job, _parameter_module, plain
+from .jobio import Job, parameter_module, plain
 
 
 @dataclass
@@ -205,7 +205,7 @@ def check_instance(job: Job):
 def check_brim(job: Job):
     rows = []
     spec = job.raw["brim"]
-    pm = _parameter_module(job, spec)
+    pm = parameter_module(job, spec)
     rep = brim.br_coefficients(pm)
     d = pm.base_dim
     rows.append(_row(job, "br-degree", rep.degree == d + pm.rank - 1,

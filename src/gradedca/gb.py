@@ -11,7 +11,8 @@ end: each basis element is kept as its integer form, over Q its
 primitive integer multiple (as hilbert._echelon's rows are), and every
 remainder comes out of one integer reduction loop, _reduce, and becomes
 its integer form by one content division.  _reduce is the one reduction
-kernel: hilbert's normal forms call it on the run's integer forms too.
+kernel: normal_forms, the table of NF(term) that hilbert's Hilbert-Samuel
+and Buchsbaum-Rim tables read, calls it on the run's integer forms too.
 No Fraction is built inside the run; a SubmoduleGB keeps the run's lead
 terms and integer forms, and builds its monic vectors, with Fraction
 coefficients over Q, only when they are first read.
@@ -291,12 +292,6 @@ def _groebner(base, gens, seed=None):
     return module, [lts[k] for k in order], [forms[k] for k in order], kept
 
 
-def buchberger(gens):
-    """Reduced Groebner basis of the homogeneous gens' span: monic and
-    sorted by leading term, the leading one first."""
-    return SubmoduleGB(gens).basis
-
-
 class SubmoduleGB:
     """A submodule of a free module given by its reduced Groebner basis:
     the run's packed lead terms lts and integer forms forms, which _reduce
@@ -379,6 +374,26 @@ def module_gb(module: GradedModule) -> SubmoduleGB:
     if base is not None and (seed := module_gb.peek(base)) is not None:
         return SubmoduleGB(module.ambient.ideal_multiples(polys), seed=seed)
     return SubmoduleGB(module.relations())
+
+
+@memoized()
+def normal_forms(module: GradedModule):
+    """nf(term): the normal form against M's basis of a packed term of M's
+    ambient, as (den, {term: c}) with packed terms and integers c, the
+    normal form being Σ c/den·term; over F_p den = 1 and the c are
+    residues.  Each is one _reduce of that monomial on the basis' integer
+    forms, made once per module: nf and its table are memoized on it."""
+    gb = module_gb(module)
+    lts, forms, ring = gb.lts, gb.forms, module.ring
+    table = {}
+
+    def nf(t):
+        form = table.get(t)
+        if form is None:
+            num, den, out = _reduce({t: 1}, lts, forms, ring)
+            form = table[t] = den, {u: num * c for u, c in out.items()}
+        return form
+    return nf
 
 
 def is_zero_module(module: GradedModule) -> bool:

@@ -16,40 +16,40 @@ From it, and by series_dim and series_length from any numerator:
     H(M, d)  = Σ_k N_k·binom(d − k + n − 1, n − 1);
     N(0:_M h) = N(M) − t^{−deg h}·(N(M) − N(M/hM)), with no colon module.
 
-The Hilbert-Samuel values λ(M/Q^{n+1}M) are levels of _Powers, which
+The Hilbert-Samuel values λ(M/Q^{n+1}M) are levels of Powers, which
 steps the filtration L_0 = M, L_{k+1} = Σ_j g_j·L_k one level at a time,
 degree by degree, in the linear-algebra view of Groebner bases (D. Lazard,
 EUROCAL 1983; J.-C. Faugère, J. Pure Appl. Algebra 139, 1999): level k+1
 in degree t is an echelon basis of the images of level k's bases in the
 degrees t − d_j, read off tables of NF(g_j·u) on the standard terms u, so
 no product of generators is formed, and no row that provably reduces to
-zero is formed either (see _Powers).  The tables are summed from
+zero is formed either (see Powers).  The tables are summed from
 multiplication tables kept on the module and shared by every Q of it
 (FGLM's, for the variables): NF(τ) of an ambient term τ is reduced once
-per module, by gb._reduce on the integer forms of M's Buchberger run, and
-kept as integers, (den, {term: c}), with no Fraction.  The terms τ, the
-standard terms and the terms of each normal form are the engine's packed
-ints (see poly), so x^m·u is an addition and a standard term is one no
-lead term divides by a subtraction and a mask; _standard_terms checks
-each degree against poly.EXP_LIMIT before it forms its terms.  NF(τ) is
-packed once per module and slot width as a row over the standard terms
-of its degree, X_{m,s} lists NF(x^m·u) by the slot of u, and the table of
-g = Σ c_m·x^m on degree s is Σ c_m·X_{m,s}, one integer multiply-add per
-term and row.  _echelon does the linear algebra: over
+per module, by gb.normal_forms on the integer forms of M's Buchberger
+run, and kept as integers, (den, {term: c}), with no Fraction.  The terms
+τ, the standard terms and the terms of each normal form are the engine's
+packed ints (see poly), so x^m·u is an addition and a standard term is
+one no lead term divides by a subtraction and a mask; _standard_terms
+checks each degree against poly.EXP_LIMIT before it forms its terms.
+NF(τ) is packed once per module and slot width as a row over the
+standard terms of its degree, X_{m,s} lists NF(x^m·u) by the slot of u,
+and the table of g = Σ c_m·x^m on degree s is Σ c_m·X_{m,s}, one integer
+multiply-add per term and row.  _echelon does the linear algebra: over
 F_p a packed echelon, each row one Python int with a slot per column and
 mod-p reduction delayed until a slot is read, so a row operation is one
 integer multiply-add and a table entry is never reduced before it; over
 Q, where each table's rows share one integer scale, a fraction-free
 elimination on primitive integer rows.  The Buchsbaum-Rim values
 λ(Fⁿ/Eⁿ), E ⊆ Rʳ, are levels of the same object, free over R on blocks of
-columns, its tables built by _Space.table from R's multiplication tables.
+columns, its tables built by Space.table from R's multiplication tables.
 Coefficients are integer backward differences of a stabilized tail of the
 table, read off in the binomial basis; the Buchsbaum-Rim tables use the
 same fit.
 
-The series, the normal-form table, its packed rows, the multiplication
-tables, the standard terms and the Hilbert coefficients of (M, Q) are
-kept on the module by modules.memoized.
+The series, the packed normal-form rows, the multiplication tables, the
+standard terms and the Hilbert coefficients of (M, Q) are kept on the
+module by modules.memoized, as gb.normal_forms' table is.
 The coefficients are keyed by the frozenset of Q's generators: a reordered
 or repeated generating set hits the same entry, and since the table values
 depend only on the ideal, a hit returns what a recomputation would.
@@ -62,7 +62,7 @@ from dataclasses import dataclass, field
 from itertools import repeat
 from math import comb, gcd, lcm
 
-from .gb import GBError, _reduce, module_gb, quotient_by_ideal
+from .gb import GBError, module_gb, normal_forms, quotient_by_ideal
 from .modules import GradedModule, memoized
 from .poly import (EXP_BITS, Poly, lincomb, mon_deg, mon_divides, mon_mul,
                    require, require_packable)
@@ -328,27 +328,6 @@ def _echelon(fld, rows, w, cap):
 
 
 @memoized()
-def _normal_forms(module: GradedModule):
-    """nf(term): the normal form against M's basis of a packed term of M's
-    ambient, as (den, {term: c}) with packed terms and integers c, the
-    normal form being Σ c/den·term; over F_p den = 1 and the c are
-    residues.  Each is one gb._reduce of that monomial on the basis'
-    integer forms, made once per module: nf and its table are memoized
-    on it."""
-    gb = module_gb(module)
-    lts, forms, ring = gb.lts, gb.forms, module.ring
-    table = {}
-
-    def nf(t):
-        form = table.get(t)
-        if form is None:
-            num, den, out = _reduce({t: 1}, lts, forms, ring)
-            form = table[t] = den, {u: num * c for u, c in out.items()}
-        return form
-    return nf
-
-
-@memoized()
 def _standard_terms(module: GradedModule, t):
     """The standard terms of M of degree t, packed: the (pos, mon) with mon
     divisible by no lead term at pos, H(M, t) of them, listed once per
@@ -398,7 +377,7 @@ def _packed_normal_forms(module: GradedModule, t, w):
     over the standard terms of degree t, packed once per module and
     width, so every ideal Q of M reads the same row.  The closure holds
     no reference to M, so M and its cache form no cycle."""
-    fld, nf = module.ring.field, _normal_forms(module)
+    fld, nf = module.ring.field, normal_forms(module)
     slots = {u: i for i, u in enumerate(_standard_terms(module, t))}
     rows = {}
 
@@ -447,8 +426,8 @@ def _form_table(module: GradedModule, form, s, w):
     return scale, rows
 
 
-class _Space:
-    """One A_k of a _Powers filtration: the free base-module on blocks,
+class Space:
+    """One A_k of a Powers filtration: the free base-module on blocks,
     ⊕_a base·a, for a base module and blocks that are monomials.  Its
     columns of degree t are the (a, u), u a standard term of base of degree
     t, block by block and within a block in _standard_terms' order.  g_j
@@ -463,13 +442,10 @@ class _Space:
         self.parts = parts
         self.degrees = [gen[0][1].total_degree() for gen in parts]
         self.tables = {}
-        self.counts = {}  # degree t -> cols(t)
 
     def cols(self, t):
         """The number of columns of degree t, |blocks|·H(base, t)."""
-        if t not in self.counts:
-            self.counts[t] = len(self.blocks) * len(_standard_terms(self.base, t))
-        return self.counts[t]
+        return len(self.blocks) * len(_standard_terms(self.base, t))
 
     def table(self, j, s, w, dst):
         """The table of g_j on degree s: the row of column (a, u) sums
@@ -518,15 +494,15 @@ def _image(fld, row, w, table):
 
 def _slot_width(p, below, terms, cols):
     """The slot width over F_p of a degree with cols columns and images of
-    below rows of tables of forms of ≤ terms terms; see _Powers."""
+    below rows of tables of forms of ≤ terms terms; see Powers."""
     return ((below * terms * p + cols + 1) * p * p).bit_length()
 
 
-class _Powers:
+class Powers:
     """λ(A_k/L_k) for the filtration L_0 = A_0, L_{k+1} = Σ_j g_j·L_k of
     graded modules A_k with finite-dimensional pieces, one level at a time.
 
-    spaces yields the A_k as _Spaces, d_j = degrees[j].  In every degree
+    spaces yields the A_k as Spaces, d_j = degrees[j].  In every degree
     (L_{k+1})_t = Σ_j g_j·(L_k)_{t−d_j}, so level k+1 in degree t is the
     echelon basis of the images, under the tables of A_k, of level k's
     basis in each degree t − d_j; where L_k is all of A_k the images are
@@ -620,7 +596,7 @@ def _module_powers(module: GradedModule, gens):
     """Q^k·M by Q = (gens): at every level one space, M as one block with
     the part ((), g) for each generator g, so its tables serve every level."""
     parts = [[((), g)] for g in gens if not g.is_zero()]
-    return _Powers(repeat(_Space(module, [()], parts)))
+    return Powers(repeat(Space(module, [()], parts)))
 
 
 def _hs_value(module: GradedModule, powers, n):

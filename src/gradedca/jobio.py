@@ -276,7 +276,9 @@ def _ideal(job: Job, opspec, key="ideal"):
     return job.ideals[name]
 
 
-def _parameter_module(job: Job, spec):
+def parameter_module(job: Job, spec):
+    """The ParameterModule of spec's columns over R = S/(ring_relations);
+    with no ring_relations, R = S/I when M = S/I is cyclic, and S else."""
     rels = spec.get("ring_relations")
     if rels is None:
         if job.module.ambient.rank == 1:
@@ -362,10 +364,10 @@ def execute_op(job: Job, opspec):
         powers = opspec.get("powers", [1, 2, 3])
         return [[l, e] for l, e in sampler.lambda_sweep(m, gens, powers)]
     if op == "buchsbaum-rim":
-        pm = _parameter_module(job, opspec)
+        pm = parameter_module(job, opspec)
         return plain(brim.br_coefficients(pm))
     if op == "probe-9-5":
-        pm = _parameter_module(job, opspec)
+        pm = parameter_module(job, opspec)
         return plain(brim.probe_conjecture_9_5(pm))
     raise JobError("unknown op %r" % op)
 

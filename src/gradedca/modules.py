@@ -3,11 +3,10 @@
 A vector in a free module F = ⊕ S(-twist_i) is a sparse dict
 (position, monomial) -> coefficient.  The degree of a term (i, m) is
 deg(m) + twists[i]; homogeneous vectors have all terms in one degree.
-Terms are ordered position over term: term_key, the position followed by
-poly.grevlex_key, so the smallest key is the leading term.  A map is kept
-as its columns, the images of the source basis, and a presentation is the
-map whose columns are the relations.  FreeModule.embed is the one place a
-vector moves into another free module, as into a block of a larger one.
+A map is kept as its columns, the images of the source basis, and a
+presentation is the map whose columns are the relations.  FreeModule.embed
+is the one place a vector moves into another free module, as into a block
+of a larger one.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from __future__ import annotations
 from functools import wraps
 
 from .poly import (Poly, PolyRing, PolyError, RingMismatch, SparseTerms,
-                   grevlex_key, lincomb, mon_deg, mon_mul)
+                   mon_deg, mon_mul)
 
 
 class FreeModule:
@@ -67,16 +66,6 @@ class FreeModule:
         return f"Free({self.ring}, twists={list(self.twists)})"
 
 
-def term_key(term):
-    """Position over term: the position followed by grevlex_key(mon).
-
-    The lower position leads.  The key is one flat tuple, which compares
-    faster than a nested one.
-    """
-    pos, mon = term
-    return (pos,) + grevlex_key(mon)
-
-
 def term_mul(term, mon):
     """The term (position, monomial) times the monomial mon."""
     pos, m = term
@@ -85,7 +74,6 @@ def term_mul(term, mon):
 
 class Vector(SparseTerms):
     __slots__ = ("module", "terms")
-    key = staticmethod(term_key)
     shift = staticmethod(term_mul)
 
     def __init__(self, module, terms):
@@ -163,19 +151,8 @@ class ModuleMap:
         coords = [c.coordinates() for c in self._columns]
         return [[col[i] for col in coords] for i in range(self.target.rank)]
 
-    def column(self, j):
-        return self._columns[j]
-
     def columns(self):
         return list(self._columns)
-
-    def apply(self, v: Vector) -> Vector:
-        if v.module != self.source:
-            raise RingMismatch("vector not in source module")
-        cols = self._columns
-        return Vector(self.target, lincomb(
-            self.target.ring.field.reduce,
-            [(c, m, cols[j].terms) for (j, m), c in v.terms.items()], term_mul))
 
     def transpose(self):
         """Dual map Hom(target, S) -> Hom(source, S); twists negate.
@@ -191,11 +168,6 @@ class ModuleMap:
             for (i, m), c in col.terms.items():
                 rows[i][(j, m)] = c
         return ModuleMap(dual_src, dual_tgt, [Vector(dual_tgt, r) for r in rows])
-
-    def compose(self, other):
-        """self ∘ other."""
-        return ModuleMap(other.source, self.target,
-                         [self.apply(c) for c in other._columns])
 
     def is_zero(self):
         return not any(c.terms for c in self._columns)
@@ -255,12 +227,7 @@ class GradedModule:
     def from_relations(cls, ambient: FreeModule, relations):
         """Module = ambient / <relations>; relation degrees set the twists."""
         rels = [r for r in relations if not r.is_zero()]
-        twists = []
-        for r in rels:
-            if not r.is_homogeneous():
-                raise PolyError("relations must be homogeneous")
-            twists.append(r.degree())
-        source = FreeModule(ambient.ring, twists)
+        source = FreeModule(ambient.ring, [r.degree() for r in rels])
         return cls(ModuleMap(source, ambient, rels))
 
     @classmethod

@@ -320,10 +320,9 @@ class SparseTerms:
     """A sparse sum of terms: dict term -> nonzero coefficient.
 
     A Poly's terms are monomials and a Vector's are (position, monomial)
-    pairs.  A subclass gives key, the ascending order of its terms (the
-    smallest key is the leading term), shift(t, m), the term t times the
-    monomial m, field, its coefficient field, _new, which builds a sibling
-    from a terms dict, and its own _check.  All arithmetic is one lincomb.
+    pairs.  A subclass gives shift(t, m), the term t times the monomial m,
+    field, its coefficient field, _new, which builds a sibling from a terms
+    dict, and its own _check.  All arithmetic is one lincomb.
     """
 
     __slots__ = ()
@@ -354,32 +353,15 @@ class SparseTerms:
     def __rmul__(self, other):
         return self.scale(other)
 
-    def mul_term(self, mon, coeff):
-        """Multiply by coeff·x^mon."""
-        return self._lincomb([(coeff, mon, self.terms)])
-
     def poly_mul(self, p):
         """Multiply by the polynomial p."""
         return self._lincomb([(c, m, self.terms) for m, c in p.terms.items()])
-
-    def leading_term(self):
-        """(term, coeff) of the leading term, the one of smallest key."""
-        if not self.terms:
-            raise PolyError("zero element has no leading term")
-        t = min(self.terms, key=self.key)
-        return t, self.terms[t]
-
-    def monic(self):
-        if not self.terms:
-            return self
-        return self.scale(self.field.inv(self.leading_term()[1]))
 
 
 class Poly(SparseTerms):
     """Sparse polynomial: dict exponent-tuple -> nonzero coefficient."""
 
     __slots__ = ("ring", "terms")
-    key = staticmethod(grevlex_key)
     shift = staticmethod(mon_mul)
 
     def __init__(self, ring, terms):

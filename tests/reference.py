@@ -1,5 +1,11 @@
 """Reference algorithms the tests hold the engine to, kept apart from it.
 
+term_key orders module terms position over term, the tuple order that
+the engine's packed keys are held to, and leading_term reads the leading
+term of a Poly or a Vector by it.  buchberger is the engine's reduced
+basis as a list, and apply and compose are a map's action on vectors and
+on maps, the tools of the d∘d = 0 and kernel checks; src/ needs none of
+them.
 _RankTracker is exact Gaussian elimination over the coefficient field on
 {term: coefficient} dicts, the independent rank count behind the
 reference quotient lengths; colon_submodule presents (N :_F f) by one
@@ -23,7 +29,7 @@ is called).  reference_unmixed_series is HS(U) by biduality over a
 random complete intersection inside Ann(M), apart from the Ext duals
 that homology.unmixed_component reads U off.
 reference_module_powers is the Hilbert-Samuel filtration Q^k·M on a
-_Space whose table method is not the one builder hilbert uses for both
+Space whose table method is not the one builder hilbert uses for both
 filtrations: a dict NF(g_j·u) per product, reduced by one reduce_vector
 call and packed by reference_pack, with entries below p, where the
 builder sums the module's multiplication tables into entries below
@@ -45,15 +51,15 @@ from heapq import heapify, heappop, heappush
 from itertools import combinations, combinations_with_replacement, repeat
 from math import comb, gcd, lcm
 
-from gradedca.gb import (GBError, _cleared, _primitive, _reduce, annihilator,
-                         is_zero_module, kernel_of_map,
+from gradedca.gb import (GBError, SubmoduleGB, _cleared, _primitive, _reduce,
+                         annihilator, is_zero_module, kernel_of_map,
                          minimal_free_resolution, minimal_generators,
                          minimal_presentation, module_gb, quotient_module)
-from gradedca.hilbert import (_Powers, _Space, _standard_terms, dim_module,
+from gradedca.hilbert import (Powers, Space, _standard_terms, dim_module,
                               hilbert_series, series_length, shifted_sum)
-from gradedca.modules import (FreeModule, GradedModule, ModuleMap, Vector,
-                              term_key, term_mul)
-from gradedca.poly import Poly, lincomb, mon_deg, mon_mul, monomials_of_degree
+from gradedca.modules import FreeModule, GradedModule, ModuleMap, Vector, term_mul
+from gradedca.poly import (Poly, PolyError, grevlex_key, lincomb, mon_deg, mon_mul,
+                           monomials_of_degree)
 
 REGULAR_SEQUENCE_TRIES = 50  # random draws per form of a regular sequence
 
@@ -67,6 +73,40 @@ def mon_div(a, b):
 def mon_lcm(a, b):
     """The lcm of two exponent tuples."""
     return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def term_key(term):
+    """Position over term: the position followed by grevlex_key(mon), so
+    the lower position leads and the smallest key is the leading term."""
+    pos, mon = term
+    return (pos,) + grevlex_key(mon)
+
+
+def leading_term(v):
+    """(term, coeff) of the leading term of a Poly or a Vector."""
+    if not v.terms:
+        raise PolyError("zero element has no leading term")
+    t = min(v.terms, key=grevlex_key if isinstance(v, Poly) else term_key)
+    return t, v.terms[t]
+
+
+def buchberger(gens):
+    """The engine's reduced basis of the homogeneous gens' span, monic and
+    sorted by leading term, the leading one first."""
+    return SubmoduleGB(gens).basis
+
+
+def apply(f: ModuleMap, v: Vector) -> Vector:
+    """f(v), the sum of v's coordinates times f's columns."""
+    cols = f.columns()
+    return Vector(f.target, lincomb(
+        f.target.ring.field.reduce,
+        [(c, m, cols[j].terms) for (j, m), c in v.terms.items()], term_mul))
+
+
+def compose(f: ModuleMap, g: ModuleMap) -> ModuleMap:
+    """f ∘ g."""
+    return ModuleMap(g.source, f.target, [apply(f, c) for c in g.columns()])
 
 
 def random_nonzero(fld, rng):
@@ -185,7 +225,7 @@ def reduce_vector(v: Vector, basis, lts=None, forms=None):
     ring = v.module.ring
     pack, unpack = ring.pack_term, ring.unpack_term
     if lts is None:
-        tuple_lts = [b.leading_term()[0] for b in basis]
+        tuple_lts = [leading_term(b)[0] for b in basis]
         lts = [pack(lt) for lt in tuple_lts]
         forms = [(lead, {pack(t): c for t, c in tail.items()})
                  for lead, tail in (integer_form(b, lt)
@@ -214,7 +254,7 @@ def reference_reduce_vector(v: Vector, basis, lts=None):
     if not basis:
         return Vector(v.module, dict(v.terms))
     if lts is None:
-        lts = [b.leading_term()[0] for b in basis]
+        lts = [leading_term(b)[0] for b in basis]
     reduce = v.module.ring.field.reduce
     out = {}
     work = dict(v.terms)
@@ -321,7 +361,7 @@ def reference_buchberger(gens):
         """Append r, made monic, and its lead term; True unless r is zero."""
         if r.is_zero():
             return False
-        lt, c = r.leading_term()
+        lt, c = leading_term(r)
         basis.append(r.scale(fld.inv(c)))
         lts.append(lt)
         return True
@@ -475,7 +515,7 @@ def reference_pack(fld, forms, slots, w):
     return rows
 
 
-class _ReferenceSpace(_Space):
+class _ReferenceSpace(Space):
     """M as the one block of every level of Q^k·M, whose table of g_j on
     degree s packs NF(g_j·u), one reduce_vector call on the product vector
     g_j·u for each standard term u of degree s.  Its entries are reduced,
@@ -499,10 +539,10 @@ class _ReferenceSpace(_Space):
 
 
 def reference_module_powers(module, gens):
-    """The filtration Q^k·M by Q = (gens) as a _Powers on _ReferenceSpace's
+    """The filtration Q^k·M by Q = (gens) as a Powers on _ReferenceSpace's
     tables."""
     parts = [[((), g)] for g in gens if not g.is_zero()]
-    return _Powers(repeat(_ReferenceSpace(module, [()], parts)))
+    return Powers(repeat(_ReferenceSpace(module, [()], parts)))
 
 
 def reference_tor_lengths(module, forms):

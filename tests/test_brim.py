@@ -140,7 +140,7 @@ def test_br_coefficients_builds_each_product_level_once(monkeypatch):
                                  random.Random(4))
     assert pm.colength is not None and pm.base_dim == 2
     products, steps = [], []
-    original_mul, original_step = Poly.__mul__, hilbert._Powers._step
+    original_mul, original_step = Poly.__mul__, hilbert.Powers._step
 
     def counted_mul(self, other):
         products.append(self)
@@ -150,7 +150,7 @@ def test_br_coefficients_builds_each_product_level_once(monkeypatch):
         steps.append(len(self.values))
         return original_step(self)
     monkeypatch.setattr(Poly, "__mul__", counted_mul)
-    monkeypatch.setattr(hilbert._Powers, "_step", counted_step)
+    monkeypatch.setattr(hilbert.Powers, "_step", counted_step)
     first = brim.br_coefficients(pm)
     top = len(first.table) - 1
     assert steps == list(range(1, top + 1)) and products == []
@@ -213,7 +213,7 @@ def _reference_br_value(pm, n):
     def terms(p, mon):
         out = {}
         for alpha, c in p.items():
-            red = _reference_nf(c.mul_term(mon, fld.one()), gb, amb)
+            red = _reference_nf(c * ring.monomial(mon), gb, amb)
             for m2, cc in red.terms.items():
                 out[(alpha, m2)] = cc
         return out

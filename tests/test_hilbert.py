@@ -2,6 +2,7 @@ import itertools
 import json
 import os
 import random
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -224,7 +225,7 @@ def test_series_matches_standard_monomials(spec):
                                for j in range(n)] if artinian else []))
               for twist, gens, artinian in blocks]
     amb = FreeModule(ring, [twist for twist, _ in blocks])
-    rels = [amb.basis(i).mul_term(g, 1)
+    rels = [amb.basis(i).poly_mul(ring.monomial(g))
             for i, (_, gens) in enumerate(blocks) for g in gens]
     module = GradedModule.from_relations(amb, rels)
 
@@ -243,7 +244,7 @@ def test_series_matches_standard_monomials(spec):
 
 
 # ---------------------------------------------------------------------------
-# the levels of _Powers against the per-row reduction of products built
+# the levels of Powers against the per-row reduction of products built
 # afresh
 
 
@@ -251,7 +252,6 @@ def _reference_quotient_length(module, vectors):
     """λ(M/⟨vectors⟩) with one reduce_vector call per vector and per
     monomial multiple of one."""
     ring = module.ring
-    one = ring.field.one()
     gb = module_gb(module)
     lts = gb.lts
     amb = module.ambient
@@ -264,7 +264,8 @@ def _reference_quotient_length(module, vectors):
     t = min(amb.twists)
     while True:
         std = hb.hilbert_function(module, t)
-        rows = (reduce_vector(v.mul_term(m, one), gb.basis, lts, gb.forms).terms
+        rows = (reduce_vector(v.poly_mul(ring.monomial(m)), gb.basis, lts,
+                              gb.forms).terms
                 for v, dv in bases
                 for m in monomials_of_degree(ring.num_vars, t - dv))
         left = std - _RankTracker(ring.field).rank(rows, std)
@@ -368,7 +369,7 @@ def test_module_powers_match_the_tables_of_products(char, seed):
 
 def _table_rows(powers, j, s):
     """The table of g_j on degree s as rows {slot: c} over the field: over
-    F_p unpacked at the width _Powers gave it and reduced mod p, over Q
+    F_p unpacked at the width Powers gave it and reduced mod p, over Q
     divided by the entry at the least slot of its first nonzero row."""
     space, fld = powers.top, powers.fld
     table = space.tables[(j, s)]
@@ -415,7 +416,7 @@ def test_lengths_match_macaulay_matrix_counts(name):
 
 @pytest.mark.parametrize("gens", ["", "x", "x+y,z", "x,y,z", "x^2,y+z,x", "x*z,y^2"])
 def test_power_levels_match_products_built_afresh(ring3, gens):
-    # level n of _Powers against M/(products of n generators)M on an
+    # level n of Powers against M/(products of n generators)M on an
     # Artinian M with unequal twists, so that every ideal has finite
     # colength: the zero ideal, repeated generators and non-parameters too
     x, y, z = ring3.gens()
@@ -431,13 +432,16 @@ def test_power_levels_match_products_built_afresh(ring3, gens):
 
 
 def _count_reductions(monkeypatch):
+    """The works of the gb._reduce calls made by gb.normal_forms' nf, told
+    from the Buchberger runs' calls by the caller's frame name."""
     calls = []
-    original = hb._reduce
+    original = gbmod._reduce
 
     def counted(work, *args):
-        calls.append(dict(work))  # _reduce uses its work dict up
+        if sys._getframe(1).f_code.co_name == "nf":
+            calls.append(dict(work))  # _reduce uses its work dict up
         return original(work, *args)
-    monkeypatch.setattr(hb, "_reduce", counted)
+    monkeypatch.setattr(gbmod, "_reduce", counted)
     return calls
 
 
@@ -683,7 +687,7 @@ MEMOIZED = [(gbmod.module_gb, ()), (gbmod.annihilator, ()),
             (gbmod.minimal_presentation, ()),
             (gbmod.minimal_free_resolution, ()),
             (gbmod.quotient_by_ideal, ([Y],)), (hb.hilbert_series, ()),
-            (hb._normal_forms, ()), (hb.hilbert_coefficients, ([Y],)),
+            (gbmod.normal_forms, ()), (hb.hilbert_coefficients, ([Y],)),
             (homology.ext_module, (1,)),
             (homology.local_cohomology_lengths, ()),
             (homology.unmixed_component, ()), (invariants.hdeg, ([Y],)),
